@@ -75,8 +75,7 @@ fn bench_engine(c: &mut Criterion) {
     // job widths, 100-container pool) at a 3,000-job prefix — large
     // enough that scheduling-pass cost dominates, small enough for
     // criterion's iteration counts. The full 24,443-job trace is the
-    // perf-smoke binary's job; this group tracks the same workload shape
-    // and pits the incremental engine against the full-rebuild reference.
+    // perf-smoke binary's job; this group tracks the same workload shape.
     let trace = FacebookTrace::new().jobs(3_000).seed(0).generate();
     let kind = SchedulerKind::las_mq_simulations();
     let events = SimSetup::trace_sim()
@@ -90,14 +89,6 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("las_mq_3000_jobs_incremental", |b| {
         b.iter(|| {
             let report = SimSetup::trace_sim().run(trace.clone(), &kind);
-            black_box(report)
-        });
-    });
-    group.bench_function("las_mq_3000_jobs_full_rebuild", |b| {
-        b.iter(|| {
-            let report = SimSetup::trace_sim()
-                .full_rebuild_passes(true)
-                .run(trace.clone(), &kind);
             black_box(report)
         });
     });

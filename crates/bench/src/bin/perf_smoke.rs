@@ -36,7 +36,7 @@ const USAGE: &str = "\
 perf-smoke: Facebook-scale engine throughput smoke check
 
 USAGE:
-    perf-smoke [--trace NAME] [--jobs N] [--seed S] [--emit FILE | --check FILE]
+    perf-smoke [--trace NAME] [--jobs N] [--seed S] [--iters N] [--emit FILE | --check FILE]
 
 OPTIONS:
     --trace NAME    workload: 'facebook' (default; the paper's trace on a
@@ -46,14 +46,8 @@ OPTIONS:
     --jobs N        trace length in jobs (default: 24443 for facebook,
                     1000000 for scale)
     --seed S        trace generator seed (default 0)
-    --full-rebuild  disable incremental passes (the legacy engine path),
-                    for A/B comparison against the default incremental mode
-    --heap-queue    run the event queue on the legacy binary-heap backend,
-                    for A/B byte-identity against the calendar queue
     --iters N       measurement iterations, best kept (default 3; CI uses 1
                     for the long scale-trace gate)
-    --report FILE   write the final iteration's full simulation report as
-                    JSON (the byte-identity artifact for A/B diffs)
     --emit FILE     write the measurement as a JSON baseline
     --check FILE    compare against FILE; exit 1 on > 30% regression
     --help          print this help
@@ -85,10 +79,7 @@ struct Args {
     trace: TraceKind,
     jobs: Option<usize>,
     seed: u64,
-    full_rebuild: bool,
-    heap_queue: bool,
     iters: usize,
-    report: Option<String>,
     emit: Option<String>,
     check: Option<String>,
 }
@@ -98,10 +89,7 @@ fn parse_args() -> Result<Args, String> {
         trace: TraceKind::Facebook,
         jobs: None,
         seed: 0,
-        full_rebuild: false,
-        heap_queue: false,
         iters: DEFAULT_ITERATIONS,
-        report: None,
         emit: None,
         check: None,
     };
@@ -128,8 +116,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--full-rebuild" => args.full_rebuild = true,
-            "--heap-queue" => args.heap_queue = true,
             "--iters" => {
                 args.iters = value("--iters")?
                     .parse()
@@ -138,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--iters must be at least 1".into());
                 }
             }
-            "--report" => args.report = Some(value("--report")?),
             "--emit" => args.emit = Some(value("--emit")?),
             "--check" => args.check = Some(value("--check")?),
             "--help" | "-h" => {
@@ -181,7 +166,7 @@ impl Measurement {
     }
 }
 
-fn measure(args: &Args, jobs: usize) -> (Measurement, lasmq_simulator::SimulationReport) {
+fn measure(args: &Args, jobs: usize) -> Measurement {
     let (trace, setup) = match args.trace {
         TraceKind::Facebook => (
             FacebookTrace::new().jobs(jobs).seed(args.seed).generate(),
@@ -196,15 +181,11 @@ fn measure(args: &Args, jobs: usize) -> (Measurement, lasmq_simulator::Simulatio
             )
         }
     };
-    let setup = setup
-        .full_rebuild_passes(args.full_rebuild)
-        .heap_event_queue(args.heap_queue);
     let kind = SchedulerKind::las_mq_simulations();
 
     let iters = args.iters;
     let mut best_secs = f64::INFINITY;
     let mut events = 0;
-    let mut last_report = None;
     for i in 0..iters {
         let trace = trace.clone();
         let start = Instant::now();
@@ -219,16 +200,14 @@ fn measure(args: &Args, jobs: usize) -> (Measurement, lasmq_simulator::Simulatio
             events as f64 / secs,
             report.stats().scheduling_passes
         );
-        last_report = Some(report);
     }
-    let measurement = Measurement {
+    Measurement {
         trace: args.trace,
         jobs,
         seed: args.seed,
         events,
         best_secs,
-    };
-    (measurement, last_report.expect("iters >= 1"))
+    }
 }
 
 fn baseline_field(json: &str, key: &str) -> Option<f64> {
@@ -256,20 +235,12 @@ fn main() -> ExitCode {
 
     let jobs = args.jobs.unwrap_or_else(|| args.trace.default_jobs());
     eprintln!(
-        "perf-smoke: {} {} jobs under LAS_MQ (seed {}{})",
+        "perf-smoke: {} {} jobs under LAS_MQ (seed {})",
         jobs,
         args.trace.bench_name(),
-        args.seed,
-        if args.full_rebuild {
-            ", full-rebuild passes"
-        } else {
-            ""
-        }
+        args.seed
     );
-    if args.heap_queue {
-        eprintln!("perf-smoke: legacy binary-heap event-queue backend");
-    }
-    let (m, report) = measure(&args, jobs);
+    let m = measure(&args, jobs);
     println!(
         "{}: {} events in {:.2}s = {:.0} events/s",
         args.trace.bench_name(),
@@ -277,18 +248,6 @@ fn main() -> ExitCode {
         m.best_secs,
         m.events_per_sec()
     );
-
-    if let Some(path) = &args.report {
-        // Every run of the same workload is deterministic, so the final
-        // iteration's report is THE report; two invocations differing only
-        // in backend flags must produce byte-identical files.
-        let json = serde_json::to_string(&report).expect("report serialization cannot fail");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: writing report {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {path}");
-    }
 
     if let Some(path) = &args.emit {
         if let Err(e) = std::fs::write(path, m.to_json()) {

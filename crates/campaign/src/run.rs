@@ -17,8 +17,11 @@ use crate::workload::WorkloadSpec;
 /// invariant section, so v2 entries describe neither.
 ///
 /// v4: reports carry `EngineStats::events_processed` and setups carry
-/// `full_rebuild_passes`, so v3 entries lack both fields.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+/// a pass-mode switch, so v3 entries lack both fields.
+///
+/// v5: setups lost the pass-mode and event-queue-backend switches (one
+/// engine path), so v4 cell descriptions no longer match.
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// One unit of campaign work: run `workload` under `scheduler` in
 /// `setup`.

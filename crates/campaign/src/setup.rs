@@ -28,18 +28,6 @@ pub struct SimSetup {
     /// they must not share cache entries with unverified ones.
     #[serde(default)]
     check_invariants: bool,
-    /// Whether runs disable the engine's incremental scheduling passes and
-    /// rebuild every job view each pass (the pre-incremental code path,
-    /// kept for A/B byte-identity checks). Part of the fingerprint out of
-    /// caution, though both modes produce identical reports.
-    #[serde(default)]
-    full_rebuild_passes: bool,
-    /// Whether runs use the legacy binary-heap event-queue backend instead
-    /// of the calendar queue (kept for A/B byte-identity checks). Part of
-    /// the fingerprint out of caution, though both backends produce
-    /// identical reports.
-    #[serde(default)]
-    heap_event_queue: bool,
 }
 
 impl SimSetup {
@@ -55,8 +43,6 @@ impl SimSetup {
             failures: FailureConfig::disabled(),
             record_telemetry: false,
             check_invariants: false,
-            full_rebuild_passes: false,
-            heap_event_queue: false,
         }
     }
 
@@ -72,8 +58,6 @@ impl SimSetup {
             failures: FailureConfig::disabled(),
             record_telemetry: false,
             check_invariants: false,
-            full_rebuild_passes: false,
-            heap_event_queue: false,
         }
     }
 
@@ -155,22 +139,6 @@ impl SimSetup {
         self.check_invariants
     }
 
-    /// Forces (or lifts) full per-pass view rebuilds for runs of this
-    /// setup (see `lasmq_simulator::SimulationBuilder::full_rebuild_passes`)
-    /// — the reference mode for incremental-vs-full A/B equality tests.
-    pub fn full_rebuild_passes(mut self, full_rebuild: bool) -> Self {
-        self.full_rebuild_passes = full_rebuild;
-        self
-    }
-
-    /// Runs this setup on the legacy binary-heap event-queue backend (see
-    /// `lasmq_simulator::SimulationBuilder::heap_event_queue`) — the
-    /// reference mode for calendar-vs-heap A/B equality checks.
-    pub fn heap_event_queue(mut self, heap: bool) -> Self {
-        self.heap_event_queue = heap;
-        self
-    }
-
     /// The configured cluster.
     pub fn cluster_config(&self) -> ClusterConfig {
         self.cluster
@@ -201,21 +169,7 @@ impl SimSetup {
         jobs: Vec<JobSpec>,
         kind: &SchedulerKind,
     ) -> Simulation<Box<dyn Scheduler>> {
-        Simulation::builder()
-            .cluster(self.cluster)
-            .quantum(self.quantum)
-            .preemption(self.preemption)
-            .speculation(self.speculation)
-            .failures(self.failures)
-            .expose_oracle(kind.requires_oracle())
-            .record_telemetry(self.record_telemetry)
-            .check_invariants(self.check_invariants)
-            .full_rebuild_passes(self.full_rebuild_passes)
-            .heap_event_queue(self.heap_event_queue)
-            .jobs(jobs)
-            .admission_opt(self.admission_limit)
-            .build(kind.build())
-            .expect("experiment setup must be valid")
+        self.build_simulation_with(jobs, kind.build(), kind.requires_oracle())
     }
 
     /// Like [`build_simulation`](Self::build_simulation) but for a
@@ -233,7 +187,7 @@ impl SimSetup {
         scheduler: S,
         requires_oracle: bool,
     ) -> Simulation<S> {
-        Simulation::builder()
+        let mut builder = Simulation::builder()
             .cluster(self.cluster)
             .quantum(self.quantum)
             .preemption(self.preemption)
@@ -242,10 +196,11 @@ impl SimSetup {
             .expose_oracle(requires_oracle)
             .record_telemetry(self.record_telemetry)
             .check_invariants(self.check_invariants)
-            .full_rebuild_passes(self.full_rebuild_passes)
-            .heap_event_queue(self.heap_event_queue)
-            .jobs(jobs)
-            .admission_opt(self.admission_limit)
+            .jobs(jobs);
+        if let Some(cap) = self.admission_limit {
+            builder = builder.admission_limit(cap);
+        }
+        builder
             .build(scheduler)
             .expect("experiment setup must be valid")
     }
@@ -264,20 +219,6 @@ impl SimSetup {
         kind: &SchedulerKind,
     ) -> Result<Simulation<Box<dyn Scheduler>>, SimError> {
         Simulation::restore(snapshot, kind.build())
-    }
-}
-
-/// Extension to apply an optional admission limit on the builder.
-trait AdmissionOpt {
-    fn admission_opt(self, limit: Option<usize>) -> Self;
-}
-
-impl AdmissionOpt for lasmq_simulator::SimulationBuilder {
-    fn admission_opt(self, limit: Option<usize>) -> Self {
-        match limit {
-            Some(cap) => self.admission_limit(cap),
-            None => self,
-        }
     }
 }
 

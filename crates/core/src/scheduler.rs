@@ -66,10 +66,9 @@ struct LasMqState {
 const NO_QUEUE: u32 = u32::MAX;
 
 /// Per-job demand snapshot from the last time the job's view was
-/// refreshed. The defaults mirror the legacy full-pass fallbacks for jobs
-/// without a view: `remaining_demand = u32::MAX` (sorts last) and
-/// `max_useful = 0` (never granted), so an [`EMPTY`](CachedDemand::EMPTY)
-/// entry behaves exactly like a missing per-pass lookup used to.
+/// refreshed. The defaults are the fallbacks for jobs without a view:
+/// `remaining_demand = u32::MAX` (sorts last) and `max_useful = 0` (never
+/// granted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CachedDemand {
     /// `JobView::remaining_demand` — the in-queue sort key.
@@ -338,9 +337,7 @@ impl Scheduler for LasMq {
             }
             None => {
                 // No hint: discard the cache and rebuild it from every
-                // view, which reproduces the legacy full pass bit for bit
-                // (an EMPTY entry carries the legacy missing-view
-                // fallbacks).
+                // view (an EMPTY entry carries the missing-view fallbacks).
                 for entry in &mut self.job_cache {
                     *entry = CachedDemand::EMPTY;
                 }

@@ -77,6 +77,50 @@ fn config_strategy() -> impl Strategy<Value = LasMqConfig> {
         })
 }
 
+/// Applies one mutation of the kinds an engine run produces — including
+/// the two the failure-free reference executor never does (a kill that
+/// drops held containers back to unstarted, and a stage reset).
+fn mutate(v: &mut JobView, kind: u8, amount: f64) {
+    let width = v.containers_per_task;
+    match kind {
+        // Running tasks accrue service and progress.
+        0 => {
+            let gain = Service::from_container_secs(amount);
+            v.attained += gain;
+            v.attained_stage += gain;
+            v.stage_progress = (v.stage_progress + amount / 1_000.0).min(1.0);
+        }
+        // Unstarted tasks launch.
+        1 => {
+            let k = v.unstarted_tasks.min(1 + amount as u32 % 4);
+            v.unstarted_tasks -= k;
+            v.held += k * width;
+        }
+        // A running task finishes.
+        2 if v.held >= width => {
+            v.held -= width;
+            v.remaining_tasks -= 1;
+        }
+        // A running task is killed (preemption, failure): back to unstarted.
+        3 if v.held >= width => {
+            v.held -= width;
+            v.unstarted_tasks += 1;
+        }
+        // The stage completes and the next one (2 containers wide) opens.
+        4 if v.stage_index + 1 < v.stage_count => {
+            let tasks = 1 + amount as u32 % 40;
+            v.stage_index += 1;
+            v.attained_stage = Service::ZERO;
+            v.stage_progress = 0.0;
+            v.remaining_tasks = tasks;
+            v.unstarted_tasks = tasks;
+            v.containers_per_task = 2;
+            v.held = 0;
+        }
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -107,6 +151,79 @@ proptest! {
         }
         let demand: u64 = views.iter().map(|v| v.max_useful_allocation() as u64).sum();
         prop_assert_eq!(granted, demand.min(capacity as u64), "not work conserving");
+    }
+
+    /// LAS_MQ's incremental branch (`SchedContext::with_changed`) and its
+    /// from-scratch branch (no hint) are the same policy: driven over one
+    /// random sequence of view sets — arrivals, completions, service
+    /// accrual, launches, finishes, kills and stage resets — the two
+    /// instances agree on every plan, demotion, queue depth and snapshot,
+    /// and both stay internally consistent.
+    #[test]
+    fn changed_hint_and_no_hint_agree_pass_for_pass(
+        passes in prop::collection::vec(
+            (
+                prop::collection::vec(view_strategy(), 0..3),
+                prop::collection::vec(0u32..1_000, 0..2),
+                prop::collection::vec((0u32..1_000, 0u8..5, 0.0f64..400.0), 0..8),
+            ),
+            1..40,
+        ),
+        capacity in 1u32..150,
+        config in config_strategy(),
+    ) {
+        let mut hinted = LasMq::new(config.clone());
+        let mut unhinted = LasMq::new(config);
+        let mut views: Vec<JobView> = Vec::new();
+        let mut seen: std::collections::HashMap<JobId, JobView> = Default::default();
+        let mut next_id = 0;
+        for (pass, (arrivals, completions, mutations)) in passes.into_iter().enumerate() {
+            let now = SimTime::from_secs(pass as u64);
+            for sel in completions {
+                if views.is_empty() {
+                    break;
+                }
+                let done = views.remove(sel as usize % views.len());
+                seen.remove(&done.id);
+                hinted.on_job_completed(done.id, now);
+                unhinted.on_job_completed(done.id, now);
+            }
+            for (sel, kind, amount) in mutations {
+                if !views.is_empty() {
+                    let slot = sel as usize % views.len();
+                    mutate(&mut views[slot], kind, amount);
+                }
+            }
+            for mut view in arrivals {
+                view.id = JobId::new(next_id);
+                view.stage_count = 3;
+                next_id += 1;
+                hinted.on_job_admitted(&view, now);
+                unhinted.on_job_admitted(&view, now);
+                views.push(view);
+            }
+            // The exact hint: slots whose job is new or whose view content
+            // differs from what the schedulers saw last pass.
+            let changed: Vec<usize> = (0..views.len())
+                .filter(|&slot| seen.get(&views[slot].id) != Some(&views[slot]))
+                .collect();
+            for view in &views {
+                seen.insert(view.id, view.clone());
+            }
+
+            let ctx = SchedContext::new(now, capacity, &views);
+            let plain = unhinted.allocate(&ctx);
+            let incremental = hinted.allocate(&ctx.with_changed(&changed));
+            prop_assert_eq!(incremental, plain, "plans diverged at pass {}", pass);
+            prop_assert_eq!(hinted.drain_demotions(), unhinted.drain_demotions());
+            prop_assert_eq!(hinted.queue_depths(), unhinted.queue_depths());
+            prop_assert_eq!(hinted.snapshot_state(), unhinted.snapshot_state());
+            for sched in [&hinted, &unhinted] {
+                if let Err(detail) = sched.check_consistency() {
+                    return Err(TestCaseError::fail(format!("pass {pass}: {detail}")));
+                }
+            }
+        }
     }
 
     /// Queue placement is consistent: after an allocate pass every job

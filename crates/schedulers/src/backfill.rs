@@ -25,6 +25,7 @@ use std::collections::HashMap;
 
 use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
 
+use crate::grant_in_order;
 use crate::noise::SizeNoise;
 
 /// Which backfill score a [`Backfill`] instance ranks by.
@@ -189,19 +190,10 @@ impl Scheduler for Backfill {
                 .then_with(|| jobs[a.1].arrival.cmp(&jobs[b.1].arrival))
                 .then_with(|| jobs[a.1].id.cmp(&jobs[b.1].id))
         });
-        let mut plan = AllocationPlan::new();
-        let mut budget = ctx.total_containers();
-        for (_, idx) in keyed {
-            if budget == 0 {
-                break;
-            }
-            let want = jobs[idx].max_useful_allocation().min(budget);
-            if want > 0 {
-                plan.push(jobs[idx].id, want);
-                budget -= want;
-            }
-        }
-        plan
+        grant_in_order(
+            keyed.into_iter().map(|(_, i)| &jobs[i]),
+            ctx.total_containers(),
+        )
     }
 }
 

@@ -7,6 +7,8 @@
 
 use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler};
 
+use crate::grant_in_order;
+
 /// First-in-first-out job scheduling.
 ///
 /// # Examples
@@ -45,20 +47,8 @@ impl Scheduler for Fifo {
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let mut plan = AllocationPlan::new();
-        let mut budget = ctx.total_containers();
         // ctx.jobs() is in admission order, which is arrival order.
-        for job in ctx.jobs() {
-            if budget == 0 {
-                break;
-            }
-            let want = job.max_useful_allocation().min(budget);
-            if want > 0 {
-                plan.push(job.id, want);
-                budget -= want;
-            }
-        }
-        plan
+        grant_in_order(ctx.jobs(), ctx.total_containers())
     }
 }
 

@@ -26,6 +26,7 @@
 
 use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
 
+use crate::grant_in_order;
 use crate::noise::SizeNoise;
 
 /// One job's state in the virtual processor-sharing system.
@@ -282,19 +283,7 @@ impl Scheduler for Fsp {
                 .then_with(|| jobs[a].arrival.cmp(&jobs[b].arrival))
                 .then_with(|| jobs[a].id.cmp(&jobs[b].id))
         });
-        let mut plan = AllocationPlan::new();
-        let mut budget = ctx.total_containers();
-        for idx in order {
-            if budget == 0 {
-                break;
-            }
-            let want = jobs[idx].max_useful_allocation().min(budget);
-            if want > 0 {
-                plan.push(jobs[idx].id, want);
-                budget -= want;
-            }
-        }
-        plan
+        grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
     }
 }
 

@@ -11,6 +11,8 @@
 
 use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler};
 
+use crate::grant_in_order;
+
 /// Least-attained-service scheduling.
 ///
 /// # Examples
@@ -58,19 +60,7 @@ impl Scheduler for Las {
                 .then_with(|| jobs[a].admitted_at.cmp(&jobs[b].admitted_at))
                 .then_with(|| jobs[a].id.cmp(&jobs[b].id))
         });
-        let mut plan = AllocationPlan::new();
-        let mut budget = ctx.total_containers();
-        for idx in order {
-            if budget == 0 {
-                break;
-            }
-            let want = jobs[idx].max_useful_allocation().min(budget);
-            if want > 0 {
-                plan.push(jobs[idx].id, want);
-                budget -= want;
-            }
-        }
-        plan
+        grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
     }
 }
 

@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::grant_in_order;
+
 /// Version tag carried by serialized [`LinearPolicy`] artifacts. Bump on
 /// any change to [`FEATURE_COUNT`] or the meaning of a feature slot.
 pub const POLICY_SCHEMA_VERSION: u32 = 1;
@@ -268,19 +270,7 @@ impl Scheduler for LearnedScheduler {
                 })
                 .then_with(|| jobs[a].id.cmp(&jobs[b].id))
         });
-        let mut plan = AllocationPlan::new();
-        let mut budget = ctx.total_containers();
-        for idx in order {
-            if budget == 0 {
-                break;
-            }
-            let want = jobs[idx].max_useful_allocation().min(budget);
-            if want > 0 {
-                plan.push(jobs[idx].id, want);
-                budget -= want;
-            }
-        }
-        plan
+        grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
     }
 
     fn snapshot_state(&self) -> Option<String> {

@@ -82,3 +82,28 @@ pub use learned::{
 };
 pub use oracle::{ShortestJobFirst, ShortestRemainingFirst};
 pub use ps::Ps;
+
+use lasmq_simulator::{AllocationPlan, JobView};
+
+/// The grant loop every strict-priority policy ends with: walk `jobs` in
+/// the policy's priority order and give each its full useful demand until
+/// the cluster's `total_containers` run out. Jobs with nothing to use are
+/// skipped, so the plan lists only positive grants.
+fn grant_in_order<'a>(
+    jobs: impl IntoIterator<Item = &'a JobView>,
+    total_containers: u32,
+) -> AllocationPlan {
+    let mut plan = AllocationPlan::new();
+    let mut budget = total_containers;
+    for job in jobs {
+        if budget == 0 {
+            break;
+        }
+        let want = job.max_useful_allocation().min(budget);
+        if want > 0 {
+            plan.push(job.id, want);
+            budget -= want;
+        }
+    }
+    plan
+}

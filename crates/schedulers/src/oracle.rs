@@ -11,6 +11,8 @@
 
 use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler, Service};
 
+use crate::grant_in_order;
+
 /// Shortest job first (preemptive, by true total size).
 ///
 /// # Examples
@@ -95,19 +97,7 @@ fn allocate_by_key(
             .then_with(|| jobs[a].arrival.cmp(&jobs[b].arrival))
             .then_with(|| jobs[a].id.cmp(&jobs[b].id))
     });
-    let mut plan = AllocationPlan::new();
-    let mut budget = ctx.total_containers();
-    for idx in order {
-        if budget == 0 {
-            break;
-        }
-        let want = jobs[idx].max_useful_allocation().min(budget);
-        if want > 0 {
-            plan.push(jobs[idx].id, want);
-            budget -= want;
-        }
-    }
-    plan
+    grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
 }
 
 #[cfg(test)]

@@ -520,8 +520,6 @@ pub struct SimulationBuilder {
     record_journal: bool,
     record_telemetry: bool,
     check_invariants: bool,
-    full_rebuild_passes: bool,
-    heap_event_queue: bool,
     deadline: Option<SimTime>,
     jobs: Vec<JobSpec>,
 }
@@ -539,8 +537,6 @@ impl Default for SimulationBuilder {
             record_journal: false,
             record_telemetry: false,
             check_invariants: false,
-            full_rebuild_passes: false,
-            heap_event_queue: false,
             deadline: None,
             jobs: Vec::new(),
         }
@@ -625,27 +621,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Forces every scheduling pass to rebuild all job views and hand the
-    /// scheduler no change hints, instead of the default incremental
-    /// dirty-set path. Results are identical either way (the incremental
-    /// path is an optimization, not a policy change); this switch exists so
-    /// regression tests can diff the two paths byte-for-byte and to help
-    /// bisect a suspected dirty-tracking bug. Off by default.
-    pub fn full_rebuild_passes(mut self, full_rebuild: bool) -> Self {
-        self.full_rebuild_passes = full_rebuild;
-        self
-    }
-
-    /// Runs the event queue on the legacy binary-heap backend instead of
-    /// the calendar queue. Both backends deliver events in the identical
-    /// (time, seq) order, so results are byte-identical either way; this
-    /// switch exists for the A/B identity gate in CI and for bisecting a
-    /// suspected queue bug. Off by default.
-    pub fn heap_event_queue(mut self, heap: bool) -> Self {
-        self.heap_event_queue = heap;
-        self
-    }
-
     /// Hard stop: events after `deadline` are not processed and unfinished
     /// jobs are reported with `finish = None`.
     pub fn deadline(mut self, deadline: SimTime) -> Self {
@@ -698,11 +673,7 @@ impl SimulationBuilder {
         // Stable sort by arrival: JobIds are dense in arrival order.
         let mut specs = self.jobs;
         specs.sort_by_key(JobSpec::arrival);
-        let mut events = if self.heap_event_queue {
-            EventQueue::new_heap()
-        } else {
-            EventQueue::new()
-        };
+        let mut events = EventQueue::new();
         for (i, spec) in specs.iter().enumerate() {
             events.push(
                 spec.arrival(),
@@ -755,7 +726,6 @@ impl SimulationBuilder {
             plan_buf: AllocationPlan::new(),
             event_scratch: Vec::new(),
             scratch: JobScratch::default(),
-            full_rebuild: self.full_rebuild_passes,
             plan_order: Vec::new(),
             refill_cursor: 0,
             needs_pass: false,
@@ -846,8 +816,6 @@ pub struct Simulation<S: Scheduler> {
     event_scratch: Vec<EventEntry>,
     /// Reusable per-pass buffers and the retired-stage-buffer pool.
     scratch: JobScratch,
-    /// Compatibility switch: rebuild all views each pass, no change hints.
-    full_rebuild: bool,
     plan_order: Vec<JobId>,
     refill_cursor: usize,
     needs_pass: bool,
@@ -1502,7 +1470,6 @@ impl<S: Scheduler> Simulation<S> {
             plan_buf: AllocationPlan::new(),
             event_scratch: Vec::new(),
             scratch: JobScratch::default(),
-            full_rebuild: false,
             plan_order: snapshot.plan_order,
             refill_cursor: snapshot.refill_cursor,
             needs_pass: snapshot.needs_pass,
@@ -2024,14 +1991,6 @@ impl<S: Scheduler> Simulation<S> {
         self.stats.scheduling_passes += 1;
         self.compact_admitted();
 
-        if self.full_rebuild {
-            for i in 0..self.admitted.len() {
-                let id = self.admitted[i];
-                if self.jobs.core[id.index()].active() {
-                    self.mark_dirty(id);
-                }
-            }
-        }
         if self.views_need_compact {
             self.compact_views();
         }
@@ -2043,15 +2002,8 @@ impl<S: Scheduler> Simulation<S> {
             self.now,
             self.cluster.config().total_containers(),
             &self.active_views,
-        );
-        // In full-rebuild mode the hint is withheld so schedulers take
-        // their treat-everything-as-changed path, mirroring the original
-        // non-incremental engine exactly.
-        let ctx = if self.full_rebuild {
-            ctx
-        } else {
-            ctx.with_changed(&self.changed_slots)
-        };
+        )
+        .with_changed(&self.changed_slots);
         let mut plan = std::mem::take(&mut self.plan_buf);
         self.scheduler.allocate_into(&ctx, &mut plan);
         let active_jobs = self.active_views.len() as u32;

@@ -4,19 +4,17 @@
 //! monotonically increasing sequence number breaks ties), which makes every
 //! simulation run a pure function of its inputs and seed.
 //!
-//! # Queue backends
+//! # Implementation
 //!
-//! The default backend is a hierarchical timing wheel (a calendar queue):
-//! three 256-slot levels of 1 ms / 256 ms / 65.536 s granularity plus an
+//! The queue is a hierarchical timing wheel (a calendar queue): three
+//! 256-slot levels of 1 ms / 256 ms / 65.536 s granularity plus an
 //! unsorted overflow list for events beyond the ~4.66 h horizon. Pushes and
 //! pops are O(1) amortized — each event is relocated at most three times as
-//! the cursor advances — where the former `BinaryHeap` paid O(log n) per
-//! operation on heaps that hold every pending arrival of a trace (24k+
-//! entries for the Facebook trace, 1M+ for the million-job workload).
-//!
-//! The heap backend is retained behind [`EventQueue::new_heap`] so A/B
-//! byte-identity suites can pit the two implementations against each other;
-//! both deliver the exact same (time, insertion-seq) order.
+//! the cursor advances — where a `BinaryHeap` pays O(log n) per operation
+//! on heaps that hold every pending arrival of a trace (24k+ entries for
+//! the Facebook trace, 1M+ for the million-job workload). The unit tests
+//! check its (time, insertion-seq) delivery order against a plain
+//! `BinaryHeap` model.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -342,41 +340,19 @@ impl CalendarQueue {
     }
 
     fn snapshot_into(&self, out: &mut Vec<EventEntry>) {
-        out.extend(self.past.iter().map(|e| EventEntry {
-            at: e.at,
-            seq: e.seq,
-            event: e.event,
-        }));
-        out.extend(self.batch[self.batch_head..].iter().map(|e| EventEntry {
-            at: e.at,
-            seq: e.seq,
-            event: e.event,
-        }));
-        for level in &self.levels {
-            for slot in &level.slots {
-                out.extend(slot.iter().map(|e| EventEntry {
-                    at: e.at,
-                    seq: e.seq,
-                    event: e.event,
-                }));
-            }
-        }
-        out.extend(self.overflow.iter().map(|e| EventEntry {
+        let wheels = self.levels.iter().flat_map(|l| l.slots.iter().flatten());
+        let pending = self
+            .past
+            .iter()
+            .chain(&self.batch[self.batch_head..])
+            .chain(wheels)
+            .chain(&self.overflow);
+        out.extend(pending.map(|e| EventEntry {
             at: e.at,
             seq: e.seq,
             event: e.event,
         }));
     }
-}
-
-/// Which implementation backs an [`EventQueue`].
-#[derive(Debug)]
-// One instance per simulation, so the wheels' fixed footprint is fine
-// to carry inline even though the heap variant is a slim pointer.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Calendar(CalendarQueue),
-    Heap(BinaryHeap<Entry>),
 }
 
 /// A deterministic time-ordered event queue.
@@ -394,76 +370,39 @@ enum Backend {
 /// assert_eq!(at, SimTime::from_secs(1));
 /// assert!(matches!(event, Event::JobArrival { .. }));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    backend: Backend,
+    cal: CalendarQueue,
     next_seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            backend: Backend::Calendar(CalendarQueue::default()),
-            next_seq: 0,
-        }
-    }
-}
-
 impl EventQueue {
-    /// An empty queue on the default timing-wheel backend.
+    /// An empty queue.
     pub fn new() -> Self {
         EventQueue::default()
-    }
-
-    /// An empty queue on the legacy binary-heap backend. Kept for A/B
-    /// byte-identity testing against the timing wheel; delivery order is
-    /// identical, only the per-operation cost differs.
-    pub fn new_heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// Whether this queue runs on the legacy binary-heap backend.
-    pub fn is_heap_backend(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
     }
 
     /// Schedules `event` at time `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Calendar(cal) => cal.push(entry),
-            Backend::Heap(heap) => heap.push(entry),
-        }
+        self.cal.push(Entry { at, seq, event });
     }
 
     /// Removes and returns the earliest event, breaking timestamp ties by
     /// insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.backend {
-            Backend::Calendar(cal) => cal.pop().map(|e| (e.at, e.event)),
-            Backend::Heap(heap) => heap.pop().map(|e| (e.at, e.event)),
-        }
+        self.cal.pop().map(|e| (e.at, e.event))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(cal) => cal.peek().map(|e| e.at),
-            Backend::Heap(heap) => heap.peek().map(|e| e.at),
-        }
+        self.cal.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(cal) => cal.len(),
-            Backend::Heap(heap) => heap.len(),
-        }
+        self.cal.len()
     }
 
     /// Whether no events are pending.
@@ -481,27 +420,18 @@ impl EventQueue {
 
     /// [`snapshot_entries`](Self::snapshot_entries) into a caller-owned
     /// buffer, so repeated snapshots (e.g. the engine's sampled
-    /// snapshot-fidelity check) reuse one allocation instead of cloning the
-    /// backend into a fresh `Vec` each time. `(at, seq)` pairs are unique,
-    /// so the unstable sort is deterministic.
+    /// snapshot-fidelity check) reuse one allocation instead of filling a
+    /// fresh `Vec` each time. `(at, seq)` pairs are unique, so the unstable
+    /// sort is deterministic.
     pub fn snapshot_entries_into(&self, out: &mut Vec<EventEntry>) {
         out.clear();
-        match &self.backend {
-            Backend::Calendar(cal) => cal.snapshot_into(out),
-            Backend::Heap(heap) => out.extend(heap.iter().map(|e| EventEntry {
-                at: e.at,
-                seq: e.seq,
-                event: e.event,
-            })),
-        }
+        self.cal.snapshot_into(out);
         out.sort_unstable_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
     }
 
     /// Rebuilds a queue from snapshotted entries, preserving the original
     /// sequence numbers (so restored tie-breaking matches the original run)
-    /// and the next sequence number to hand out. The restored queue runs on
-    /// the default timing-wheel backend regardless of which backend
-    /// produced the snapshot — the two deliver identical orders.
+    /// and the next sequence number to hand out.
     pub fn from_snapshot(mut entries: Vec<EventEntry>, next_seq: u64) -> Self {
         // Snapshot writers emit delivery order already; sort defensively so
         // per-slot FIFO order holds for any caller.
@@ -514,10 +444,7 @@ impl EventQueue {
                 event: e.event,
             });
         }
-        EventQueue {
-            backend: Backend::Calendar(cal),
-            next_seq,
-        }
+        EventQueue { cal, next_seq }
     }
 
     /// The sequence number the next [`push`](EventQueue::push) will use.
@@ -579,7 +506,15 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The wheel and the heap must agree pop-for-pop on arbitrary
+    /// Pushes a tick into the wheel and into its reference model: a plain
+    /// binary heap over the same (time, insertion-seq) order.
+    fn push_both(wheel: &mut EventQueue, heap: &mut BinaryHeap<Entry>, at: SimTime) {
+        let (seq, event) = (wheel.next_seq(), Event::Tick);
+        wheel.push(at, event);
+        heap.push(Entry { at, seq, event });
+    }
+
+    /// The wheel and the heap model must agree pop-for-pop on arbitrary
     /// interleavings of pushes and pops, including times that land in
     /// every level and the overflow, and times equal to / before the
     /// current cursor.
@@ -588,15 +523,13 @@ mod tests {
         for seed in 0..8u64 {
             let mut rng = seed.wrapping_mul(0xA076_1D64_78BD_642F) + 1;
             let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::new_heap();
-            assert!(heap.is_heap_backend());
-            assert!(!wheel.is_heap_backend());
+            let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
             let mut low_water = 0u64; // last popped time: pushes stay >= it
             for _ in 0..4_000 {
                 let roll = splitmix(&mut rng);
                 if roll.is_multiple_of(3) && !wheel.is_empty() {
                     let a = wheel.pop();
-                    let b = heap.pop();
+                    let b = heap.pop().map(|e| (e.at, e.event));
                     assert_eq!(a, b, "seed {seed}");
                     low_water = a.unwrap().0.as_millis();
                 } else {
@@ -610,14 +543,13 @@ mod tests {
                         _ => splitmix(&mut rng) % 0x4000_0000,
                     };
                     let at = SimTime::from_millis(low_water + span);
-                    wheel.push(at, Event::Tick);
-                    heap.push(at, Event::Tick);
+                    push_both(&mut wheel, &mut heap, at);
                 }
                 assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(wheel.peek_time(), heap.peek().map(|e| e.at));
             }
             while let Some(a) = wheel.pop() {
-                assert_eq!(Some(a), heap.pop(), "seed {seed}");
+                assert_eq!(Some(a), heap.pop().map(|e| (e.at, e.event)), "seed {seed}");
             }
             assert!(heap.is_empty());
         }
@@ -625,7 +557,7 @@ mod tests {
 
     /// Pushes earlier than the cursor (possible when a restored run
     /// re-submits at the restore clock) are delivered first, in (time, seq)
-    /// order, exactly as the heap would.
+    /// order.
     #[test]
     fn past_pushes_are_delivered_first() {
         let mut q = EventQueue::new();
@@ -650,38 +582,33 @@ mod tests {
     }
 
     /// Snapshotting mid-drain and restoring must preserve both the pending
-    /// set (with original seqs) and the next seq to hand out, on both
-    /// backends.
+    /// set (with original seqs) and the next seq to hand out; the snapshot
+    /// lists the entries in the heap model's delivery order.
     #[test]
     fn snapshot_round_trip_preserves_order_and_seqs() {
-        for heap in [false, true] {
-            let mut q = if heap {
-                EventQueue::new_heap()
-            } else {
-                EventQueue::new()
-            };
-            let mut rng = 7u64;
-            for _ in 0..500 {
-                let at = SimTime::from_millis(splitmix(&mut rng) % 2_000_000);
-                q.push(at, Event::Tick);
-            }
-            for _ in 0..120 {
-                q.pop().unwrap();
-            }
-            let entries = q.snapshot_entries();
-            assert_eq!(entries.len(), q.len());
-            let mut restored = EventQueue::from_snapshot(entries.clone(), q.next_seq());
-            assert_eq!(restored.next_seq(), q.next_seq());
-            assert_eq!(restored.len(), q.len());
-            // Snapshot order is delivery order.
-            for want in &entries {
-                let (at, event) = restored.pop().unwrap();
-                assert_eq!((at, event), (want.at, want.event));
-                let (at, event) = q.pop().unwrap();
-                assert_eq!((at, event), (want.at, want.event));
-            }
-            assert!(restored.is_empty());
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Entry> = BinaryHeap::new();
+        let mut rng = 7u64;
+        for _ in 0..500 {
+            let at = SimTime::from_millis(splitmix(&mut rng) % 2_000_000);
+            push_both(&mut q, &mut model, at);
         }
+        for _ in 0..120 {
+            assert_eq!(q.pop(), model.pop().map(|e| (e.at, e.event)));
+        }
+        let entries = q.snapshot_entries();
+        assert_eq!(entries.len(), q.len());
+        let mut restored = EventQueue::from_snapshot(entries.clone(), q.next_seq());
+        assert_eq!(restored.next_seq(), q.next_seq());
+        assert_eq!(restored.len(), q.len());
+        for want in &entries {
+            let e = model.pop().unwrap();
+            assert_eq!((e.at, e.seq, e.event), (want.at, want.seq, want.event));
+            assert_eq!(restored.pop(), Some((want.at, want.event)));
+            assert_eq!(q.pop(), Some((want.at, want.event)));
+        }
+        assert!(restored.is_empty());
+        assert!(model.is_empty());
     }
 
     /// A queue that jumps across several overflow windows (multi-day gaps)

@@ -151,8 +151,9 @@ impl<'a> SchedContext<'a> {
     /// into that slice.
     ///
     /// `None` means "no information — treat every job as possibly changed"
-    /// (the engine's compatibility mode, hand-built test contexts, and any
-    /// other caller that does not track deltas). `Some(..)` is a *promise*:
+    /// (hand-built test contexts, the `lasmq-verify` reference executor,
+    /// and any other caller that does not track deltas). `Some(..)` is a
+    /// *promise*:
     /// every *job* whose view content differs from what the scheduler saw
     /// last time appears in the list, at its current slot (newly admitted
     /// jobs are always listed, and jobs that completed were already

@@ -5,9 +5,9 @@
 //! structures that can express them: the event queue is an unsorted `Vec`
 //! scanned linearly for the minimum `(time, seq)` pair, node placement
 //! re-scans every node on every allocation, and nothing is cached between
-//! passes. Where the optimized engine earns its keep with a binary heap,
-//! a refill cursor, and epoch-deduplicated plan orders, the reference
-//! executor just does the obvious O(n²) thing.
+//! passes. Where the optimized engine earns its keep with a calendar
+//! queue, cached job views, a refill cursor, and epoch-deduplicated plan
+//! orders, the reference executor just does the obvious O(n²) thing.
 //!
 //! The two implementations share *semantics*, not code: the only engine
 //! types reused here are the public workload/scheduler vocabulary

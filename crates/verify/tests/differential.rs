@@ -6,17 +6,19 @@
 //! top fuzzes random (scenario, seed, job count, cluster, admission)
 //! corners.
 //!
-//! The engine side of every cell runs its *default* scheduling path —
-//! i.e. the incremental one (dirty-set view refresh, epoch-tagged plans,
-//! LAS_MQ's cached per-queue demand sums) — while the reference executor
-//! recomputes everything from scratch each pass, so these sweeps are the
+//! The engine side of every cell runs incremental scheduling passes
+//! (dirty-set view refresh, epoch-tagged plans, a changed-jobs hint
+//! feeding LAS_MQ's cached per-queue demand sums) while the reference
+//! executor recomputes everything from scratch each pass and hands the
+//! scheduler no hint, so these sweeps are the
 //! differential gate on the incremental machinery: any stale cached view,
 //! missed dirty queue or demand-sum drift shows up as a trace divergence
 //! or a `check_consistency` violation. The same-instant-arrival and 1 ms
 //! task scenarios exist precisely to stress the change-tracking corner
-//! cases. (The incremental-vs-full-rebuild byte-identity A/B lives in
-//! `lasmq-simulator/tests/incremental_identity.rs` and
-//! `lasmq-campaign/tests/full_rebuild_identity.rs`.)
+//! cases. (The changed-jobs hint itself is checked pass by pass in
+//! `lasmq-simulator/tests/incremental_identity.rs`, and LAS_MQ's hinted
+//! and unhinted branches against each other in
+//! `lasmq-core/tests/lasmq_properties.rs`.)
 
 use proptest::prelude::*;
 

@@ -16,6 +16,9 @@
 # hardware-dependent.
 #
 # Usage: scripts/record-bench.sh [extra perf-smoke args]
+# Extra args go to both perf-smoke runs. Only --iters N keeps the
+# baselines comparable with the CI gate (--jobs/--seed change the trace,
+# and --trace/--emit/--check are set here).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -2,21 +2,19 @@
 //! contracts on every pass of a realistic workload — checked live by the
 //! simulator's `InvariantSpy` test kit.
 
+use lasmq::campaign::{SchedulerKind, SimSetup};
 use lasmq::core::{LasMq, LasMqConfig};
-use lasmq::schedulers::{EstimatedSjf, Fair, Fifo, Las, ShortestJobFirst, ShortestRemainingFirst};
 use lasmq::simulator::testkit::InvariantSpy;
-use lasmq::simulator::{ClusterConfig, JobSpec, Scheduler, Simulation};
+use lasmq::simulator::{ClusterConfig, JobSpec, Scheduler};
 use lasmq::workload::{FacebookTrace, PumaWorkload};
 use lasmq::yarn::{CapacityController, CapacityGranularity};
 
 fn check(jobs: Vec<JobSpec>, cluster: ClusterConfig, scheduler: impl Scheduler, oracle: bool) {
-    let report = Simulation::builder()
+    // The spy panics on the first contract violation.
+    let spy = InvariantSpy::new(scheduler).check_work_conservation(true);
+    let report = SimSetup::trace_sim()
         .cluster(cluster)
-        .expose_oracle(oracle)
-        .jobs(jobs)
-        // The spy panics on the first contract violation.
-        .build(InvariantSpy::new(scheduler).check_work_conservation(true))
-        .expect("valid setup")
+        .build_simulation_with(jobs, spy, oracle)
         .run();
     assert!(
         report.all_completed(),
@@ -25,31 +23,26 @@ fn check(jobs: Vec<JobSpec>, cluster: ClusterConfig, scheduler: impl Scheduler, 
     );
 }
 
+/// Every kind in the zoo, so a new `SchedulerKind` variant cannot dodge
+/// the spy. All thirteen are work-conserving, so none is exempt from that
+/// check.
+fn check_zoo(jobs: &[JobSpec], cluster: ClusterConfig) {
+    for kind in SchedulerKind::zoo() {
+        check(jobs.to_vec(), cluster, kind.build(), kind.requires_oracle());
+    }
+}
+
 #[test]
 fn all_schedulers_honour_the_contracts_on_the_trace() {
     let jobs = FacebookTrace::new().jobs(400).seed(8).generate();
-    let cluster = ClusterConfig::single_node(100);
-    check(jobs.clone(), cluster, Fifo::new(), false);
-    check(jobs.clone(), cluster, Fair::new(), false);
-    check(jobs.clone(), cluster, Las::new(), false);
-    check(
-        jobs.clone(),
-        cluster,
-        LasMq::new(LasMqConfig::paper_simulations()),
-        false,
-    );
-    check(jobs.clone(), cluster, ShortestJobFirst::new(), true);
-    check(jobs.clone(), cluster, ShortestRemainingFirst::new(), true);
-    check(jobs, cluster, EstimatedSjf::new(1.0, 0.05, 3), true);
+    check_zoo(&jobs, ClusterConfig::single_node(100));
 }
 
 #[test]
 fn all_schedulers_honour_the_contracts_on_puma() {
     let jobs = PumaWorkload::new().jobs(25).seed(9).generate();
     let cluster = ClusterConfig::new(4, 30);
-    check(jobs.clone(), cluster, Fifo::new(), false);
-    check(jobs.clone(), cluster, Fair::new(), false);
-    check(jobs.clone(), cluster, Las::new(), false);
+    check_zoo(&jobs, cluster);
     check(jobs.clone(), cluster, LasMq::with_paper_defaults(), false);
     check(
         jobs,
