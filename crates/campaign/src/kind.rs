@@ -5,7 +5,7 @@ use std::str::FromStr;
 
 use lasmq_core::{LasMq, LasMqConfig};
 use lasmq_schedulers::{
-    Backfill, EstimatedSjf, Fair, Fifo, Fsp, Hfsp, Las, LearnedScheduler, LinearPolicy, Ps,
+    Backfill, EstimatedSjf, Fair, Fifo, Fsp, Las, LearnedScheduler, LinearPolicy, Ps,
     ShortestJobFirst, ShortestRemainingFirst,
 };
 use lasmq_simulator::Scheduler;
@@ -113,7 +113,7 @@ impl SchedulerKind {
                 seed,
             } => Box::new(EstimatedSjf::new(*sigma, *gross_underestimate_prob, *seed)),
             SchedulerKind::Fsp { sigma, seed } => Box::new(Fsp::new(*sigma, *seed)),
-            SchedulerKind::Hfsp { sigma, seed } => Box::new(Hfsp::new(*sigma, *seed)),
+            SchedulerKind::Hfsp { sigma, seed } => Box::new(Fsp::hfsp(*sigma, *seed)),
             SchedulerKind::Wfp3 { sigma, seed } => Box::new(Backfill::wfp3(*sigma, *seed)),
             SchedulerKind::Unicef { sigma, seed } => Box::new(Backfill::unicef(*sigma, *seed)),
         }
@@ -247,7 +247,7 @@ impl fmt::Display for ParseSchedulerError {
         write!(
             f,
             "unknown scheduler '{}' (expected fifo, fair, las, ps, learned, las_mq, sjf, srtf, \
-             fsp, hfsp, wfp3 or unicef)",
+             sjf-est, fsp, hfsp, wfp3 or unicef)",
             self.0
         )
     }
@@ -272,6 +272,11 @@ impl FromStr for SchedulerKind {
             "srtf" => Ok(SchedulerKind::Srtf),
             // The bare names mean "exact estimates"; noisy variants come
             // from the robustness campaign, not the CLI.
+            "sjf-est" | "sjf_est" => Ok(SchedulerKind::SjfEstimated {
+                sigma: 0.0,
+                gross_underestimate_prob: 0.0,
+                seed: 0,
+            }),
             "fsp" => Ok(SchedulerKind::Fsp {
                 sigma: 0.0,
                 seed: 0,
@@ -299,12 +304,18 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
-        for name in [
-            "fifo", "fair", "las", "ps", "learned", "las_mq", "sjf", "srtf", "fsp", "hfsp", "wfp3",
-            "unicef",
-        ] {
-            let kind: SchedulerKind = name.parse().unwrap();
-            assert_eq!(kind.to_string().to_ascii_lowercase(), name);
+        // Every kind parses its own `Display` output back to itself, and
+        // the parse error offers every name.
+        let err = "nope".parse::<SchedulerKind>().unwrap_err().to_string();
+        for kind in SchedulerKind::zoo() {
+            let name = kind.to_string();
+            let parsed: SchedulerKind = name
+                .parse()
+                .unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+            assert_eq!(parsed.variant_index(), kind.variant_index());
+            assert_eq!(parsed.to_string(), name);
+            let lower = name.to_ascii_lowercase();
+            assert!(err.contains(&lower), "error text omits {lower}: {err}");
         }
     }
 

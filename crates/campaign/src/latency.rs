@@ -7,7 +7,7 @@
 //! at the tail that a p999 is meaningful — without storing every sample.
 //!
 //! [`LatencyHistogram`] uses HDR-style logarithmic bucketing: each
-//! power-of-two octave of nanoseconds is split into [`SUB_BUCKETS`]
+//! power-of-two octave of nanoseconds is split into `SUB_BUCKETS`
 //! linear sub-buckets, bounding the relative quantization error at
 //! `1 / SUB_BUCKETS` (~3%) across the whole range (1 ns to ~584 years).
 //! Recording is O(1) with no allocation; percentile queries walk the

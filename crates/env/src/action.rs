@@ -14,6 +14,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use lasmq_schedulers::rank_and_grant;
 use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -71,39 +72,13 @@ impl Scheduler for ActionScheduler {
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let jobs = ctx.jobs();
         let shared = self.shared.borrow();
-        let scores: Vec<f64> = jobs
-            .iter()
-            .map(|j| {
-                shared
-                    .scores
-                    .get(&j.id)
-                    .copied()
-                    .unwrap_or_else(|| Self::fallback_score(j))
-            })
-            .collect();
-        drop(shared);
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .total_cmp(&scores[a])
-                .then_with(|| jobs[a].admitted_at.cmp(&jobs[b].admitted_at))
-                .then_with(|| jobs[a].id.cmp(&jobs[b].id))
-        });
-        let mut plan = AllocationPlan::new();
-        let mut budget = ctx.total_containers();
-        for idx in order {
-            if budget == 0 {
-                break;
-            }
-            let want = jobs[idx].max_useful_allocation().min(budget);
-            if want > 0 {
-                plan.push(jobs[idx].id, want);
-                budget -= want;
-            }
-        }
-        plan
+        // Highest score first; ties resolve oldest-admission then lowest id.
+        rank_and_grant(ctx, |j| {
+            let score = shared.scores.get(&j.id).copied();
+            let score = score.unwrap_or_else(|| Self::fallback_score(j));
+            (-score, (j.admitted_at, j.id))
+        })
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -122,36 +97,21 @@ impl Scheduler for ActionScheduler {
         shared.completions.clear();
         Ok(())
     }
-
-    fn check_consistency(&self) -> Result<(), String> {
-        // The score table is a plain map keyed by job id; the only way it
-        // can go inconsistent is a borrow leak, which would have panicked
-        // already. Nothing further to audit.
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::Service;
+    use lasmq_simulator::{testkit, Service};
 
     fn view(id: u32, attained: f64, unstarted: u32) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
             admitted_at: SimTime::from_secs(id as u64),
-            priority: 1,
             attained: Service::from_container_secs(attained),
             attained_stage: Service::from_container_secs(attained),
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
             remaining_tasks: unstarted,
             unstarted_tasks: unstarted,
-            containers_per_task: 1,
-            held: 0,
-            oracle: None,
+            ..testkit::view(id)
         }
     }
 

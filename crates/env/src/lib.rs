@@ -12,13 +12,13 @@
 //!   [`WorkloadSpec`] and returns the initial [`Observation`];
 //! * an [`Observation`] carries one fixed-width feature vector per
 //!   admitted job — the **same**
-//!   [`job_features`](lasmq_schedulers::job_features) the
+//!   [`job_features`] the
 //!   [`LearnedScheduler`](lasmq_schedulers::LearnedScheduler) scores, so
 //!   a policy trained in the env transfers to the campaign lineup by
 //!   construction — plus global state (clock, occupancy, queue depths);
 //! * [`Env::step`]`(action)` applies one score per observed job (higher =
 //!   served first), advances the engine one **decision epoch** through
-//!   the [`Driver`](lasmq_simulator::Driver) batch loop, and returns the
+//!   the [`Driver`] batch loop, and returns the
 //!   reward accrued: the negative sum of response times of jobs that
 //!   completed this step, normalized by episode size, so the episode
 //!   return is exactly **negative mean response time** (the
@@ -28,7 +28,7 @@
 //! Episodes are deterministic end to end: same seed → byte-identical
 //! observations and returns, regardless of machine load, thread count or
 //! cache state. Mid-episode state is a plain engine
-//! [`SimSnapshot`](lasmq_simulator::SimSnapshot) ([`Env::snapshot`] /
+//! [`SimSnapshot`] ([`Env::snapshot`] /
 //! [`Env::restore`]), and the [`rollout`] module uses
 //! [`Simulation::fork`](lasmq_simulator::Simulation::fork) to evaluate
 //! many candidate policies from one warm snapshot in parallel — the

@@ -14,7 +14,7 @@
 //!   comparable and each evaluation costs only the episode tail.
 //!
 //! Fork evaluations run fork-parallel through
-//! [`map_parallel`](lasmq_campaign::map_parallel): a [`SimSnapshot`] is
+//! [`map_parallel`]: a [`SimSnapshot`] is
 //! plain data (`Send + Sync`), so each worker rebuilds its own engine.
 //! Results come back in candidate order and are bit-identical across
 //! thread counts.
@@ -45,7 +45,7 @@ pub fn episode_return(config: &EnvConfig, policy: &LinearPolicy, seed: u64) -> f
 /// in parallel on up to `threads` workers.
 ///
 /// Each candidate is installed as a fresh
-/// [`LearnedScheduler`](lasmq_schedulers::LearnedScheduler) over the
+/// [`LearnedScheduler`] over the
 /// donor's engine state and run to completion; its score is the negative
 /// post-fork mean response time — the mean over jobs that finished
 /// *after* the fork point, since pre-fork completions are the donor's

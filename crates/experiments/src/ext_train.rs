@@ -17,7 +17,7 @@
 //!    the LAS-imitating and all-zero seeds) picks the starting point.
 //! 3. **Cross-entropy** — iterate: sample a Gaussian population around
 //!    the current mean, evaluate all candidates fork-parallel through
-//!    [`map_parallel`](lasmq_campaign::map_parallel), refit mean and
+//!    [`map_parallel`], refit mean and
 //!    per-weight spread to the elite set. The reigning best candidate
 //!    is re-injected into every population, so the best training return
 //!    is monotone — the convergence the acceptance tests assert.

@@ -5,7 +5,7 @@
 //! shows. This experiment uses the snapshot subsystem instead: it warms a
 //! PUMA cluster under one donor policy to a fork point (the median job
 //! arrival, when the cluster is saturated and a backlog exists), takes
-//! **one** [`SimSnapshot`](lasmq_simulator::SimSnapshot) — round-tripped
+//! **one** [`SimSnapshot`] — round-tripped
 //! through JSON, exactly as a checkpoint file would be — and
 //! [`fork`](lasmq_simulator::Simulation::fork)s it across all four lineup
 //! schedulers. Every arm inherits the identical warm state: same running

@@ -11,15 +11,14 @@
 //! "mistook a giant for a tiny job" case). With zero noise it coincides
 //! with [`ShortestJobFirst`](crate::ShortestJobFirst).
 //!
-//! Estimates are drawn once per job from a deterministic per-job hash, so
-//! runs stay reproducible.
+//! Estimates are a pure function of `(seed, job)` (see
+//! [`noise`](crate::noise)), so runs stay reproducible and there is no
+//! state to snapshot.
 
-use std::collections::HashMap;
+use lasmq_simulator::{AllocationPlan, JobId, SchedContext, Scheduler, SimTime};
 
-use lasmq_simulator::{AllocationPlan, JobId, SchedContext, Scheduler, Service};
-
-use crate::grant_in_order;
-use crate::noise::SizeNoise;
+use crate::noise::{EstimateMemo, SizeNoise};
+use crate::rank_and_grant;
 
 /// SJF with noisy size estimates (an oracle-family scheduler: it reads the
 /// true size, then corrupts it — so it requires `expose_oracle(true)`).
@@ -36,8 +35,7 @@ use crate::noise::SizeNoise;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EstimatedSjf {
-    noise: SizeNoise,
-    estimates: HashMap<JobId, Service>,
+    estimates: EstimateMemo,
 }
 
 impl EstimatedSjf {
@@ -51,42 +49,9 @@ impl EstimatedSjf {
     /// outside `[0, 1]`.
     pub fn new(sigma: f64, gross_underestimate_prob: f64, seed: u64) -> Self {
         EstimatedSjf {
-            noise: SizeNoise::new(sigma, gross_underestimate_prob, seed),
-            estimates: HashMap::new(),
+            estimates: EstimateMemo::new(SizeNoise::new(sigma, gross_underestimate_prob, seed)),
         }
     }
-
-    /// A perfectly informed instance (sanity baseline: behaves as SJF).
-    pub fn exact() -> Self {
-        EstimatedSjf::new(0.0, 0.0, 0)
-    }
-
-    /// The estimate this scheduler uses for a job of true size
-    /// `true_size` (computed on first contact, then frozen — as a real
-    /// predictor would produce one estimate at submission).
-    fn estimate(&mut self, job: JobId, true_size: Service) -> Service {
-        let noise = self.noise;
-        *self
-            .estimates
-            .entry(job)
-            .or_insert_with(|| noise.estimate(job, true_size))
-    }
-}
-
-/// One frozen estimate in a serialized snapshot of this scheduler.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct FrozenEstimate {
-    job: u32,
-    size: f64,
-}
-
-/// Serialized state: the frozen per-job estimates, sorted by job id so the
-/// payload is byte-stable regardless of map iteration order. The noise
-/// parameters are configuration, not state — restore re-checks nothing
-/// because estimates are self-contained values.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct EstimatedSjfState {
-    estimates: Vec<FrozenEstimate>,
 }
 
 impl Scheduler for EstimatedSjf {
@@ -98,84 +63,30 @@ impl Scheduler for EstimatedSjf {
         true
     }
 
-    fn on_job_completed(&mut self, job: JobId, _now: lasmq_simulator::SimTime) {
-        self.estimates.remove(&job);
-    }
-
-    fn snapshot_state(&self) -> Option<String> {
-        let mut estimates: Vec<FrozenEstimate> = self
-            .estimates
-            .iter()
-            .map(|(&job, &size)| FrozenEstimate {
-                job: u32::from(job),
-                size: size.as_container_secs(),
-            })
-            .collect();
-        estimates.sort_by_key(|e| e.job);
-        let state = EstimatedSjfState { estimates };
-        Some(serde_json::to_string(&state).expect("SJF-est state serialization cannot fail"))
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let state: EstimatedSjfState =
-            serde_json::from_str(state).map_err(|e| format!("malformed SJF-est state: {e}"))?;
-        self.estimates = state
-            .estimates
-            .into_iter()
-            .map(|e| (JobId::new(e.job), Service::from_container_secs(e.size)))
-            .collect();
-        Ok(())
+    fn on_job_completed(&mut self, job: JobId, _now: SimTime) {
+        self.estimates.forget(job);
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let jobs = ctx.jobs();
-        let mut keyed: Vec<(Service, usize)> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let true_size = j
-                    .oracle
-                    .expect("engine guarantees oracle info for oracle schedulers")
-                    .total_size;
-                (self.estimate(j.id, true_size), i)
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| jobs[a.1].arrival.cmp(&jobs[b.1].arrival))
-                .then_with(|| jobs[a.1].id.cmp(&jobs[b.1].id))
-        });
-        grant_in_order(
-            keyed.into_iter().map(|(_, i)| &jobs[i]),
-            ctx.total_containers(),
-        )
+        rank_and_grant(ctx, |j| {
+            let estimate = self.estimates.estimate(j).as_container_secs();
+            (estimate, (j.arrival, j.id))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::{JobView, OracleInfo, SimTime};
+    use lasmq_simulator::{testkit, JobView, OracleInfo, Service};
 
     fn view(id: u32, size: f64) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
-            admitted_at: SimTime::ZERO,
-            priority: 1,
-            attained: Service::ZERO,
-            attained_stage: Service::ZERO,
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
-            remaining_tasks: 100,
-            unstarted_tasks: 100,
-            containers_per_task: 1,
-            held: 0,
             oracle: Some(OracleInfo {
                 total_size: Service::from_container_secs(size),
                 remaining: Service::from_container_secs(size),
             }),
+            ..testkit::view(id)
         }
     }
 
@@ -183,16 +94,8 @@ mod tests {
     fn exact_estimates_reproduce_sjf_order() {
         let jobs = vec![view(0, 500.0), view(1, 5.0), view(2, 50.0)];
         let ctx = SchedContext::new(SimTime::ZERO, 10, &jobs);
-        let plan = EstimatedSjf::exact().allocate(&ctx);
+        let plan = EstimatedSjf::new(0.0, 0.0, 0).allocate(&ctx);
         assert_eq!(plan.entries()[0].0, JobId::new(1));
-    }
-
-    #[test]
-    fn estimates_are_frozen_per_job() {
-        let mut sched = EstimatedSjf::new(1.0, 0.0, 3);
-        let a = sched.estimate(JobId::new(7), Service::from_container_secs(100.0));
-        let b = sched.estimate(JobId::new(7), Service::from_container_secs(100.0));
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -200,21 +103,17 @@ mod tests {
         let mut a = EstimatedSjf::new(1.5, 0.1, 42);
         let mut b = EstimatedSjf::new(1.5, 0.1, 42);
         for i in 0..50 {
-            let size = Service::from_container_secs(10.0 + i as f64);
-            assert_eq!(
-                a.estimate(JobId::new(i), size),
-                b.estimate(JobId::new(i), size)
-            );
+            let job = view(i, 10.0 + i as f64);
+            assert_eq!(a.estimates.estimate(&job), b.estimates.estimate(&job));
         }
     }
 
     #[test]
     fn gross_underestimates_occur_at_roughly_the_configured_rate() {
         let mut sched = EstimatedSjf::new(0.0, 0.2, 11);
-        let size = Service::from_container_secs(1_000.0);
         let mut gross = 0;
         for i in 0..2_000 {
-            let est = sched.estimate(JobId::new(i), size);
+            let est = sched.estimates.estimate(&view(i, 1_000.0));
             if est.as_container_secs() < 100.0 {
                 gross += 1;
             }

@@ -123,24 +123,14 @@ impl Scheduler for Fair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::{JobId, JobView, Service, SimTime};
+    use lasmq_simulator::{testkit, JobId, JobView, SimTime};
 
     fn view(id: u32, priority: u8, unstarted: u32) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
-            admitted_at: SimTime::ZERO,
             priority,
-            attained: Service::ZERO,
-            attained_stage: Service::ZERO,
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
             remaining_tasks: unstarted,
             unstarted_tasks: unstarted,
-            containers_per_task: 1,
-            held: 0,
-            oracle: None,
+            ..testkit::view(id)
         }
     }
 

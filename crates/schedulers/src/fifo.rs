@@ -37,15 +37,7 @@ impl Scheduler for Fifo {
     }
 
     // FIFO keeps no state between passes (the plan is recomputed from the
-    // admission-ordered views), so the snapshot is explicitly empty.
-    fn snapshot_state(&self) -> Option<String> {
-        None
-    }
-
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Ok(())
-    }
-
+    // admission-ordered views), so there is nothing to snapshot.
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
         // ctx.jobs() is in admission order, which is arrival order.
         grant_in_order(ctx.jobs(), ctx.total_containers())
@@ -55,24 +47,16 @@ impl Scheduler for Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::{JobId, JobView, Service, SimTime};
+    use lasmq_simulator::{testkit, JobId, JobView, SimTime};
 
     fn view(id: u32, unstarted: u32, held: u32) -> JobView {
         JobView {
-            id: JobId::new(id),
             arrival: SimTime::from_secs(id as u64),
             admitted_at: SimTime::from_secs(id as u64),
-            priority: 1,
-            attained: Service::ZERO,
-            attained_stage: Service::ZERO,
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
             remaining_tasks: unstarted,
             unstarted_tasks: unstarted,
-            containers_per_task: 1,
             held,
-            oracle: None,
+            ..testkit::view(id)
         }
     }
 

@@ -11,7 +11,7 @@
 
 use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler};
 
-use crate::grant_in_order;
+use crate::rank_and_grant;
 
 /// Least-attained-service scheduling.
 ///
@@ -42,49 +42,26 @@ impl Scheduler for Las {
 
     // LAS re-derives its ordering from attained service (which lives in the
     // engine's job views) every pass, so there is nothing to snapshot.
-    fn snapshot_state(&self) -> Option<String> {
-        None
-    }
-
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Ok(())
-    }
-
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let mut order: Vec<usize> = (0..ctx.jobs().len()).collect();
-        let jobs = ctx.jobs();
-        order.sort_by(|&a, &b| {
-            jobs[a]
-                .attained
-                .total_cmp(&jobs[b].attained)
-                .then_with(|| jobs[a].admitted_at.cmp(&jobs[b].admitted_at))
-                .then_with(|| jobs[a].id.cmp(&jobs[b].id))
-        });
-        grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
+        rank_and_grant(ctx, |j| {
+            (j.attained.as_container_secs(), (j.admitted_at, j.id))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::{JobId, JobView, Service, SimTime};
+    use lasmq_simulator::{testkit, JobId, JobView, Service, SimTime};
 
     fn view(id: u32, attained: f64, unstarted: u32) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
             admitted_at: SimTime::from_secs(id as u64),
-            priority: 1,
             attained: Service::from_container_secs(attained),
             attained_stage: Service::from_container_secs(attained),
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
             remaining_tasks: unstarted,
             unstarted_tasks: unstarted,
-            containers_per_task: 1,
-            held: 0,
-            oracle: None,
+            ..testkit::view(id)
         }
     }
 

@@ -15,12 +15,10 @@
 //! searches the weight space — so the three layers agree on one feature
 //! definition by construction.
 
-use std::collections::BTreeMap;
-
-use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
+use lasmq_simulator::{AllocationPlan, JobView, SchedContext, Scheduler, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::grant_in_order;
+use crate::rank_and_grant;
 
 /// Version tag carried by serialized [`LinearPolicy`] artifacts. Bump on
 /// any change to [`FEATURE_COUNT`] or the meaning of a feature slot.
@@ -186,23 +184,21 @@ impl LinearPolicy {
     }
 }
 
-/// Serialized snapshot of the learned scheduler's mutable state: the
-/// admission sequence numbers that anchor its deterministic tie-break.
-/// Weights are configuration (like `LasMqConfig`), so they are *checked*,
-/// not restored — restoring under a different policy is a setup error.
+/// Serialized snapshot of the learned scheduler: it has no mutable state,
+/// only the weights it runs under. Weights are configuration (like
+/// `LasMqConfig`), so they are *checked*, not restored — restoring under
+/// a different policy is a setup error.
 #[derive(Debug, Serialize, Deserialize)]
 struct LearnedState {
     weights: Vec<f64>,
-    seqs: Vec<(JobId, u64)>,
-    next_seq: u64,
 }
 
 /// A scheduler ranking jobs by a [`LinearPolicy`] score each pass.
 ///
-/// Ties (e.g. under the all-zero policy) break by admission sequence and
-/// then job id, so the scheduler is deterministic for *any* weight vector
-/// — including corrupt ones (NaN/∞), which degrade ranking quality but
-/// can never violate engine invariants.
+/// Ties (e.g. under the all-zero policy) break by admission order — the
+/// order of [`SchedContext::jobs`] — so the scheduler is deterministic
+/// for *any* weight vector — including corrupt ones (NaN/∞), which
+/// degrade ranking quality but can never violate engine invariants.
 ///
 /// # Examples
 ///
@@ -216,18 +212,12 @@ struct LearnedState {
 #[derive(Debug, Clone)]
 pub struct LearnedScheduler {
     policy: LinearPolicy,
-    seq: BTreeMap<JobId, u64>,
-    next_seq: u64,
 }
 
 impl LearnedScheduler {
     /// A learned scheduler executing `policy`.
     pub fn new(policy: LinearPolicy) -> Self {
-        LearnedScheduler {
-            policy,
-            seq: BTreeMap::new(),
-            next_seq: 0,
-        }
+        LearnedScheduler { policy }
     }
 
     /// The policy being executed.
@@ -241,43 +231,18 @@ impl Scheduler for LearnedScheduler {
         "LEARNED"
     }
 
-    fn on_job_admitted(&mut self, view: &JobView, _now: SimTime) {
-        let seq = self.next_seq;
-        self.seq.entry(view.id).or_insert(seq);
-        self.next_seq += 1;
-    }
-
-    fn on_job_completed(&mut self, job: JobId, _now: SimTime) {
-        self.seq.remove(&job);
-    }
-
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let jobs = ctx.jobs();
         let cluster = ClusterFeatures::from_context(ctx);
         let now = ctx.now();
-        let scores: Vec<f64> = jobs
-            .iter()
-            .map(|j| self.policy.score(&job_features(j, now, &cluster)))
-            .collect();
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            // Higher score first; total_cmp keeps NaN scores orderable.
-            scores[b]
-                .total_cmp(&scores[a])
-                .then_with(|| {
-                    let seq = |i: usize| self.seq.get(&jobs[i].id).copied().unwrap_or(u64::MAX);
-                    seq(a).cmp(&seq(b))
-                })
-                .then_with(|| jobs[a].id.cmp(&jobs[b].id))
-        });
-        grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
+        // Higher score first; equal scores keep admission order.
+        rank_and_grant(ctx, |j| {
+            (-self.policy.score(&job_features(j, now, &cluster)), ())
+        })
     }
 
     fn snapshot_state(&self) -> Option<String> {
         let state = LearnedState {
             weights: self.policy.weights.clone(),
-            seqs: self.seq.iter().map(|(&id, &s)| (id, s)).collect(),
-            next_seq: self.next_seq,
         };
         Some(serde_json::to_string(&state).expect("LEARNED state serialization cannot fail"))
     }
@@ -301,36 +266,10 @@ impl Scheduler for LearnedScheduler {
         {
             return Err("snapshot was taken under a different policy weight vector".into());
         }
-        let mut seq = BTreeMap::new();
-        for (id, s) in state.seqs {
-            if s >= state.next_seq {
-                return Err(format!(
-                    "job {id} has seq {s} >= next_seq {}",
-                    state.next_seq
-                ));
-            }
-            if seq.insert(id, s).is_some() {
-                return Err(format!("job {id} appears twice in the sequence table"));
-            }
-        }
-        self.seq = seq;
-        self.next_seq = state.next_seq;
         Ok(())
     }
 
     fn check_consistency(&self) -> Result<(), String> {
-        let mut seen = std::collections::BTreeSet::new();
-        for (id, &s) in &self.seq {
-            if s >= self.next_seq {
-                return Err(format!(
-                    "job {id} has admission seq {s} >= next_seq {}",
-                    self.next_seq
-                ));
-            }
-            if !seen.insert(s) {
-                return Err(format!("admission seq {s} assigned to more than one job"));
-            }
-        }
         if self.policy.weights.len() != FEATURE_COUNT {
             return Err(format!(
                 "policy width {} != feature width {FEATURE_COUNT}",
@@ -344,24 +283,16 @@ impl Scheduler for LearnedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::Service;
+    use lasmq_simulator::{testkit, JobId, Service};
 
     fn view(id: u32, attained: f64, unstarted: u32) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
             admitted_at: SimTime::from_secs(id as u64),
-            priority: 1,
             attained: Service::from_container_secs(attained),
             attained_stage: Service::from_container_secs(attained),
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
             remaining_tasks: unstarted,
             unstarted_tasks: unstarted,
-            containers_per_task: 1,
-            held: 0,
-            oracle: None,
+            ..testkit::view(id)
         }
     }
 
@@ -384,6 +315,20 @@ mod tests {
         let plan = sched.allocate(&ctx);
         // Job 1 was admitted first in this fixture, so it ranks first.
         assert_eq!(plan.entries()[0].0, JobId::new(1));
+    }
+
+    #[test]
+    fn score_ties_go_to_the_earlier_slot_not_the_lower_id() {
+        // Admitted at the same instant, ids in reverse slot order: nothing
+        // but the slot separates the two jobs.
+        let tied = |id| JobView {
+            admitted_at: SimTime::ZERO,
+            ..view(id, 0.0, 100)
+        };
+        let jobs = vec![tied(5), tied(2)];
+        let ctx = SchedContext::new(SimTime::ZERO, 4, &jobs);
+        let plan = LearnedScheduler::new(LinearPolicy::las_like()).allocate(&ctx);
+        assert_eq!(plan.entries(), &[(JobId::new(5), 4)]);
     }
 
     #[test]
@@ -413,10 +358,7 @@ mod tests {
 
     #[test]
     fn state_round_trips() {
-        let mut a = LearnedScheduler::new(LinearPolicy::las_like());
-        for j in [view(3, 0.0, 1), view(7, 0.0, 1)] {
-            a.on_job_admitted(&j, SimTime::ZERO);
-        }
+        let a = LearnedScheduler::new(LinearPolicy::las_like());
         let state = a.snapshot_state().unwrap();
         let mut b = LearnedScheduler::new(LinearPolicy::las_like());
         b.restore_state(&state).unwrap();
@@ -425,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_policy_mismatch_and_corrupt_seqs() {
+    fn restore_rejects_policy_mismatch() {
         let a = LearnedScheduler::new(LinearPolicy::las_like());
         let state = a.snapshot_state().unwrap();
         let mut b = LearnedScheduler::new(LinearPolicy::zeros());
@@ -433,13 +375,6 @@ mod tests {
 
         let mut c = LearnedScheduler::new(LinearPolicy::las_like());
         assert!(c.restore_state("not json").is_err());
-        let bad = serde_json::to_string(&LearnedState {
-            weights: LinearPolicy::las_like().weights,
-            seqs: vec![(JobId::new(0), 5)],
-            next_seq: 3,
-        })
-        .unwrap();
-        assert!(c.restore_state(&bad).is_err());
     }
 
     #[test]

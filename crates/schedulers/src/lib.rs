@@ -19,15 +19,21 @@
 //!   paper's §II argument that bad size estimates (especially
 //!   under-estimates) are worse than no estimates,
 //! * [`Fsp`] — the Fair Sojourn Protocol: jobs run to completion in the
-//!   order a virtual processor-sharing system would finish them,
-//! * [`Hfsp`] — an HFSP-style FSP variant with progressive estimate
-//!   refinement from observed stage progress, plus aging for waiting jobs,
+//!   order a virtual processor-sharing system would finish them. The same
+//!   virtual-PS core, built with [`Fsp::hfsp`], is the HFSP-style variant:
+//!   progressive estimate refinement from observed stage progress, plus
+//!   aging for waiting jobs,
 //! * [`Backfill`] — the WFP3 and UNICEF backfill-score heuristics from
 //!   the HPC batch-scheduling literature.
 //!
 //! The estimate-driven entries (SJF-est, FSP, HFSP, WFP3, UNICEF) all
 //! corrupt the oracle size through the shared [`noise::SizeNoise`] model,
 //! so the robustness campaign compares them on identical noisy traces.
+//!
+//! Every policy that is "key each job, sort, grant in that order" — LAS,
+//! SJF, SRTF, SJF-est, WFP3, UNICEF, LEARNED and `lasmq-env`'s action
+//! scheduler — is one closure handed to [`rank_and_grant`]; a policy file
+//! holds its key and tie-break and nothing else.
 //!
 //! Two further information-agnostic entries extend the lineup beyond the
 //! paper's legend:
@@ -61,7 +67,6 @@ pub mod estimated;
 pub mod fair;
 pub mod fifo;
 pub mod fsp;
-pub mod hfsp;
 pub mod las;
 pub mod learned;
 pub mod noise;
@@ -74,7 +79,6 @@ pub use estimated::EstimatedSjf;
 pub use fair::Fair;
 pub use fifo::Fifo;
 pub use fsp::Fsp;
-pub use hfsp::Hfsp;
 pub use las::Las;
 pub use learned::{
     job_features, ClusterFeatures, LearnedScheduler, LinearPolicy, FEATURE_COUNT, FEATURE_NAMES,
@@ -83,7 +87,42 @@ pub use learned::{
 pub use oracle::{ShortestJobFirst, ShortestRemainingFirst};
 pub use ps::Ps;
 
-use lasmq_simulator::{AllocationPlan, JobView};
+use lasmq_simulator::{AllocationPlan, JobView, OracleInfo, SchedContext};
+
+/// Ranks the context's jobs by `key` and grants in that order: smallest
+/// primary key first under IEEE 754 `totalOrder` (so NaN keys stay
+/// orderable; negate a score to serve the highest first), then the
+/// policy's tie-break, then admission order (the sort is stable and
+/// [`SchedContext::jobs`] is in admission order). Each job gets its full
+/// useful demand until the cluster's containers run out.
+///
+/// # Examples
+///
+/// ```
+/// use lasmq_schedulers::rank_and_grant;
+/// use lasmq_simulator::testkit::view;
+/// use lasmq_simulator::{JobId, JobView, SchedContext, SimTime};
+///
+/// // Fewest remaining tasks first, ties to the lower id.
+/// let jobs = [view(0), JobView { unstarted_tasks: 3, remaining_tasks: 3, ..view(1) }];
+/// let ctx = SchedContext::new(SimTime::ZERO, 10, &jobs);
+/// let plan = rank_and_grant(&ctx, |j| (f64::from(j.remaining_tasks), j.id));
+/// assert_eq!(plan.entries(), &[(JobId::new(1), 3), (JobId::new(0), 7)]);
+/// ```
+pub fn rank_and_grant<T: Ord>(
+    ctx: &SchedContext<'_>,
+    mut key: impl FnMut(&JobView) -> (f64, T),
+) -> AllocationPlan {
+    let mut ranked: Vec<_> = ctx.jobs().iter().map(|j| (key(j), j)).collect();
+    ranked.sort_by(|((a, ta), _), ((b, tb), _)| a.total_cmp(b).then_with(|| ta.cmp(tb)));
+    grant_in_order(ranked.into_iter().map(|(_, j)| j), ctx.total_containers())
+}
+
+/// The ground truth an oracle-family scheduler reads from a view.
+fn oracle_info(view: &JobView) -> OracleInfo {
+    view.oracle
+        .expect("engine guarantees oracle info for oracle schedulers")
+}
 
 /// The grant loop every strict-priority policy ends with: walk `jobs` in
 /// the policy's priority order and give each its full useful demand until

@@ -14,9 +14,16 @@
 //! Draws are pure functions of `(seed, job id)` via splitmix64 — no RNG
 //! state, so estimates are identical across thread counts, across
 //! snapshot/restore cycles, and between the engine and the naive reference
-//! executor.
+//! executor. That purity is why no scheduler persists its estimates: the
+//! one `EstimateMemo` that spares SJF-est, WFP3 and UNICEF a Box–Muller
+//! draw per job per pass is a cache, and a restored scheduler refills it
+//! with the same bits.
 
-use lasmq_simulator::{JobId, Service};
+use std::collections::HashMap;
+
+use lasmq_simulator::{JobId, JobView, Service};
+
+use crate::oracle_info;
 
 /// A deterministic per-job size-noise source.
 ///
@@ -64,16 +71,6 @@ impl SizeNoise {
         }
     }
 
-    /// A noiseless source (every factor is exactly 1).
-    pub fn exact() -> Self {
-        SizeNoise::new(0.0, 0.0, 0)
-    }
-
-    /// The configured log-normal scale.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// The multiplicative error factor for `job`. At `sigma = 0` (and no
     /// gross under-estimates) this is *exactly* `1.0` regardless of the
     /// seed: `exp(0·z − 0) = 1` for every draw, so σ = 0 schedulers are
@@ -101,6 +98,38 @@ impl SizeNoise {
     }
 }
 
+/// A [`SizeNoise`] behind a per-job memo of its estimates: one draw per
+/// job at first contact — as a real predictor produces one estimate at
+/// submission — looked up on every later pass and forgotten when the job
+/// completes. Never snapshotted; see the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct EstimateMemo {
+    noise: SizeNoise,
+    estimates: HashMap<JobId, Service>,
+}
+
+impl EstimateMemo {
+    pub(crate) fn new(noise: SizeNoise) -> Self {
+        EstimateMemo {
+            noise,
+            estimates: HashMap::new(),
+        }
+    }
+
+    /// The corrupted total-size estimate for `view`'s job.
+    pub(crate) fn estimate(&mut self, view: &JobView) -> Service {
+        *self
+            .estimates
+            .entry(view.id)
+            .or_insert_with(|| self.noise.estimate(view.id, oracle_info(view).total_size))
+    }
+
+    /// Drops a completed job's entry.
+    pub(crate) fn forget(&mut self, job: JobId) {
+        self.estimates.remove(&job);
+    }
+}
+
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -115,6 +144,7 @@ fn to_unit(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lasmq_simulator::{testkit, OracleInfo};
     use proptest::prelude::*;
 
     #[test]
@@ -146,6 +176,29 @@ mod tests {
             let job = JobId::new(id);
             assert!((gross.factor(job) - clean.factor(job) * 1e-4).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn memo_keeps_one_estimate_per_job_until_the_job_completes() {
+        let sized = |size: f64| JobView {
+            oracle: Some(OracleInfo {
+                total_size: Service::from_container_secs(size),
+                remaining: Service::from_container_secs(size),
+            }),
+            ..testkit::view(3)
+        };
+        let noise = SizeNoise::new(2.0, 0.0, 9);
+        let mut memo = EstimateMemo::new(noise);
+        let first = memo.estimate(&sized(500.0));
+        assert_eq!(
+            first,
+            noise.estimate(JobId::new(3), Service::from_container_secs(500.0))
+        );
+        // Same job, different apparent size: the first estimate stands…
+        assert_eq!(memo.estimate(&sized(1.0)), first);
+        // …until the job completes and its entry is dropped.
+        memo.forget(JobId::new(3));
+        assert_ne!(memo.estimate(&sized(1.0)), first);
     }
 
     #[test]

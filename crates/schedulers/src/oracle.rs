@@ -9,9 +9,9 @@
 //!
 //! [`JobView::oracle`]: lasmq_simulator::JobView
 
-use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler, Service};
+use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler};
 
-use crate::grant_in_order;
+use crate::{oracle_info, rank_and_grant};
 
 /// Shortest job first (preemptive, by true total size).
 ///
@@ -46,10 +46,11 @@ impl Scheduler for ShortestJobFirst {
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        allocate_by_key(ctx, |j| {
-            j.oracle
-                .expect("engine guarantees oracle info for oracle schedulers")
-                .total_size
+        rank_and_grant(ctx, |j| {
+            (
+                oracle_info(j).total_size.as_container_secs(),
+                (j.arrival, j.id),
+            )
         })
     }
 }
@@ -77,53 +78,27 @@ impl Scheduler for ShortestRemainingFirst {
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        allocate_by_key(ctx, |j| {
-            j.oracle
-                .expect("engine guarantees oracle info for oracle schedulers")
-                .remaining
+        rank_and_grant(ctx, |j| {
+            (
+                oracle_info(j).remaining.as_container_secs(),
+                (j.arrival, j.id),
+            )
         })
     }
-}
-
-fn allocate_by_key(
-    ctx: &SchedContext<'_>,
-    key: impl Fn(&lasmq_simulator::JobView) -> Service,
-) -> AllocationPlan {
-    let jobs = ctx.jobs();
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&a, &b| {
-        key(&jobs[a])
-            .total_cmp(&key(&jobs[b]))
-            .then_with(|| jobs[a].arrival.cmp(&jobs[b].arrival))
-            .then_with(|| jobs[a].id.cmp(&jobs[b].id))
-    });
-    grant_in_order(order.into_iter().map(|i| &jobs[i]), ctx.total_containers())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::{JobId, JobView, OracleInfo, SimTime};
+    use lasmq_simulator::{testkit, JobId, JobView, OracleInfo, Service, SimTime};
 
     fn view(id: u32, total: f64, remaining: f64) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
-            admitted_at: SimTime::ZERO,
-            priority: 1,
-            attained: Service::ZERO,
-            attained_stage: Service::ZERO,
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
-            remaining_tasks: 100,
-            unstarted_tasks: 100,
-            containers_per_task: 1,
-            held: 0,
             oracle: Some(OracleInfo {
                 total_size: Service::from_container_secs(total),
                 remaining: Service::from_container_secs(remaining),
             }),
+            ..testkit::view(id)
         }
     }
 

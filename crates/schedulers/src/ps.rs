@@ -45,14 +45,6 @@ impl Scheduler for Ps {
     }
 
     // PS recomputes equal shares from demand every pass; no state.
-    fn snapshot_state(&self) -> Option<String> {
-        None
-    }
-
-    fn restore_state(&mut self, _state: &str) -> Result<(), String> {
-        Ok(())
-    }
-
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
         let jobs = ctx.jobs();
         let requests: Vec<ShareRequest> = jobs
@@ -71,24 +63,16 @@ impl Scheduler for Ps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasmq_simulator::{JobId, JobView, Service, SimTime};
+    use lasmq_simulator::{testkit, JobId, JobView, Service, SimTime};
 
     fn view(id: u32, attained: f64, unstarted: u32) -> JobView {
         JobView {
-            id: JobId::new(id),
-            arrival: SimTime::ZERO,
             admitted_at: SimTime::from_secs(id as u64),
-            priority: 1,
             attained: Service::from_container_secs(attained),
             attained_stage: Service::from_container_secs(attained),
-            stage_index: 0,
-            stage_count: 1,
-            stage_progress: 0.0,
             remaining_tasks: unstarted,
             unstarted_tasks: unstarted,
-            containers_per_task: 1,
-            held: 0,
-            oracle: None,
+            ..testkit::view(id)
         }
     }
 

@@ -22,7 +22,7 @@ USAGE:
 OPTIONS:
     --listen ADDR           listen address (default 127.0.0.1:7171; use :0 for
                             an ephemeral port — the bound address is printed)
-    --scheduler NAME        policy: fifo|fair|las|las_mq|sjf|srtf (default las_mq)
+    --scheduler NAME        policy: fifo|fair|las|las_mq|sjf|srtf|sjf-est (default las_mq)
     --nodes N               cluster nodes (default 1)
     --containers N          containers per node (default 100)
     --quantum-ms MS         scheduling quantum in milliseconds (default 1000)

@@ -6,7 +6,7 @@
 //! * **Full scheduling passes** run on job arrival, stage completion, job
 //!   completion, and once per scheduling quantum. A pass snapshots every
 //!   admitted job into a [`JobView`], asks the scheduler for an
-//!   [`AllocationPlan`](crate::sched::AllocationPlan) (per-job container targets in priority order), and
+//!   [`AllocationPlan`] (per-job container targets in priority order), and
 //!   reconciles the cluster toward those targets.
 //! * **Between passes**, individual task completions are handled in
 //!   O(log n): freed containers first refill the same job toward its target,

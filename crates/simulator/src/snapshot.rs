@@ -10,8 +10,7 @@
 //!
 //! There is deliberately no RNG stream to capture: failure injection and
 //! estimator noise are stateless deterministic hashes of their configs and
-//! per-attempt counters (see
-//! [`FailureConfig`](crate::FailureConfig)), so snapshotting the configs
+//! per-attempt counters (see [`FailureConfig`]), so snapshotting the configs
 //! plus each job's attempt counter replays the exact same draws.
 //!
 //! Three consumers:

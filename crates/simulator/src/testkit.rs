@@ -1,5 +1,8 @@
 //! Test utilities for scheduler developers.
 //!
+//! [`view`] builds the one [`JobView`] fixture that scheduler unit tests
+//! vary with struct-update syntax.
+//!
 //! [`InvariantSpy`] wraps any [`Scheduler`] and checks, on every
 //! scheduling pass, the contracts the engine relies on — so a new policy
 //! can be dropped into an existing test suite and violations surface at
@@ -61,7 +64,40 @@ use std::collections::HashSet;
 
 use crate::ids::JobId;
 use crate::sched::{AllocationPlan, JobView, SchedContext, Scheduler};
-use crate::time::SimTime;
+use crate::time::{Service, SimTime};
+
+/// A plain [`JobView`] for scheduler unit tests: job `id`, submitted and
+/// admitted at time zero with priority 1, nothing attained, one
+/// single-container stage of 100 unstarted tasks, nothing held and no
+/// oracle. Tests state only what they vary, with struct-update syntax.
+///
+/// # Examples
+///
+/// ```
+/// use lasmq_simulator::testkit::view;
+/// use lasmq_simulator::JobView;
+///
+/// let held = JobView { held: 4, ..view(7) };
+/// assert_eq!(held.max_useful_allocation(), 104);
+/// ```
+pub fn view(id: u32) -> JobView {
+    JobView {
+        id: JobId::new(id),
+        arrival: SimTime::ZERO,
+        admitted_at: SimTime::ZERO,
+        priority: 1,
+        attained: Service::ZERO,
+        attained_stage: Service::ZERO,
+        stage_index: 0,
+        stage_count: 1,
+        stage_progress: 0.0,
+        remaining_tasks: 100,
+        unstarted_tasks: 100,
+        containers_per_task: 1,
+        held: 0,
+        oracle: None,
+    }
+}
 
 /// Wraps a scheduler and panics on the first violated contract.
 ///

@@ -2,7 +2,7 @@
 //!
 //! A [`DiffCell`] names one (workload, scheduler, cluster) combination.
 //! [`run_differential`] executes the cell twice — once on the real
-//! [`Simulation`](lasmq_simulator::Simulation) with the runtime invariant
+//! [`Simulation`] with the runtime invariant
 //! checker armed, once on the [`reference`](crate::reference) executor —
 //! and diffs the completion traces: per-job admission, first-allocation,
 //! and finish instants, all integer milliseconds. Any mismatch, and any

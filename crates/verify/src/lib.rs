@@ -9,7 +9,7 @@
 //!    batch, reporting structured
 //!    [`InvariantViolation`](lasmq_simulator::InvariantViolation)s instead
 //!    of panicking.
-//! 2. **Reference executor** ([`reference`]) — a deliberately naive O(n²)
+//! 2. **Reference executor** ([`mod@reference`]) — a deliberately naive O(n²)
 //!    re-implementation of the engine's admission and
 //!    container-assignment semantics, sharing vocabulary types but no
 //!    engine code.

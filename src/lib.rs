@@ -23,7 +23,7 @@
 //!   controller.
 //! * [`experiments`] — runners regenerating every table and figure of the
 //!   paper's evaluation (also available as the `repro` binary).
-//! * [`env`] — a gym-style policy-training environment over the
+//! * [`mod@env`] — a gym-style policy-training environment over the
 //!   simulator: deterministic reset/observe/step episodes, per-job
 //!   feature-vector observations, response-time rewards, and fork-based
 //!   N-way rollouts (trained by `repro train`).
