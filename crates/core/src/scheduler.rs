@@ -251,9 +251,13 @@ impl LasMq {
         }
         self.queue_demand[current] += u64::from(max_useful);
         let remaining_demand = view.remaining_demand();
-        if remaining_demand != old.remaining_demand {
-            // The in-queue sort key moved; membership changes (insert,
-            // demotion) already flag their queues inside the structure.
+        if remaining_demand != old.remaining_demand
+            && self.config.ordering() == QueueOrdering::RemainingDemand
+        {
+            // The in-queue sort key moved (under `Fifo` the key is the
+            // arrival seq alone, which never does); membership changes
+            // (insert, demotion) already flag their queues inside the
+            // structure.
             self.mlq.mark_queue_dirty(current);
         }
         self.job_cache[idx] = CachedDemand {
@@ -739,6 +743,29 @@ mod tests {
         admit_all(&mut fifo, &views);
         let plan = fifo.allocate(&SchedContext::new(SimTime::ZERO, 10, &views));
         assert_eq!(plan.entries()[0].0, JobId::new(0));
+    }
+
+    #[test]
+    fn a_demand_only_change_flags_its_queue_only_when_demand_is_the_sort_key() {
+        for (ordering, resort) in [
+            (QueueOrdering::Fifo, false),
+            (QueueOrdering::RemainingDemand, true),
+        ] {
+            let mut sched = LasMq::new(config().with_ordering(ordering));
+            let mut views = vec![
+                view(0, 0.0, 0.0, 0.0, 50, 50, 0),
+                view(1, 0.0, 0.0, 0.0, 30, 30, 0),
+            ];
+            admit_all(&mut sched, &views);
+            let _ = sched.allocate(&SchedContext::new(SimTime::ZERO, 10, &views));
+            assert!(!sched.mlq.queue_dirty(0), "a pass leaves its queues sorted");
+            // A task of job 0 finished: same queue, smaller remaining demand.
+            views[0].remaining_tasks -= 1;
+            views[0].unstarted_tasks -= 1;
+            sched.refresh_job(&views[0]);
+            assert_eq!(sched.queue_of(JobId::new(0)), Some(0));
+            assert_eq!(sched.mlq.queue_dirty(0), resort, "{ordering:?}");
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! Everything is deterministic: no randomness, and ties in event time are
 //! broken by insertion order.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::admission::AdmissionController;
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::error::SimError;
@@ -260,17 +263,34 @@ impl StageRt {
 
     /// Fraction of this stage completed, counting running tasks by the
     /// elapsed fraction of their expected duration.
+    ///
+    /// One addition per attempt, in vector order — that order fixes the
+    /// floating-point sum, which feeds demotion thresholds and learned
+    /// features, so it is never replaced by a closed form. What is saved is
+    /// the three divisions behind each term: the term depends only on
+    /// `(started, finish)`, which attempts launched by one pass share, so it
+    /// is recomputed only when that pair differs from the previous
+    /// attempt's. A zero-span attempt adds `0.0`, which leaves the bits of
+    /// the non-negative sum alone.
     fn progress(&self, now: SimTime) -> f64 {
         if self.total == 0 {
             return 1.0;
         }
         let mut units = self.completed as f64;
+        let mut term_of = None;
+        let mut term = 0.0;
         for r in &self.running {
-            let span = r.finish.saturating_since(r.started).as_secs_f64();
-            if span > 0.0 {
-                let elapsed = now.saturating_since(r.started).as_secs_f64();
-                units += (elapsed / span).min(1.0);
+            if term_of != Some((r.started, r.finish)) {
+                term_of = Some((r.started, r.finish));
+                let span = r.finish.saturating_since(r.started).as_secs_f64();
+                term = if span > 0.0 {
+                    let elapsed = now.saturating_since(r.started).as_secs_f64();
+                    (elapsed / span).min(1.0)
+                } else {
+                    0.0
+                };
             }
+            units += term;
         }
         (units / self.total as f64).min(1.0)
     }
@@ -359,24 +379,77 @@ impl JobCore {
     }
 }
 
+/// Hasher for [`JobStore::running_at`]'s packed `(job, task)` keys: one
+/// multiply, rotated so the well-mixed high bits land where the table takes
+/// its bucket index. The keys are engine-assigned dense ids, never outside
+/// input, and SipHash would cost more than the rest of a 250 ns event.
+#[derive(Debug, Default)]
+struct AttemptKeyHasher(u64);
+
+impl Hasher for AttemptKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("attempt keys are hashed as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+    }
+}
+
+/// The attempt index is sized for the whole cluster up front, but a
+/// cluster size is a number a command line or a snapshot file supplies:
+/// beyond a million containers (125 times the widest cluster this
+/// repository runs) the table starts at this size and grows on demand like
+/// any map, instead of demanding gigabytes before the first event.
+const ATTEMPT_INDEX_PRESIZE_CAP: usize = 1 << 20;
+
 /// Struct-of-arrays job storage, indexed by `JobId::index()`: the
 /// immutable specs, the hot scalar state ([`JobCore`]) and the
 /// current-stage task state ([`StageRt`]) live in three parallel arrays,
-/// so each engine path touches only the array it needs.
+/// so each engine path touches only the array it needs. Two further
+/// members are derived from those three and never serialized.
 #[derive(Debug)]
 pub(crate) struct JobStore {
     specs: Vec<JobSpec>,
     core: Vec<JobCore>,
     stage: Vec<StageRt>,
+    /// `(job, current-stage task)` → position of that task's attempt in the
+    /// job's [`StageRt::running`], for every running attempt of every job
+    /// (a task has at most one entry there; a speculative copy rides inside
+    /// it). An attempt holds at least one container, so live entries never
+    /// exceed the cluster's container count, which sizes the table once
+    /// (up to [`ATTEMPT_INDEX_PRESIZE_CAP`]). Kept in step by
+    /// [`push_running`](Self::push_running) and
+    /// [`swap_remove_running`](Self::swap_remove_running), the only code
+    /// that may change a `running` vector's membership.
+    running_at: HashMap<u64, u32, BuildHasherDefault<AttemptKeyHasher>>,
+    /// [`JobSpec::total_service`] per job — a sum over every task of every
+    /// stage, so it is taken once, not once per refreshed view. `Some`
+    /// exactly when the size oracle is exposed (this is where the engine
+    /// keeps that setting); runs that hide it pay nothing.
+    oracle_size: Option<Vec<Service>>,
 }
 
 impl JobStore {
-    fn from_specs(specs: Vec<JobSpec>) -> Self {
-        let mut store = JobStore {
-            specs: Vec::with_capacity(specs.len()),
-            core: Vec::with_capacity(specs.len()),
-            stage: Vec::with_capacity(specs.len()),
-        };
+    fn with_capacity(jobs: usize, total_containers: u32, expose_oracle: bool) -> Self {
+        JobStore {
+            specs: Vec::with_capacity(jobs),
+            core: Vec::with_capacity(jobs),
+            stage: Vec::with_capacity(jobs),
+            running_at: HashMap::with_capacity_and_hasher(
+                (total_containers as usize).min(ATTEMPT_INDEX_PRESIZE_CAP),
+                BuildHasherDefault::default(),
+            ),
+            oracle_size: expose_oracle.then(|| Vec::with_capacity(jobs)),
+        }
+    }
+
+    fn from_specs(specs: Vec<JobSpec>, total_containers: u32, expose_oracle: bool) -> Self {
+        let mut store = JobStore::with_capacity(specs.len(), total_containers, expose_oracle);
         for spec in specs {
             store.push_spec(spec);
         }
@@ -388,6 +461,9 @@ impl JobStore {
         self.stage
             .push(StageRt::new(&spec.stages()[0], SimTime::ZERO));
         self.core.push(JobCore::new());
+        if let Some(sizes) = &mut self.oracle_size {
+            sizes.push(spec.total_service());
+        }
         self.specs.push(spec);
     }
 
@@ -402,6 +478,56 @@ impl JobStore {
 
     fn current_stage(&self, i: usize) -> &StageSpec {
         &self.specs[i].stages()[self.core[i].stage_index]
+    }
+
+    fn attempt_key(job: usize, task_idx: usize) -> u64 {
+        (job as u64) << 32 | task_idx as u64
+    }
+
+    /// Appends a running attempt to job `i`.
+    fn push_running(&mut self, i: usize, attempt: RunningTask) {
+        let running = &mut self.stage[i].running;
+        let displaced = self
+            .running_at
+            .insert(Self::attempt_key(i, attempt.task_idx), running.len() as u32);
+        debug_assert!(displaced.is_none(), "task already has a running attempt");
+        running.push(attempt);
+    }
+
+    /// `swap_remove`s the attempt at `pos` of job `i`: the vector order
+    /// that results is read by `progress`, the kill victim's tie-break and
+    /// speculation's candidate order, so it stays exactly `swap_remove`'s.
+    fn swap_remove_running(&mut self, i: usize, pos: usize) -> RunningTask {
+        let running = &mut self.stage[i].running;
+        let removed = running.swap_remove(pos);
+        self.running_at
+            .remove(&Self::attempt_key(i, removed.task_idx));
+        if let Some(moved) = running.get(pos) {
+            self.running_at
+                .insert(Self::attempt_key(i, moved.task_idx), pos as u32);
+        }
+        removed
+    }
+
+    /// Where `attempt` of `task_idx` sits in job `i`'s `running`, or `None`
+    /// if that attempt no longer runs — its finish event is stale (the
+    /// attempt was killed, or superseded by a speculative copy, possibly
+    /// with the task running again under a newer attempt).
+    fn running_position(&self, i: usize, task_idx: usize, attempt: u32) -> Option<usize> {
+        let running = &self.stage[i].running;
+        let found = self
+            .running_at
+            .get(&Self::attempt_key(i, task_idx))
+            .map(|&pos| pos as usize)
+            .filter(|&pos| running[pos].attempt == attempt);
+        debug_assert_eq!(
+            found,
+            running
+                .iter()
+                .position(|r| r.task_idx == task_idx && r.attempt == attempt),
+            "attempt index disagrees with a scan of job {i}'s running set"
+        );
+        found
     }
 
     /// Materializes the snapshot interchange form.
@@ -429,13 +555,9 @@ impl JobStore {
             .collect()
     }
 
-    fn from_jobs(jobs: Vec<Job>) -> Self {
-        let mut store = JobStore {
-            specs: Vec::with_capacity(jobs.len()),
-            core: Vec::with_capacity(jobs.len()),
-            stage: Vec::with_capacity(jobs.len()),
-        };
-        for job in jobs {
+    fn from_jobs(jobs: Vec<Job>, total_containers: u32, expose_oracle: bool) -> Self {
+        let mut store = JobStore::with_capacity(jobs.len(), total_containers, expose_oracle);
+        for (i, job) in jobs.into_iter().enumerate() {
             store.core.push(JobCore {
                 stage_index: job.stage_index,
                 held: job.held,
@@ -450,15 +572,26 @@ impl JobStore {
                 first_alloc: job.first_alloc,
                 finished_at: job.finished_at,
             });
+            for (pos, r) in job.stage.running.iter().enumerate() {
+                store
+                    .running_at
+                    .insert(Self::attempt_key(i, r.task_idx), pos as u32);
+            }
             store.stage.push(job.stage);
+            if let Some(sizes) = &mut store.oracle_size {
+                sizes.push(job.spec.total_service());
+            }
             store.specs.push(job.spec);
         }
         store
     }
 }
 
-/// Stage buffers retired beyond this many finished jobs go back to the
-/// allocator instead of the reuse pool.
+/// The reuse pool keeps at most this many sets of retired stage buffers;
+/// sets harvested while it is full go back to the allocator. Only the
+/// buffers' fate depends on the pool: the finished job is emptied either
+/// way, because the pool is not part of a snapshot (it is empty after a
+/// restore) and so must never decide what a job serializes as.
 const STAGE_BUF_POOL_CAP: usize = 256;
 
 /// Recycled buffers for the engine's steady state, so passes and stage
@@ -475,20 +608,19 @@ struct JobScratch {
 }
 
 impl JobScratch {
-    /// Retires a finished job's stage buffers into the pool. The job is
-    /// done — nothing reads these again — so emptying them only trims
-    /// the serialized form of dead state.
+    /// Takes a finished job's stage buffers, into the pool while it has
+    /// room. The job is done — nothing reads these again — so emptying
+    /// them only trims the serialized form of dead state.
     fn harvest(&mut self, st: &mut StageRt) {
-        if self.stage_bufs.len() >= STAGE_BUF_POOL_CAP {
-            return;
-        }
         let running = std::mem::take(&mut st.running);
         let requeued = std::mem::take(&mut st.requeued);
         let mut durations = std::mem::take(&mut st.completed_durations);
-        if running.capacity() + requeued.capacity() + durations.capacity() == 0 {
+        debug_assert!(running.is_empty() && requeued.is_empty());
+        if self.stage_bufs.len() >= STAGE_BUF_POOL_CAP
+            || running.capacity() + requeued.capacity() + durations.capacity() == 0
+        {
             return;
         }
-        debug_assert!(running.is_empty() && requeued.is_empty());
         durations.clear();
         self.stage_bufs.push((running, requeued, durations));
     }
@@ -682,7 +814,7 @@ impl SimulationBuilder {
                 },
             );
         }
-        let jobs = JobStore::from_specs(specs);
+        let jobs = JobStore::from_specs(specs, total, self.expose_oracle);
         let admission = match self.admission_limit {
             Some(cap) => AdmissionController::with_limit(cap),
             None => AdmissionController::unlimited(),
@@ -696,7 +828,6 @@ impl SimulationBuilder {
             preemption: self.preemption,
             speculation: self.speculation,
             failures: self.failures,
-            expose_oracle: self.expose_oracle,
             deadline: self.deadline,
             journal: if self.record_journal {
                 Some(Journal::new())
@@ -783,7 +914,6 @@ pub struct Simulation<S: Scheduler> {
     preemption: PreemptionPolicy,
     speculation: SpeculationConfig,
     failures: FailureConfig,
-    expose_oracle: bool,
     deadline: Option<SimTime>,
     journal: Option<Journal>,
     telemetry: Option<Telemetry>,
@@ -1059,6 +1189,40 @@ impl<S: Scheduler> Simulation<S> {
                     ),
                 );
             }
+        }
+        // The attempt index is derived from the `running` vectors: every
+        // running attempt is indexed at its own position, and the index
+        // holds nothing else.
+        let mut running_attempts = 0usize;
+        for (i, st) in self.jobs.stage.iter().enumerate() {
+            for (pos, r) in st.running.iter().enumerate() {
+                running_attempts += 1;
+                let indexed = self
+                    .jobs
+                    .running_at
+                    .get(&JobStore::attempt_key(i, r.task_idx));
+                if indexed != Some(&(pos as u32)) {
+                    report.record(
+                        InvariantKind::TaskAccounting,
+                        at,
+                        format!(
+                            "job {i} task {} runs at position {pos} but the attempt \
+                             index says {indexed:?}",
+                            r.task_idx
+                        ),
+                    );
+                }
+            }
+        }
+        if self.jobs.running_at.len() != running_attempts {
+            report.record(
+                InvariantKind::TaskAccounting,
+                at,
+                format!(
+                    "attempt index holds {} entries for {running_attempts} running attempt(s)",
+                    self.jobs.running_at.len()
+                ),
+            );
         }
         if finished != self.finished_count {
             report.record(
@@ -1340,7 +1504,7 @@ impl<S: Scheduler> Simulation<S> {
             preemption: self.preemption,
             speculation: self.speculation,
             failures: self.failures,
-            expose_oracle: self.expose_oracle,
+            expose_oracle: self.jobs.oracle_size.is_some(),
             deadline: self.deadline,
             journal: self.journal.clone(),
             telemetry: self.telemetry.clone(),
@@ -1452,14 +1616,17 @@ impl<S: Scheduler> Simulation<S> {
             preemption: snapshot.preemption,
             speculation: snapshot.speculation,
             failures: snapshot.failures,
-            expose_oracle: snapshot.expose_oracle,
             deadline: snapshot.deadline,
             journal: snapshot.journal,
             telemetry: snapshot.telemetry,
             invariants: snapshot.invariants,
             view_slot: vec![usize::MAX; snapshot.jobs.len()],
             dirty: vec![false; snapshot.jobs.len()],
-            jobs: JobStore::from_jobs(snapshot.jobs),
+            jobs: JobStore::from_jobs(
+                snapshot.jobs,
+                snapshot.cluster.total_containers(),
+                snapshot.expose_oracle,
+            ),
             events: EventQueue::from_snapshot(snapshot.events, snapshot.events_next_seq),
             admitted: snapshot.admitted,
             finished_in_admitted: snapshot.finished_in_admitted,
@@ -1583,11 +1750,7 @@ impl<S: Scheduler> Simulation<S> {
         if core.finished() || core.stage_index != stage.index() {
             return; // stale: the job moved on (kill or completion races)
         }
-        let Some(pos) = self.jobs.stage[i]
-            .running
-            .iter()
-            .position(|r| r.task_idx == task.index() && r.attempt == attempt)
-        else {
+        let Some(pos) = self.jobs.running_position(i, task.index(), attempt) else {
             return; // stale: killed or superseded by a speculative copy
         };
 
@@ -1596,8 +1759,8 @@ impl<S: Scheduler> Simulation<S> {
         self.mark_dirty(id);
         // Failed attempt: give back the containers, re-queue the task.
         if self.jobs.stage[i].running[pos].will_fail {
+            let failed = self.jobs.swap_remove_running(i, pos);
             let (_, core, st) = self.jobs.split_mut(i);
-            let failed = st.running.swap_remove(pos);
             core.held -= failed.containers;
             self.cluster.release(failed.node, failed.containers);
             if let Some(copy) = failed.spec_copy {
@@ -1620,8 +1783,8 @@ impl<S: Scheduler> Simulation<S> {
         }
         let stage_done;
         {
+            let running = self.jobs.swap_remove_running(i, pos);
             let (spec, core, st) = self.jobs.split_mut(i);
-            let running = st.running.swap_remove(pos);
             core.held -= running.containers;
             self.cluster.release(running.node, running.containers);
             if let Some(copy) = running.spec_copy {
@@ -1765,7 +1928,7 @@ impl<S: Scheduler> Simulation<S> {
         } else {
             spec_task.duration()
         };
-        let (_, core, st) = self.jobs.split_mut(i);
+        let core = &mut self.jobs.core[i];
         let attempt = core.attempt_counter;
         core.attempt_counter += 1;
         let failure = self.failures.roll(id, task_idx, attempt);
@@ -1775,22 +1938,25 @@ impl<S: Scheduler> Simulation<S> {
             );
         }
         let finish = now + duration;
-        st.running.push(RunningTask {
-            task_idx,
-            attempt,
-            node,
-            containers: spec_task.containers(),
-            started: now,
-            finish,
-            will_fail: failure.is_some(),
-            spec_copy: None,
-        });
         core.held += spec_task.containers();
         if core.first_alloc.is_none() {
             core.first_alloc = Some(now);
         }
         let stage = StageId::new(core.stage_index as u16);
         let containers = spec_task.containers();
+        self.jobs.push_running(
+            i,
+            RunningTask {
+                task_idx,
+                attempt,
+                node,
+                containers,
+                started: now,
+                finish,
+                will_fail: failure.is_some(),
+                spec_copy: None,
+            },
+        );
         self.events.push(
             finish,
             Event::TaskFinish {
@@ -1844,20 +2010,19 @@ impl<S: Scheduler> Simulation<S> {
         let st = &self.jobs.stage[i];
         let now = self.now;
         let stage = &spec.stages()[core.stage_index];
-        let oracle = if self.expose_oracle {
-            let total_size = spec.total_service();
+        let oracle = self.jobs.oracle_size.as_ref().map(|sizes| {
+            let total_size = sizes[i];
+            debug_assert_eq!(total_size, spec.total_service());
             let mut done = core.completed_service;
             for r in &st.running {
                 let elapsed = now.saturating_since(r.started);
                 done += Service::accrued(r.containers, elapsed);
             }
-            Some(OracleInfo {
+            OracleInfo {
                 total_size,
                 remaining: total_size - done,
-            })
-        } else {
-            None
-        };
+            }
+        });
         JobView {
             id,
             arrival: spec.arrival(),
@@ -2099,8 +2264,8 @@ impl<S: Scheduler> Simulation<S> {
                 self.accrue_job(id);
                 self.update_util();
                 self.mark_dirty(id);
+                let killed = self.jobs.swap_remove_running(ji, victim);
                 let (_, core, st) = self.jobs.split_mut(ji);
-                let killed = st.running.swap_remove(victim);
                 core.held -= killed.containers;
                 self.cluster.release(killed.node, killed.containers);
                 if let Some(copy) = killed.spec_copy {
@@ -2368,6 +2533,24 @@ mod tests {
         }
     }
 
+    /// Gives everything to the newest job, starving older ones — with
+    /// `PreemptionPolicy::Kill`, every arrival kills what was running.
+    struct NewestFirst;
+
+    impl Scheduler for NewestFirst {
+        fn name(&self) -> &str {
+            "newest-first"
+        }
+
+        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+            let mut plan = AllocationPlan::new();
+            if let Some(j) = ctx.jobs().iter().max_by_key(|j| j.arrival) {
+                plan.push(j.id, j.max_useful_allocation());
+            }
+            plan
+        }
+    }
+
     struct NeedsOracle;
 
     impl Scheduler for NeedsOracle {
@@ -2584,20 +2767,6 @@ mod tests {
 
     #[test]
     fn kill_preemption_reclaims_containers() {
-        /// Gives everything to the newest job, starving older ones.
-        struct NewestFirst;
-        impl Scheduler for NewestFirst {
-            fn name(&self) -> &str {
-                "newest-first"
-            }
-            fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-                let mut plan = AllocationPlan::new();
-                if let Some(j) = ctx.jobs().iter().max_by_key(|j| j.arrival) {
-                    plan.push(j.id, j.max_useful_allocation());
-                }
-                plan
-            }
-        }
         let report = Simulation::builder()
             .cluster(ClusterConfig::single_node(2))
             .preemption(PreemptionPolicy::Kill)
@@ -2987,19 +3156,6 @@ mod tests {
     #[test]
     fn telemetry_counts_preemption_kills() {
         use crate::telemetry::DecisionEvent as D;
-        struct NewestFirst;
-        impl Scheduler for NewestFirst {
-            fn name(&self) -> &str {
-                "newest-first"
-            }
-            fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-                let mut plan = AllocationPlan::new();
-                if let Some(j) = ctx.jobs().iter().max_by_key(|j| j.arrival) {
-                    plan.push(j.id, j.max_useful_allocation());
-                }
-                plan
-            }
-        }
         let report = Simulation::builder()
             .cluster(ClusterConfig::single_node(2))
             .preemption(PreemptionPolicy::Kill)
@@ -3185,6 +3341,269 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == InvariantKind::TaskAccounting));
+    }
+
+    #[test]
+    fn mutation_corrupted_attempt_index_is_caught() {
+        let mid_run = || {
+            let mut sim = Simulation::builder()
+                .cluster(ClusterConfig::single_node(4))
+                .check_invariants(true)
+                .jobs(vec![map_job(0, 8, 10)])
+                .build(Greedy)
+                .unwrap();
+            assert!(sim.run_until(SimTime::from_secs(5)));
+            assert!(sim.invariants.as_ref().unwrap().is_clean());
+            assert_eq!(sim.jobs.running_at.len(), 4);
+            sim
+        };
+        let index_violations = |sim: &Simulation<Greedy>| {
+            let inv = sim.invariants.as_ref().unwrap();
+            inv.violations
+                .iter()
+                .filter(|v| {
+                    v.kind == InvariantKind::TaskAccounting && v.detail.contains("attempt index")
+                })
+                .count()
+        };
+
+        // An entry re-pointed at another attempt's position.
+        let mut sim = mid_run();
+        let key = JobStore::attempt_key(0, sim.jobs.stage[0].running[0].task_idx);
+        sim.jobs.running_at.insert(key, 1);
+        sim.run_invariant_checks();
+        assert_eq!(index_violations(&sim), 1);
+
+        // An entry for an attempt that does not run.
+        let mut sim = mid_run();
+        sim.jobs.running_at.insert(JobStore::attempt_key(0, 7), 0);
+        sim.run_invariant_checks();
+        assert_eq!(index_violations(&sim), 1);
+    }
+
+    #[test]
+    fn a_killed_attempts_finish_event_is_ignored_while_its_task_runs_again() {
+        // Job 0's two 100 s tasks start at t=0 and are killed at t=10 for
+        // job 1, which runs until t=20; both tasks then restart under new
+        // attempts due at t=120. The killed attempts' finish events still
+        // arrive at t=100 — naming tasks that are running, under attempts
+        // that are not.
+        let mut sim = Simulation::builder()
+            .cluster(ClusterConfig::single_node(2))
+            .preemption(PreemptionPolicy::Kill)
+            .check_invariants(true)
+            .jobs(vec![map_job(0, 2, 100), map_job(10, 2, 10)])
+            .build(NewestFirst)
+            .unwrap();
+        assert!(sim.run_until(SimTime::from_secs(99)));
+        assert_eq!(sim.stats.tasks_killed, 2);
+        let restarted = sim.jobs.stage[0].running.clone();
+        assert_eq!(restarted.len(), 2);
+        assert!(restarted
+            .iter()
+            .all(|r| r.attempt >= 2 && r.finish == SimTime::from_secs(120)));
+        let before = sim.stats.events_processed;
+        assert!(sim.run_until(SimTime::from_secs(100)));
+        assert!(
+            sim.stats.events_processed >= before + 2,
+            "the stale events were delivered"
+        );
+        let st = &sim.jobs.stage[0];
+        assert_eq!(st.completed, 0, "a stale finish completed a task");
+        assert_eq!(st.running.len(), 2);
+        let report = sim.run();
+        assert_eq!(
+            report.outcomes()[0].finish.unwrap(),
+            SimTime::from_secs(120)
+        );
+        assert!(report.invariants().unwrap().is_clean());
+    }
+
+    /// Hands the whole cluster to a different job each pass, so with
+    /// `PreemptionPolicy::Kill` every rotation kills running attempts.
+    struct Rotating {
+        cursor: usize,
+    }
+
+    impl Scheduler for Rotating {
+        fn name(&self) -> &str {
+            "rotating"
+        }
+        fn snapshot_state(&self) -> Option<String> {
+            Some(self.cursor.to_string())
+        }
+        fn restore_state(&mut self, state: &str) -> Result<(), String> {
+            self.cursor = state.parse().map_err(|e| format!("bad cursor: {e}"))?;
+            Ok(())
+        }
+        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+            self.cursor += 1;
+            let jobs = ctx.jobs();
+            let mut budget = ctx.total_containers();
+            let mut plan = AllocationPlan::new();
+            for k in 0..jobs.len() {
+                let job = &jobs[(k + self.cursor / 4) % jobs.len()];
+                let grant = job.max_useful_allocation().min(budget);
+                plan.push(job.id, grant);
+                budget -= grant;
+            }
+            plan
+        }
+    }
+
+    #[test]
+    fn attempt_index_survives_every_removal_path_and_a_restore() {
+        // Failures, kills, completions and speculative supersession all
+        // edit `running`; the run is also cut mid-flight, so the index is
+        // rebuilt from a snapshot with attempts of every kind in it.
+        let straggly = |arrival: u64, tasks: usize| {
+            let mut specs = vec![TaskSpec::new(SimDuration::from_secs(4)); tasks];
+            specs[tasks - 1] = TaskSpec::new(SimDuration::from_secs(60));
+            JobSpec::builder()
+                .arrival(SimTime::from_secs(arrival))
+                .stage(StageSpec::new(StageKind::Map, specs))
+                .stage(StageSpec::uniform(
+                    StageKind::Reduce,
+                    2,
+                    TaskSpec::new(SimDuration::from_secs(6)).with_containers(2),
+                ))
+                .build()
+        };
+        let build = || {
+            Simulation::builder()
+                .cluster(ClusterConfig::new(2, 4))
+                .preemption(PreemptionPolicy::Kill)
+                .failures(FailureConfig::with_probability(0.2, 7))
+                .speculation(SpeculationConfig::enabled(2, 1.5))
+                .expose_oracle(true)
+                .check_invariants(true)
+                .record_journal(true)
+                .jobs(vec![
+                    straggly(0, 9),
+                    straggly(1, 5),
+                    straggly(3, 12),
+                    straggly(20, 6),
+                ])
+                .build(Rotating { cursor: 0 })
+                .unwrap()
+        };
+        let uninterrupted = build().run();
+        let stats = uninterrupted.stats();
+        assert!(stats.tasks_failed > 0, "{stats:?}");
+        assert!(stats.tasks_killed > 0, "{stats:?}");
+        assert!(stats.speculative_won > 0, "{stats:?}");
+        assert!(uninterrupted.all_completed());
+        let inv = uninterrupted.invariants().unwrap();
+        assert!(inv.is_clean(), "{inv}");
+
+        let mut cuts = 0;
+        for cut in [5, 12, 30, 55] {
+            let mut sim = build();
+            assert!(sim.run_until(SimTime::from_secs(cut)));
+            cuts += sim.jobs.running_at.len();
+            let snap = SimSnapshot::from_json(&sim.snapshot().to_json()).unwrap();
+            let resumed = Simulation::restore(snap, Rotating { cursor: 0 }).unwrap();
+            assert_eq!(resumed.jobs.running_at, sim.jobs.running_at);
+            assert_eq!(resumed.jobs.oracle_size, sim.jobs.oracle_size);
+            let resumed = resumed.run();
+            assert_eq!(
+                serde_json::to_string(&resumed).unwrap(),
+                serde_json::to_string(&uninterrupted).unwrap(),
+                "cut at {cut} s"
+            );
+        }
+        assert!(cuts > 0, "no cut caught an attempt in flight");
+    }
+
+    /// `StageRt::progress` as it was before terms were reused: one term
+    /// computed per attempt. The model the memoized body is held to.
+    fn plain_progress(st: &StageRt, now: SimTime) -> f64 {
+        if st.total == 0 {
+            return 1.0;
+        }
+        let mut units = st.completed as f64;
+        for r in &st.running {
+            let span = r.finish.saturating_since(r.started).as_secs_f64();
+            if span > 0.0 {
+                let elapsed = now.saturating_since(r.started).as_secs_f64();
+                units += (elapsed / span).min(1.0);
+            }
+        }
+        (units / st.total as f64).min(1.0)
+    }
+
+    #[test]
+    fn progress_term_reuse_is_bit_exact() {
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        for case in 0..400 {
+            // A few launch waves — attempts of one wave share `(started,
+            // finish)` — drawn from a coarse grid so that distinct waves
+            // often share one of the two, with zero-span attempts mixed in.
+            let waves: Vec<(u64, u64)> = (0..1 + next(5))
+                .map(|_| {
+                    let started = next(4) * 9_000;
+                    let finish = started.max(next(6) * 9_000) + next(2) * next(7_000);
+                    (started, finish)
+                })
+                .collect();
+            let mut running: Vec<RunningTask> = Vec::new();
+            for _ in 0..next(60) {
+                // Runs of equal pairs, as one pass launches them, or
+                // interleaved ones, as refills between passes do.
+                let (started, finish) = waves[next(waves.len() as u64) as usize];
+                for _ in 0..1 + next(8) * (case % 2) {
+                    running.push(RunningTask {
+                        task_idx: running.len(),
+                        attempt: 0,
+                        node: NodeId::new(0),
+                        containers: 1,
+                        started: SimTime::from_millis(started),
+                        finish: SimTime::from_millis(finish),
+                        will_fail: false,
+                        spec_copy: None,
+                    });
+                }
+            }
+            // The orders `swap_remove` leaves behind.
+            for _ in 0..next(20) {
+                if !running.is_empty() {
+                    running.swap_remove(next(running.len() as u64) as usize);
+                }
+            }
+            let completed = next(40) as u32;
+            let total = match case % 7 {
+                0 => 0,
+                _ => completed + running.len() as u32 + next(30) as u32,
+            };
+            let st = StageRt {
+                total,
+                next_unstarted: 0,
+                completed,
+                running,
+                requeued: Vec::new(),
+                completed_durations: Vec::new(),
+                ready_at: SimTime::ZERO,
+            };
+            // Before, between, exactly at and past the waves' bounds.
+            let mut nows: Vec<u64> = (0..12).map(|_| next(70_000)).collect();
+            nows.extend(waves.iter().flat_map(|&(s, f)| [s, f, f + 1]));
+            for now in nows {
+                let now = SimTime::from_millis(now);
+                assert_eq!(
+                    st.progress(now).to_bits(),
+                    plain_progress(&st, now).to_bits(),
+                    "case {case} at {now}: {:?}",
+                    st.running
+                        .iter()
+                        .map(|r| (r.started, r.finish))
+                        .collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -255,6 +255,35 @@ fn fork_switches_policy_and_still_completes_everything() {
     assert!(restored.all_completed());
 }
 
+/// What a snapshot says about a job must not depend on the engine's
+/// buffer-reuse pool, which no snapshot carries: a resumed run starts with
+/// an empty pool where the uninterrupted run's filled up long ago, and the
+/// two must still write the same bytes later on.
+#[test]
+fn later_snapshots_of_a_resumed_run_match_the_uninterrupted_runs() {
+    // Far more jobs than the pool holds, all admitted up front (so none
+    // is grafted a pooled buffer), finishing one after another.
+    let build = || {
+        Simulation::builder()
+            .cluster(ClusterConfig::single_node(4))
+            .jobs((0..700).map(|_| staged_job(0, 4, 2, 0)))
+            .build(Rotor::new())
+            .expect("valid setup")
+    };
+    let makespan = build().run().stats().makespan.as_millis();
+    let late = SimTime::from_millis(makespan * 95 / 100);
+
+    let mut straight = build();
+    let mut first_half = build();
+    let half = first_half
+        .snapshot_at(SimTime::from_millis(makespan / 2))
+        .expect("mid-run");
+    let mut resumed = Simulation::restore(half, Rotor::new()).expect("restores");
+    let a = straight.snapshot_at(late).expect("still running").to_json();
+    let b = resumed.snapshot_at(late).expect("still running").to_json();
+    assert!(a == b, "snapshot bytes diverged after a restore");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
