@@ -17,6 +17,11 @@
 //! 3. **Thread-count determinism**: a campaign over the zoo produces
 //!    byte-identical serialized reports on a 1-thread and a 3-thread
 //!    worker pool.
+//! 4. **Truthful declarations**: a kind that answers
+//!    `Scheduler::reads_stage_progress` with `false` runs on views whose
+//!    `stage_progress` is `0.0`; the same kind behind a wrapper that
+//!    answers `true` runs on the computed counter. Both must write the
+//!    same report, or the kind reads a field it disowned.
 //!
 //! Registration is enforced at compile time: `SchedulerKind::zoo()` and
 //! `SchedulerKind::variant_index()` live next to the enum, where the
@@ -27,8 +32,11 @@
 use lasmq_campaign::{
     Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec, VARIANT_COUNT,
 };
-use lasmq_simulator::{SimSnapshot, SimTime, SimulationReport};
-use lasmq_workload::FacebookTrace;
+use lasmq_simulator::{
+    AllocationPlan, FailureConfig, JobId, JobSpec, JobView, QueueDemotion, SchedContext, Scheduler,
+    SimSnapshot, SimTime, SimulationReport, SpeculationConfig,
+};
+use lasmq_workload::{FacebookTrace, PumaWorkload};
 
 fn fingerprint(report: &SimulationReport) -> String {
     serde_json::to_string(report).expect("report serializes")
@@ -37,8 +45,129 @@ fn fingerprint(report: &SimulationReport) -> String {
 /// The shared contract workload: big enough that every scheduler carries
 /// non-trivial internal state at the pause point, small enough to keep
 /// 13 × 3 runs cheap.
-fn contract_jobs() -> Vec<lasmq_simulator::JobSpec> {
+fn contract_jobs() -> Vec<JobSpec> {
     FacebookTrace::new().jobs(60).seed(5).generate()
+}
+
+/// The paper's testbed with the engine extensions the benchmark's PUMA
+/// cells run: task failures and speculative copies.
+fn faulty_testbed() -> SimSetup {
+    SimSetup::testbed()
+        .failures(FailureConfig::with_probability(0.02, 11))
+        .speculation(SpeculationConfig::enabled(3, 1.5))
+}
+
+/// Forwards everything to the kind it wraps, except that it claims to read
+/// `stage_progress` — so the engine computes the counter for a kind that
+/// may have declared it unread.
+struct ClaimsToReadProgress(Box<dyn Scheduler>);
+
+impl Scheduler for ClaimsToReadProgress {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn requires_oracle(&self) -> bool {
+        self.0.requires_oracle()
+    }
+    fn reads_stage_progress(&self) -> bool {
+        true
+    }
+    fn on_job_admitted(&mut self, view: &JobView, now: SimTime) {
+        self.0.on_job_admitted(view, now)
+    }
+    fn on_stage_completed(&mut self, job: JobId, new_stage_index: usize, now: SimTime) {
+        self.0.on_stage_completed(job, new_stage_index, now)
+    }
+    fn on_job_completed(&mut self, job: JobId, now: SimTime) {
+        self.0.on_job_completed(job, now)
+    }
+    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        self.0.allocate(ctx)
+    }
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+        self.0.allocate_into(ctx, plan)
+    }
+    fn queue_depths(&self) -> Option<Vec<u32>> {
+        self.0.queue_depths()
+    }
+    fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
+        self.0.drain_demotions()
+    }
+    fn snapshot_state(&self) -> Option<String> {
+        self.0.snapshot_state()
+    }
+    fn restore_state(&mut self, state: &str) -> Result<(), String> {
+        self.0.restore_state(state)
+    }
+    fn check_consistency(&self) -> Result<(), String> {
+        self.0.check_consistency()
+    }
+}
+
+fn assert_declaration_is_truthful(setup: &SimSetup, jobs: &[JobSpec], kind: &SchedulerKind) {
+    let gated = setup.run(jobs.to_vec(), kind);
+    let filled = setup
+        .build_simulation_with(
+            jobs.to_vec(),
+            ClaimsToReadProgress(kind.build()),
+            kind.requires_oracle(),
+        )
+        .run();
+    assert!(gated.all_completed(), "{kind}: jobs left unfinished");
+    assert_eq!(
+        gated.stats(),
+        filled.stats(),
+        "{kind}: engine counters depend on stage_progress"
+    );
+    assert_eq!(
+        fingerprint(&gated),
+        fingerprint(&filled),
+        "{kind}: declares stage_progress unread, yet its run depends on it"
+    );
+}
+
+#[test]
+fn no_kind_reads_the_stage_progress_it_declares_unread() {
+    let trace = FacebookTrace::new().jobs(120).seed(6).generate();
+    let setup = SimSetup::trace_sim().record_telemetry(true);
+    for kind in SchedulerKind::zoo() {
+        assert_declaration_is_truthful(&setup, &trace, &kind);
+    }
+    let puma = PumaWorkload::new().jobs(40).seed(6).generate();
+    let setup = faulty_testbed().record_telemetry(true);
+    for kind in SchedulerKind::paper_lineup_experiments() {
+        assert_declaration_is_truthful(&setup, &puma, &kind);
+    }
+}
+
+/// Speculation's memoised straggler threshold is not part of a snapshot: a
+/// resumed run starts without it, and must neither report nor later
+/// serialize anything the uninterrupted run does not.
+#[test]
+fn speculating_fair_run_resumes_to_the_same_report_and_later_snapshot() {
+    let jobs = PumaWorkload::new().jobs(40).seed(6).generate();
+    let setup = faulty_testbed();
+    let kind = SchedulerKind::Fair;
+    let uninterrupted = setup.run(jobs.clone(), &kind);
+    let stats = uninterrupted.stats();
+    assert!(stats.tasks_failed > 0, "{stats:?}");
+    assert!(stats.speculative_launched > 0, "{stats:?}");
+    let makespan = stats.makespan.as_millis();
+    let late = SimTime::from_millis(makespan * 3 / 4);
+
+    let mut straight = setup.build_simulation(jobs.clone(), &kind);
+    let mut first_half = setup.build_simulation(jobs, &kind);
+    let half = first_half
+        .snapshot_at(SimTime::from_millis(makespan / 2))
+        .expect("mid-run")
+        .to_json();
+    let half = SimSnapshot::from_json(&half).expect("snapshot JSON parses");
+    let mut resumed = SimSetup::resume_simulation(half, &kind).expect("restores");
+    let a = straight.snapshot_at(late).expect("still running").to_json();
+    let b = resumed.snapshot_at(late).expect("still running").to_json();
+    assert!(a == b, "snapshot bytes diverged after a restore");
+    assert_eq!(fingerprint(&resumed.run()), fingerprint(&uninterrupted));
+    assert_eq!(fingerprint(&straight.run()), fingerprint(&uninterrupted));
 }
 
 #[test]

@@ -305,6 +305,11 @@ impl Scheduler for LasMq {
         "LAS_MQ"
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        // The stage-aware estimate (§III-B) is the only reader.
+        self.config.stage_awareness()
+    }
+
     fn on_job_admitted(&mut self, view: &JobView, _now: SimTime) {
         self.mlq.insert(view.id);
     }

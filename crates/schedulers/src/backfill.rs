@@ -106,6 +106,10 @@ impl Scheduler for Backfill {
         true
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        false
+    }
+
     fn on_job_completed(&mut self, job: JobId, _now: SimTime) {
         self.estimates.forget(job);
     }

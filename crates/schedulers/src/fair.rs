@@ -10,9 +10,9 @@
 //! Under many concurrently running large jobs, Fair degrades to processor
 //! sharing — the failure mode LAS_MQ is designed to avoid.
 
-use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler};
+use lasmq_simulator::{AllocationPlan, JobView, SchedContext, Scheduler};
 
-use crate::share::{weighted_shares, ShareRequest};
+use crate::share::{weighted_shares_into, ShareRequest, ShareScratch};
 
 /// Serialized snapshot of the Fair scheduler. Fair recomputes shares from
 /// scratch every pass, so the only thing worth checking on restore is that
@@ -32,23 +32,29 @@ struct FairState {
 ///
 /// assert_eq!(Fair::new().name(), "FAIR");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Fair {
     ignore_priorities: bool,
+    /// Reused per-pass buffers: `(usage over weight, slot)` in service
+    /// order, the share requests and shares in that order, and the share
+    /// computation's working memory. Hold no state between passes.
+    order: Vec<(f64, usize)>,
+    requests: Vec<ShareRequest>,
+    shares: Vec<u32>,
+    share_scratch: ShareScratch,
 }
 
 impl Fair {
     /// Fair sharing weighted by job priorities (the paper's configuration).
     pub fn new() -> Self {
-        Fair {
-            ignore_priorities: false,
-        }
+        Fair::default()
     }
 
     /// Plain equal-weight fair sharing, ignoring priorities.
     pub fn unweighted() -> Self {
         Fair {
             ignore_priorities: true,
+            ..Fair::default()
         }
     }
 }
@@ -56,6 +62,10 @@ impl Fair {
 impl Scheduler for Fair {
     fn name(&self) -> &str {
         "FAIR"
+    }
+
+    fn reads_stage_progress(&self) -> bool {
+        false
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -78,45 +88,58 @@ impl Scheduler for Fair {
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        let mut plan = AllocationPlan::new();
+        self.allocate_into(ctx, &mut plan);
+        plan
+    }
+
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+        plan.clear();
         let jobs = ctx.jobs();
         // YARN's fair policy orders apps by usage over weight; replicating
         // that here sends integer-rounding surplus containers to the jobs
         // furthest below their fair share, so equal jobs rotate (processor
         // sharing) rather than the first N monopolizing the rounding bonus.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            let usage = |i: usize| {
-                let weight = if self.ignore_priorities {
-                    1.0
-                } else {
-                    f64::from(jobs[i].priority)
-                };
-                jobs[i].attained.as_container_secs() / weight
-            };
-            usage(a)
-                .total_cmp(&usage(b))
+        let ignore_priorities = self.ignore_priorities;
+        let weight = |job: &JobView| {
+            if ignore_priorities {
+                1.0
+            } else {
+                f64::from(job.priority)
+            }
+        };
+        // The usage key is computed once per job, not once per comparison.
+        self.order.clear();
+        self.order.extend(
+            jobs.iter()
+                .enumerate()
+                .map(|(i, j)| (j.attained.as_container_secs() / weight(j), i)),
+        );
+        self.order.sort_by(|&(usage_a, a), &(usage_b, b)| {
+            usage_a
+                .total_cmp(&usage_b)
                 .then_with(|| jobs[a].admitted_at.cmp(&jobs[b].admitted_at))
                 .then_with(|| jobs[a].id.cmp(&jobs[b].id))
         });
-        let requests: Vec<ShareRequest> = order
-            .iter()
-            .map(|&i| {
-                let j = &jobs[i];
-                let weight = if self.ignore_priorities {
-                    1.0
-                } else {
-                    f64::from(j.priority)
-                };
-                ShareRequest::new(j.max_useful_allocation(), weight)
-            })
-            .collect();
-        let shares = weighted_shares(ctx.total_containers(), &requests);
-        order
-            .into_iter()
-            .zip(shares)
-            .filter(|(_, s)| *s > 0)
-            .map(|(i, s)| (jobs[i].id, s))
-            .collect()
+        self.requests.clear();
+        self.requests.extend(
+            self.order.iter().map(|&(_, i)| {
+                ShareRequest::new(jobs[i].max_useful_allocation(), weight(&jobs[i]))
+            }),
+        );
+        weighted_shares_into(
+            ctx.total_containers(),
+            &self.requests,
+            &mut self.share_scratch,
+            &mut self.shares,
+        );
+        plan.extend(
+            self.order
+                .iter()
+                .zip(&self.shares)
+                .filter(|(_, &share)| share > 0)
+                .map(|(&(_, i), &share)| (jobs[i].id, share)),
+        );
     }
 }
 

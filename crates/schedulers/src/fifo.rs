@@ -36,6 +36,10 @@ impl Scheduler for Fifo {
         "FIFO"
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        false
+    }
+
     // FIFO keeps no state between passes (the plan is recomputed from the
     // admission-ordered views), so there is nothing to snapshot.
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {

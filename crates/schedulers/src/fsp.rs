@@ -369,6 +369,11 @@ impl Scheduler for Fsp {
         true
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        // Only HFSP's estimate refinement divides by the progress counter.
+        self.hfsp
+    }
+
     fn on_job_completed(&mut self, job: JobId, _now: SimTime) {
         if let Ok(i) = self.position(job) {
             if self.jobs[i].finished_rank.is_some() {

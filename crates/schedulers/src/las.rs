@@ -40,6 +40,10 @@ impl Scheduler for Las {
         "LAS"
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        false
+    }
+
     // LAS re-derives its ordering from attained service (which lives in the
     // engine's job views) every pass, so there is nothing to snapshot.
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {

@@ -45,6 +45,10 @@ impl Scheduler for ShortestJobFirst {
         true
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        false
+    }
+
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
         rank_and_grant(ctx, |j| {
             (
@@ -75,6 +79,10 @@ impl Scheduler for ShortestRemainingFirst {
 
     fn requires_oracle(&self) -> bool {
         true
+    }
+
+    fn reads_stage_progress(&self) -> bool {
+        false
     }
 
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {

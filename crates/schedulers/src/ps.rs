@@ -44,6 +44,10 @@ impl Scheduler for Ps {
         "PS"
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        false
+    }
+
     // PS recomputes equal shares from demand every pass; no state.
     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
         let jobs = ctx.jobs();

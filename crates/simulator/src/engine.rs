@@ -407,10 +407,33 @@ impl Hasher for AttemptKeyHasher {
 /// any map, instead of demanding gigabytes before the first event.
 const ATTEMPT_INDEX_PRESIZE_CAP: usize = 1 << 20;
 
+/// One job's slot in [`JobStore::median_memo`]: the upper median of the
+/// `len` task durations the job had completed in stage `stage` when it was
+/// last asked for. Within a stage `completed_durations` only grows, and a
+/// stage advance moves `stage_index` on, so the pair identifies the
+/// vector's contents: a slot whose pair still matches is current, and any
+/// change to the vector (task finish, stage advance, harvest) outdates it
+/// without anyone having to say so.
+#[derive(Debug, Clone, Copy)]
+struct MedianMemo {
+    stage: u32,
+    len: u32,
+    median: SimDuration,
+}
+
+impl MedianMemo {
+    /// Matches no query: the median is only asked of a non-empty vector.
+    const EMPTY: MedianMemo = MedianMemo {
+        stage: 0,
+        len: 0,
+        median: SimDuration::ZERO,
+    };
+}
+
 /// Struct-of-arrays job storage, indexed by `JobId::index()`: the
 /// immutable specs, the hot scalar state ([`JobCore`]) and the
 /// current-stage task state ([`StageRt`]) live in three parallel arrays,
-/// so each engine path touches only the array it needs. Two further
+/// so each engine path touches only the array it needs. Three further
 /// members are derived from those three and never serialized.
 #[derive(Debug)]
 pub(crate) struct JobStore {
@@ -432,6 +455,13 @@ pub(crate) struct JobStore {
     /// exactly when the size oracle is exposed (this is where the engine
     /// keeps that setting); runs that hide it pay nothing.
     oracle_size: Option<Vec<Service>>,
+    /// Speculation's straggler threshold per job, so a pass re-selects a
+    /// median only for jobs that finished a task since the last one. Only
+    /// [`completed_median`](Self::completed_median) touches it, and only
+    /// speculation calls that: without speculation this never allocates.
+    /// Empty after a restore, which is why a slot may never decide
+    /// anything a recomputation would not.
+    median_memo: Vec<MedianMemo>,
 }
 
 impl JobStore {
@@ -445,6 +475,7 @@ impl JobStore {
                 BuildHasherDefault::default(),
             ),
             oracle_size: expose_oracle.then(|| Vec::with_capacity(jobs)),
+            median_memo: Vec::new(),
         }
     }
 
@@ -528,6 +559,31 @@ impl JobStore {
             "attempt index disagrees with a scan of job {i}'s running set"
         );
         found
+    }
+
+    /// The upper median of the durations job `i` has completed in its
+    /// current stage (which must not be empty), selected afresh only if
+    /// that vector changed since the last call for `i`.
+    fn completed_median(&mut self, i: usize, scratch: &mut Vec<SimDuration>) -> SimDuration {
+        if self.median_memo.len() < self.specs.len() {
+            self.median_memo.resize(self.specs.len(), MedianMemo::EMPTY);
+        }
+        let durations = &self.stage[i].completed_durations;
+        let (stage, len) = (self.core[i].stage_index as u32, durations.len() as u32);
+        let memo = &mut self.median_memo[i];
+        if (memo.stage, memo.len) != (stage, len) {
+            *memo = MedianMemo {
+                stage,
+                len,
+                median: median_duration(scratch, durations),
+            };
+        }
+        debug_assert_eq!(
+            memo.median,
+            median_duration(scratch, durations),
+            "stale median memo for job {i}"
+        );
+        memo.median
     }
 
     /// Materializes the snapshot interchange form.
@@ -821,6 +877,7 @@ impl SimulationBuilder {
         };
 
         Ok(Simulation {
+            fills_stage_progress: scheduler.reads_stage_progress(),
             scheduler,
             cluster: ClusterState::new(self.cluster),
             admission,
@@ -908,6 +965,10 @@ impl SimulationBuilder {
 /// ```
 pub struct Simulation<S: Scheduler> {
     scheduler: S,
+    /// [`Scheduler::reads_stage_progress`], asked once at `build` /
+    /// `restore`: whether the scheduler's views carry a computed
+    /// [`JobView::stage_progress`] or `0.0`.
+    fills_stage_progress: bool,
     cluster: ClusterState,
     admission: AdmissionController,
     quantum: SimDuration,
@@ -1384,11 +1445,13 @@ impl<S: Scheduler> Simulation<S> {
     /// at the current clock so attained service and stage progress are
     /// exact even between scheduling passes. This is the observation
     /// surface for external policy layers (the `lasmq-env` environment);
-    /// oracle fields obey the builder's `expose_oracle` setting as usual.
+    /// oracle fields obey the builder's `expose_oracle` setting as usual,
+    /// and `stage_progress` is always computed, whatever the scheduler
+    /// declares in [`Scheduler::reads_stage_progress`].
     pub fn active_views(&self) -> Vec<JobView> {
         self.active_views
             .iter()
-            .map(|v| self.build_view(v.id))
+            .map(|v| self.build_view_with(v.id, true))
             .collect()
     }
 
@@ -1605,6 +1668,7 @@ impl<S: Scheduler> Simulation<S> {
             });
         }
         let mut sim = Simulation {
+            fills_stage_progress: scheduler.reads_stage_progress(),
             scheduler,
             cluster: ClusterState::from_snapshot(snapshot.cluster, snapshot.free_per_node),
             admission: AdmissionController::from_snapshot(
@@ -2003,7 +2067,13 @@ impl<S: Scheduler> Simulation<S> {
         self.last_util_update = self.now;
     }
 
+    /// The view of `id` at the current clock, as its scheduler sees it:
+    /// `stage_progress` is computed only for a scheduler that reads it.
     fn build_view(&self, id: JobId) -> JobView {
+        self.build_view_with(id, self.fills_stage_progress)
+    }
+
+    fn build_view_with(&self, id: JobId, fill_stage_progress: bool) -> JobView {
         let i = id.index();
         let spec = &self.jobs.specs[i];
         let core = &self.jobs.core[i];
@@ -2032,7 +2102,11 @@ impl<S: Scheduler> Simulation<S> {
             attained_stage: core.attained_stage,
             stage_index: core.stage_index,
             stage_count: spec.stage_count(),
-            stage_progress: st.progress(now),
+            stage_progress: if fill_stage_progress {
+                st.progress(now)
+            } else {
+                0.0
+            },
             remaining_tasks: st.remaining(),
             unstarted_tasks: st.startable(now),
             containers_per_task: stage.containers_per_task(),
@@ -2299,14 +2373,14 @@ impl<S: Scheduler> Simulation<S> {
         'outer: for i in 0..self.plan_order.len() {
             let id = self.plan_order[i];
             let ji = id.index();
-            let core = &self.jobs.core[ji];
-            let st = &self.jobs.stage[ji];
-            if core.finished()
-                || st.completed_durations.len() < self.speculation.min_completed as usize
+            if self.jobs.core[ji].finished()
+                || self.jobs.stage[ji].completed_durations.len()
+                    < self.speculation.min_completed as usize
             {
                 continue;
             }
-            let median = median_duration(&mut self.scratch.median, &st.completed_durations);
+            let median = self.jobs.completed_median(ji, &mut self.scratch.median);
+            let st = &self.jobs.stage[ji];
             let late_after =
                 SimDuration::from_secs_f64(median.as_secs_f64() * self.speculation.lateness_factor);
             candidates.clear();
@@ -2443,6 +2517,10 @@ impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
 
     fn requires_oracle(&self) -> bool {
         (**self).requires_oracle()
+    }
+
+    fn reads_stage_progress(&self) -> bool {
+        (**self).reads_stage_progress()
     }
 
     fn on_job_admitted(&mut self, view: &JobView, now: SimTime) {
@@ -3513,6 +3591,87 @@ mod tests {
             );
         }
         assert!(cuts > 0, "no cut caught an attempt in flight");
+    }
+
+    #[test]
+    fn median_memo_agrees_with_reselection_through_every_change() {
+        // Unequal durations, so the median moves as tasks finish; two
+        // stages, so the vector is cleared mid-job — and the second job's
+        // reduce stage is first asked at the length its map stage was last
+        // asked at, with other contents; failures, so batches pass in
+        // which a job's tasks end without the vector changing.
+        const MIN_COMPLETED: u32 = 4;
+        let job = |arrival: u64, maps: u64, reduces: u32| {
+            let maps = (0..maps)
+                .map(|k| TaskSpec::new(SimDuration::from_secs(2 + (k * 7 + arrival) % 9)))
+                .collect();
+            JobSpec::builder()
+                .arrival(SimTime::from_secs(arrival))
+                .stage(StageSpec::new(StageKind::Map, maps))
+                .stage(StageSpec::uniform(
+                    StageKind::Reduce,
+                    reduces,
+                    TaskSpec::new(SimDuration::from_secs(5)).with_containers(2),
+                ))
+                .build()
+        };
+        let build = |speculation| {
+            Simulation::builder()
+                .cluster(ClusterConfig::new(2, 4))
+                .failures(FailureConfig::with_probability(0.25, 3))
+                .speculation(speculation)
+                .jobs(vec![job(0, 14, 3), job(2, 5, 8), job(3, 11, 3)])
+                .build(EvenSplit)
+                .unwrap()
+        };
+
+        let mut sim = build(SpeculationConfig::enabled(MIN_COMPLETED, 1.2));
+        let horizon = SimTime::from_millis(u64::MAX);
+        let mut scratch = Vec::new();
+        let (mut reused, mut reselected, mut stage_advances) = (0, 0, 0);
+        let mut last_stage = vec![0; sim.jobs.len()];
+        while sim.step_batch(horizon) {
+            for (i, last) in last_stage.iter_mut().enumerate() {
+                let stage = sim.jobs.core[i].stage_index;
+                stage_advances += usize::from(stage != *last);
+                *last = stage;
+                let durations = sim.jobs.stage[i].completed_durations.clone();
+                if sim.jobs.core[i].finished() {
+                    assert!(durations.is_empty(), "job {i} kept durations past its end");
+                    continue;
+                }
+                // Ask when speculation would.
+                if durations.len() < MIN_COMPLETED as usize {
+                    continue;
+                }
+                let before = sim.jobs.median_memo.get(i).copied();
+                let got = sim.jobs.completed_median(i, &mut scratch);
+                assert_eq!(got, median_duration(&mut scratch, &durations), "job {i}");
+                match before {
+                    Some(m) if (m.stage, m.len) == (stage as u32, durations.len() as u32) => {
+                        reused += 1
+                    }
+                    _ => reselected += 1,
+                }
+            }
+        }
+        assert!(reused > 0 && reselected > 0, "{reused} / {reselected}");
+        assert_eq!(stage_advances, 3);
+        assert_eq!(sim.finished_jobs(), 3);
+        let stats = *sim.stats();
+        assert!(stats.tasks_failed > 0, "{stats:?}");
+        assert!(stats.speculative_launched > 0, "{stats:?}");
+
+        // A restore starts from an empty table, and a run that never
+        // speculates never allocates one.
+        let mut paused = build(SpeculationConfig::enabled(MIN_COMPLETED, 1.2));
+        assert!(paused.run_until(SimTime::from_secs(20)));
+        assert!(!paused.jobs.median_memo.is_empty());
+        let resumed = Simulation::restore(paused.snapshot(), EvenSplit).unwrap();
+        assert!(resumed.jobs.median_memo.is_empty());
+        let mut plain = build(SpeculationConfig::disabled());
+        while plain.step_batch(horizon) {}
+        assert_eq!(plain.jobs.median_memo.capacity(), 0);
     }
 
     /// `StageRt::progress` as it was before terms were reused: one term

@@ -60,6 +60,11 @@ pub struct JobView {
     /// tasks plus the fractional progress of running tasks, over the
     /// stage's task count. This is the "stage progress" counter the paper's
     /// stage-awareness strategy divides by (§III-B).
+    ///
+    /// Computed on demand: the views the engine hands a scheduler that
+    /// declares [`Scheduler::reads_stage_progress`] `false` carry `0.0`
+    /// here instead. [`Simulation::active_views`](crate::Simulation::active_views)
+    /// always fills it in.
     pub stage_progress: f64,
     /// Tasks of the current stage not yet finished (running + unstarted) —
     /// the "remaining tasks including running tasks" of §III-C.
@@ -281,6 +286,22 @@ pub trait Scheduler {
     /// unless built with `expose_oracle(true)`.
     fn requires_oracle(&self) -> bool {
         false
+    }
+
+    /// Whether this scheduler ever reads [`JobView::stage_progress`].
+    ///
+    /// The counter costs one addition per running task of every job with
+    /// running tasks on every pass, so the engine computes it only for
+    /// schedulers that use it: when this returns `false`, every view the
+    /// engine passes to [`on_job_admitted`](Self::on_job_admitted) and
+    /// [`allocate`](Self::allocate) carries `stage_progress == 0.0`. The
+    /// default `true` is always correct; answering `false` is a promise
+    /// that no decision of this scheduler depends on the field, so the run
+    /// is bit-identical either way. The engine asks once, when the
+    /// simulation is built or restored, so the answer must not change over
+    /// the scheduler's lifetime.
+    fn reads_stage_progress(&self) -> bool {
+        true
     }
 
     /// A job passed admission control and is now schedulable.

@@ -64,6 +64,7 @@ use std::collections::HashSet;
 
 use crate::ids::JobId;
 use crate::sched::{AllocationPlan, JobView, SchedContext, Scheduler};
+use crate::telemetry::QueueDemotion;
 use crate::time::{Service, SimTime};
 
 /// A plain [`JobView`] for scheduler unit tests: job `id`, submitted and
@@ -251,6 +252,10 @@ impl<S: Scheduler> Scheduler for InvariantSpy<S> {
         self.inner.requires_oracle()
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        self.inner.reads_stage_progress()
+    }
+
     fn on_job_admitted(&mut self, view: &JobView, now: SimTime) {
         self.inner.on_job_admitted(view, now);
     }
@@ -269,6 +274,26 @@ impl<S: Scheduler> Scheduler for InvariantSpy<S> {
         let plan = self.inner.allocate(ctx);
         self.check_plan(ctx, &plan);
         plan
+    }
+
+    fn queue_depths(&self) -> Option<Vec<u32>> {
+        self.inner.queue_depths()
+    }
+
+    fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
+        self.inner.drain_demotions()
+    }
+
+    fn snapshot_state(&self) -> Option<String> {
+        self.inner.snapshot_state()
+    }
+
+    fn restore_state(&mut self, state: &str) -> Result<(), String> {
+        self.inner.restore_state(state)
+    }
+
+    fn check_consistency(&self) -> Result<(), String> {
+        self.inner.check_consistency()
     }
 }
 

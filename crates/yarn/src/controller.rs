@@ -17,7 +17,9 @@
 //! quantization cost at whole-percent granularity. That is the evidence
 //! that the paper's deployment mechanism does not distort its algorithm.
 
-use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
+use lasmq_simulator::{
+    AllocationPlan, JobId, JobView, QueueDemotion, SchedContext, Scheduler, SimTime,
+};
 
 use crate::capacity::{CapacityGranularity, CapacityScheduler};
 
@@ -76,6 +78,11 @@ impl<S: Scheduler> Scheduler for CapacityController<S> {
         self.inner.requires_oracle()
     }
 
+    fn reads_stage_progress(&self) -> bool {
+        // The capacity scheduler divides by demand and capacity only.
+        self.inner.reads_stage_progress()
+    }
+
     fn on_job_admitted(&mut self, view: &JobView, now: SimTime) {
         self.inner.on_job_admitted(view, now);
     }
@@ -104,6 +111,28 @@ impl<S: Scheduler> Scheduler for CapacityController<S> {
         self.capacity.set_capacities(fractions);
         // 3. The capacity scheduler performs the actual allocation.
         self.capacity.allocate_by_capacity(ctx)
+    }
+
+    fn queue_depths(&self) -> Option<Vec<u32>> {
+        self.inner.queue_depths()
+    }
+
+    fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
+        self.inner.drain_demotions()
+    }
+
+    // The capacities are rewritten from the policy's plan on every pass, so
+    // the policy's state is all there is to carry across a snapshot.
+    fn snapshot_state(&self) -> Option<String> {
+        self.inner.snapshot_state()
+    }
+
+    fn restore_state(&mut self, state: &str) -> Result<(), String> {
+        self.inner.restore_state(state)
+    }
+
+    fn check_consistency(&self) -> Result<(), String> {
+        self.inner.check_consistency()
     }
 }
 
