@@ -32,9 +32,10 @@
 use lasmq_campaign::{
     Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec, VARIANT_COUNT,
 };
+use lasmq_simulator::testkit;
 use lasmq_simulator::{
     AllocationPlan, FailureConfig, JobId, JobSpec, JobView, QueueDemotion, SchedContext, Scheduler,
-    SimSnapshot, SimTime, SimulationReport, SpeculationConfig,
+    Service, SimSnapshot, SimTime, SimulationReport, SpeculationConfig,
 };
 use lasmq_workload::{FacebookTrace, PumaWorkload};
 
@@ -168,6 +169,97 @@ fn speculating_fair_run_resumes_to_the_same_report_and_later_snapshot() {
     assert!(a == b, "snapshot bytes diverged after a restore");
     assert_eq!(fingerprint(&resumed.run()), fingerprint(&uninterrupted));
     assert_eq!(fingerprint(&straight.run()), fingerprint(&uninterrupted));
+}
+
+/// The LAS_MQ state the commit before the queues kept themselves sorted
+/// wrote for the run below at its pause point, verbatim: eleven jobs listed
+/// in that code's live order — by `(remaining demand, seq)`, a derived key
+/// the payload does not carry.
+const LIVE_ORDER_LAS_MQ_PAYLOAD: &str = r#"{"queues":[[],[],[],[{"job":32,"seq":32,"max_effective":23749.40956751659},{"job":9,"seq":9,"max_effective":15503.96943462787},{"job":20,"seq":20,"max_effective":27001.217999999993},{"job":10,"seq":10,"max_effective":15873.144788969868},{"job":39,"seq":39,"max_effective":17419.89447368422},{"job":30,"seq":30,"max_effective":18643.85595516092},{"job":33,"seq":33,"max_effective":15734.80058601484},{"job":1,"seq":1,"max_effective":25857.085781302165},{"job":31,"seq":31,"max_effective":26414.617800000007},{"job":16,"seq":16,"max_effective":26859.475695652185},{"job":38,"seq":38,"max_effective":27473.43878461537}],[],[],[],[],[],[]],"next_seq":40,"demotions":[]}"#;
+
+/// LAS_MQ's in-queue demand keys are not part of a snapshot either: under
+/// the testbed configuration (queues ordered by remaining demand) a
+/// snapshot lists each queue by arrival seq, and a restored instance holds
+/// every job at an unknown demand until its first pass. Neither may show —
+/// not in a snapshot taken before that pass, not in a later one — and an
+/// old payload, listed in another order, must load to the very same state.
+#[test]
+fn demand_ordered_las_mq_snapshot_is_canonical_and_a_live_order_payload_loads() {
+    let jobs = PumaWorkload::new().jobs(40).seed(6).generate();
+    let setup = SimSetup::testbed();
+    let kind = SchedulerKind::las_mq_experiments();
+    let makespan = setup.run(jobs.clone(), &kind).stats().makespan.as_millis();
+    let late = SimTime::from_millis(makespan * 3 / 4);
+
+    let mut straight = setup.build_simulation(jobs, &kind);
+    let half = straight
+        .snapshot_at(SimTime::from_millis(makespan / 2))
+        .expect("mid-run");
+    let json_string = |text: &str| serde_json::to_string(text).expect("a string serializes");
+    let written = json_string(half.scheduler_state().expect("LAS_MQ snapshots its state"));
+    let half = half.to_json();
+    assert_eq!(half.matches(&written).count(), 1);
+    let old = half.replace(&written, &json_string(LIVE_ORDER_LAS_MQ_PAYLOAD));
+    assert!(
+        old != half && old.len() == half.len(),
+        "same jobs, listed differently"
+    );
+    let later = straight.snapshot_at(late).expect("still running").to_json();
+    let report = fingerprint(&straight.run());
+
+    for json in [&half, &old] {
+        let revived = SimSnapshot::from_json(json).expect("snapshot JSON parses");
+        let mut resumed = SimSetup::resume_simulation(revived, &kind).expect("restores");
+        assert!(
+            resumed.snapshot().to_json() == half,
+            "restore is not canonical"
+        );
+        let resumed_later = resumed.snapshot_at(late).expect("still running").to_json();
+        assert!(
+            resumed_later == later,
+            "snapshot bytes diverged after a restore"
+        );
+        assert_eq!(fingerprint(&resumed.run()), report);
+    }
+}
+
+/// The same old code caught between a completion and the next pass — a
+/// state the engine never snapshots, so this one is hand-driven: jobs 0-6
+/// admitted, one pass on 25 containers (job 3, five tasks, sorted first),
+/// job 3 completed and its slot taken by the swapped-in tail, leaving the
+/// queue in neither demand nor seq order. It must load and make the
+/// writer's next decision.
+#[test]
+fn swap_removed_las_mq_payload_loads_and_replays_the_writers_next_plan() {
+    let old = r#"{"queues":[[{"job":2,"seq":2,"max_effective":0},{"job":1,"seq":1,"max_effective":0},{"job":4,"seq":4,"max_effective":0},{"job":0,"seq":0,"max_effective":0}],[{"job":5,"seq":5,"max_effective":150},{"job":6,"seq":6,"max_effective":150}],[],[],[],[],[],[],[],[]],"next_seq":7,"demotions":[{"job":5,"from_queue":0,"to_queue":1,"effective":150},{"job":6,"from_queue":0,"to_queue":1,"effective":150}]}"#;
+    let mut fresh = SchedulerKind::las_mq_experiments().build();
+    fresh.restore_state(old).unwrap();
+    fresh.check_consistency().unwrap();
+    let view = |(id, tasks, attained): (u32, u32, f64)| JobView {
+        remaining_tasks: tasks,
+        unstarted_tasks: tasks,
+        attained: Service::from_container_secs(attained),
+        attained_stage: Service::from_container_secs(attained),
+        ..testkit::view(id)
+    };
+    let left = [
+        (0, 40, 0.0),
+        (1, 12, 0.0),
+        (2, 55, 0.0),
+        (4, 20, 0.0),
+        (5, 9, 150.0),
+        (6, 30, 150.0),
+    ];
+    let views: Vec<JobView> = left.into_iter().map(view).collect();
+    let plan = fresh.allocate(&SchedContext::new(SimTime::from_secs(2), 25, &views));
+    let next = [(1, 12), (4, 5), (5, 8)].map(|(job, n)| (JobId::new(job), n));
+    assert_eq!(plan.entries(), next);
+    fresh.check_consistency().unwrap();
+    assert_eq!(
+        fresh.drain_demotions().len(),
+        2,
+        "pending demotions survive"
+    );
 }
 
 #[test]

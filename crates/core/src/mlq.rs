@@ -6,22 +6,43 @@
 //! queue's threshold. Demotion is monotonic in the *maximum* effective
 //! service observed so far, so a temporarily shrinking estimate cannot
 //! bounce a job back up and destabilize the ordering.
+//!
+//! **A queue's stored order is its sorted order.** Each job carries an
+//! in-queue key `(demand, seq)` — the caller-supplied container demand
+//! ([`set_demand`](MultilevelQueue::set_demand),
+//! [`UNKNOWN_DEMAND`](MultilevelQueue::UNKNOWN_DEMAND) until first told;
+//! a caller that never tells gets plain FIFO) ahead of the unique arrival
+//! sequence number — and every queue is strictly ascending by it at all
+//! times. The key is a strict total order, so that order is unique and
+//! nothing ever has to restore it: each operation finds the one job it
+//! concerns by binary search on the key (O(log n) entry lookups) and moves
+//! only that job, an O(n) `memmove` of 4-byte ids at worst and nothing at
+//! all when the job appends at the tail or keeps its rank.
+
+use std::collections::HashSet;
 
 use lasmq_simulator::{JobId, Service};
+
+/// A job's in-queue sort key `(demand, seq)`: a strict total order,
+/// because `seq` is unique.
+type Key = (u32, u64);
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     queue: usize,
-    /// The job's current position within `queues[queue]`, kept in sync on
-    /// every mutation so membership changes are O(1) instead of a linear
-    /// scan. Positions are only meaningful *between* mutations; sorting a
-    /// queue rewrites them wholesale.
-    pos: usize,
+    /// The caller-supplied half of the in-queue key.
+    demand: u32,
     seq: u64,
     max_effective: f64,
 }
 
-/// Queue membership bookkeeping for LAS_MQ.
+impl Entry {
+    fn key(&self) -> Key {
+        (self.demand, self.seq)
+    }
+}
+
+/// Queue membership and in-queue order for LAS_MQ.
 ///
 /// # Examples
 ///
@@ -31,34 +52,33 @@ struct Entry {
 ///
 /// let thresholds = vec![Service::from_container_secs(100.0)];
 /// let mut mlq = MultilevelQueue::new(2);
-/// let job = JobId::new(0);
-/// mlq.insert(job);
-/// assert_eq!(mlq.queue_of(job), Some(0));
-/// mlq.observe(job, Service::from_container_secs(150.0), &thresholds);
-/// assert_eq!(mlq.queue_of(job), Some(1));
+/// let (a, b) = (JobId::new(0), JobId::new(1));
+/// mlq.insert(a);
+/// mlq.insert(b);
+/// mlq.set_demand(a, 40);
+/// mlq.set_demand(b, 8);
+/// assert_eq!(mlq.jobs_in(0), [b, a], "smaller demand first");
+/// mlq.observe(b, Service::from_container_secs(150.0), &thresholds);
+/// assert_eq!(mlq.queue_of(b), Some(1));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MultilevelQueue {
+    /// Each queue strictly ascending by its members' [`Entry::key`].
     queues: Vec<Vec<JobId>>,
-    /// Per-job entries addressed by `JobId::index()`. Job ids are dense
-    /// per run, so a flat vector replaces the former `HashMap` — the entry
-    /// lookup is on the per-pass hot path (several per refreshed job, plus
-    /// one per element inside every queue sort).
+    /// Per-job entries addressed by `JobId::index()` (job ids are dense
+    /// per run). One lookup here is what a binary-search probe costs.
     index: Vec<Option<Entry>>,
     /// Number of `Some` entries in `index` (= total queued jobs).
     live: usize,
     next_seq: u64,
-    /// Per-queue "order may be stale" flags: set by membership changes
-    /// (insert, demotion, swap-removal) and by callers whose sort keys
-    /// changed ([`mark_queue_dirty`](Self::mark_queue_dirty)); cleared by
-    /// the sort methods. A clean queue's stored order *is* its sorted
-    /// order, so incremental schedulers skip re-sorting it — sound
-    /// whenever the sort key is a strict total order (LAS_MQ tie-breaks on
-    /// the unique arrival seq), because then the sorted order is unique.
-    dirty: Vec<bool>,
 }
 
 impl MultilevelQueue {
+    /// The demand half of a job's key until [`set_demand`](Self::set_demand)
+    /// says otherwise: such jobs sort after every job with a known demand,
+    /// in arrival order among themselves.
+    pub const UNKNOWN_DEMAND: u32 = u32::MAX;
+
     /// `k` empty queues.
     ///
     /// # Panics
@@ -71,7 +91,6 @@ impl MultilevelQueue {
             index: Vec::new(),
             live: 0,
             next_seq: 0,
-            dirty: vec![true; k],
         }
     }
 
@@ -83,8 +102,37 @@ impl MultilevelQueue {
         self.index.get_mut(job.index()).and_then(Option::as_mut)
     }
 
-    /// Grows the entry table to cover `job`, then stores `entry` there.
-    fn index_insert(&mut self, job: JobId, entry: Entry) {
+    fn key_of(&self, job: JobId) -> Key {
+        self.entry(job).expect("queued job must be indexed").key()
+    }
+
+    /// Where in `queue` (all of one queue, or a run of it) a job keyed
+    /// `key` belongs: the number of members whose key is below it. A key
+    /// past the tail (every admission) costs one comparison.
+    fn rank_in(&self, queue: &[JobId], key: Key) -> usize {
+        match queue.last() {
+            Some(&tail) if self.key_of(tail) > key => {
+                queue.partition_point(|&member| self.key_of(member) < key)
+            }
+            _ => queue.len(),
+        }
+    }
+
+    /// The position of a queued `job` (whose entry is `entry`) in its queue.
+    fn position_of(&self, job: JobId, entry: &Entry) -> usize {
+        let queue = &self.queues[entry.queue];
+        let pos = queue.partition_point(|&member| self.key_of(member) < entry.key());
+        debug_assert_eq!(
+            queue.get(pos),
+            Some(&job),
+            "{job} is not where its key says"
+        );
+        pos
+    }
+
+    /// Stores `entry` for `job` (growing the table to cover it) and places
+    /// the job in `entry.queue` at the rank its key has there.
+    fn enqueue(&mut self, job: JobId, entry: Entry) {
         let idx = job.index();
         if idx >= self.index.len() {
             self.index.resize(idx + 1, None);
@@ -92,6 +140,19 @@ impl MultilevelQueue {
         debug_assert!(self.index[idx].is_none(), "{job} inserted twice");
         self.index[idx] = Some(entry);
         self.live += 1;
+        let pos = self.rank_in(&self.queues[entry.queue], entry.key());
+        self.queues[entry.queue].insert(pos, job);
+    }
+
+    /// Takes a queued job out of its queue and the index, keeping the
+    /// order of the rest; returns its entry.
+    fn dequeue(&mut self, job: JobId) -> Option<Entry> {
+        let entry = *self.entry(job)?;
+        let pos = self.position_of(job, &entry);
+        self.queues[entry.queue].remove(pos);
+        self.index[job.index()] = None;
+        self.live -= 1;
+        Some(entry)
     }
 
     /// Number of queues.
@@ -109,68 +170,58 @@ impl MultilevelQueue {
         self.live == 0
     }
 
-    /// Admits a new job to the highest-priority queue. Idempotent: a job
-    /// already present keeps its position.
+    /// Admits a new job to the highest-priority queue, behind every member
+    /// (its demand is unknown and its seq the newest: an append).
+    /// Idempotent: a job already present keeps its position.
     pub fn insert(&mut self, job: JobId) {
         if self.entry(job).is_some() {
             return;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.index_insert(
+        self.enqueue(
             job,
             Entry {
                 queue: 0,
-                pos: self.queues[0].len(),
+                demand: Self::UNKNOWN_DEMAND,
                 seq,
                 max_effective: 0.0,
             },
         );
-        self.queues[0].push(job);
-        self.dirty[0] = true;
     }
 
-    /// Removes a completed job in O(1). Idempotent.
-    ///
-    /// Uses swap-removal, so the relative order of the remaining jobs in
-    /// the queue may change; callers that care about order re-sort every
-    /// queue before reading it (as LAS_MQ does each scheduling pass).
+    /// Removes a completed job, keeping the order of the rest: O(log n) to
+    /// find it plus the `memmove` of the members behind it. Idempotent.
     pub fn remove(&mut self, job: JobId) {
-        if let Some(entry) = self.index.get_mut(job.index()).and_then(Option::take) {
-            self.live -= 1;
-            self.swap_out(entry.queue, entry.pos);
-            self.dirty[entry.queue] = true;
-        }
+        self.dequeue(job);
     }
 
-    /// Removes the job at `queues[queue][pos]` by swap-removal, patching
-    /// the displaced job's recorded position.
-    fn swap_out(&mut self, queue: usize, pos: usize) {
-        self.queues[queue].swap_remove(pos);
-        if let Some(&moved) = self.queues[queue].get(pos) {
-            self.entry_mut(moved)
-                .expect("queued job must be indexed")
-                .pos = pos;
+    /// Tells the structure the demand half of `job`'s key and moves the job
+    /// — only it — to where the new key ranks in its queue. A key that
+    /// moved without changing rank (the common case: the head job's demand
+    /// shrinking) costs two neighbour comparisons; otherwise one binary
+    /// search over the side it moves towards and one rotation of the run
+    /// it passes. No-op for unknown jobs.
+    pub fn set_demand(&mut self, job: JobId, demand: u32) {
+        let Some(old) = self.entry(job).copied() else {
+            return;
+        };
+        if old.demand == demand {
+            return;
         }
-    }
-
-    /// Rewrites the recorded positions of every job in queue `i` (after a
-    /// sort reordered the queue).
-    /// Rewrites the `pos` fields of queue `i` after a sort. A queued job
-    /// with no index entry is the same broken invariant
-    /// [`sort_queue_with_seq`](Self::sort_queue_with_seq) documents:
-    /// debug builds panic, release builds skip the orphan so the
-    /// documented sort-last fallback actually survives the full sort
-    /// path instead of crashing one call later.
-    fn reindex(&mut self, i: usize) {
-        let queue = std::mem::take(&mut self.queues[i]);
-        for (pos, &job) in queue.iter().enumerate() {
-            match self.entry_mut(job) {
-                Some(entry) => entry.pos = pos,
-                None => debug_assert!(false, "{job} is queued but missing from the index"),
+        let pos = self.position_of(job, &old);
+        let key = (demand, old.seq);
+        self.index[job.index()] = Some(Entry { demand, ..old });
+        let queue = &self.queues[old.queue];
+        if key < old.key() {
+            if pos > 0 && self.key_of(queue[pos - 1]) > key {
+                let to = self.rank_in(&queue[..pos - 1], key);
+                self.queues[old.queue][to..=pos].rotate_right(1);
             }
+        } else if pos + 1 < queue.len() && self.key_of(queue[pos + 1]) < key {
+            let to = pos + 2 + self.rank_in(&queue[pos + 2..], key);
+            self.queues[old.queue][pos..to].rotate_left(1);
         }
-        self.queues[i] = queue;
     }
 
     /// The queue index a job currently sits in.
@@ -183,7 +234,13 @@ impl MultilevelQueue {
         self.entry(job).map(|e| e.seq)
     }
 
-    /// Jobs in queue `i`, in current order.
+    /// The demand half of a job's key as last set
+    /// ([`UNKNOWN_DEMAND`](Self::UNKNOWN_DEMAND) if never).
+    pub fn demand_of(&self, job: JobId) -> Option<u32> {
+        self.entry(job).map(|e| e.demand)
+    }
+
+    /// Jobs in queue `i`, ascending by `(demand, seq)`.
     ///
     /// # Panics
     ///
@@ -195,7 +252,8 @@ impl MultilevelQueue {
     /// Records an observation of a job's effective service and demotes it
     /// if the (monotonically tracked) maximum now exceeds its queue's
     /// threshold — Algorithm 1's movement rule: the job lands in the first
-    /// queue whose threshold is at least the observed service.
+    /// queue whose threshold is at least the observed service, at the rank
+    /// its key has there.
     ///
     /// Returns the job's (possibly new) queue, or `None` for unknown jobs.
     pub fn observe(
@@ -214,86 +272,16 @@ impl MultilevelQueue {
         // service belongs to.
         let target = thresholds
             .iter()
-            .position(|t| {
-                let t = t.as_container_secs();
-                entry.max_effective <= t * (1.0 + 1e-6)
-            })
+            .position(|t| entry.max_effective <= t.as_container_secs() * (1.0 + 1e-6))
             .unwrap_or(thresholds.len());
         let current = entry.queue;
         if target <= current {
             return Some(current);
         }
-        let pos = entry.pos;
+        let mut entry = self.dequeue(job).expect("observed job is queued");
         entry.queue = target;
-        self.swap_out(current, pos);
-        let new_pos = self.queues[target].len();
-        self.queues[target].push(job);
-        self.entry_mut(job).expect("observed job is indexed").pos = new_pos;
-        self.dirty[current] = true;
-        self.dirty[target] = true;
+        self.enqueue(job, entry);
         Some(target)
-    }
-
-    /// Sorts queue `i` by `key` ascending (stable, so equal keys keep
-    /// their existing relative order — note removals and demotions use
-    /// swap-removal, so the pre-sort order is unspecified between sorts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn sort_queue_by_key<K: Ord>(&mut self, i: usize, mut key: impl FnMut(JobId) -> K) {
-        self.queues[i].sort_by_key(|&j| key(j));
-        self.reindex(i);
-        self.dirty[i] = false;
-    }
-
-    /// Sorts queue `i` ascending by `key(job, seq)`, where `seq` is the
-    /// job's arrival sequence number — the natural FIFO tie-breaker for
-    /// the paper's demand-based ordering.
-    ///
-    /// Every queued job has an index entry by construction; if that
-    /// invariant were ever broken, debug builds panic here, and release
-    /// builds fall back to sorting the orphaned job last (`u64::MAX`)
-    /// rather than crashing mid-experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn sort_queue_with_seq<K: Ord>(&mut self, i: usize, mut key: impl FnMut(JobId, u64) -> K) {
-        let index = &self.index;
-        self.queues[i].sort_by_key(|&j| {
-            let seq = match index.get(j.index()).and_then(Option::as_ref) {
-                Some(e) => e.seq,
-                None => {
-                    debug_assert!(false, "{j} is queued but missing from the index");
-                    u64::MAX
-                }
-            };
-            key(j, seq)
-        });
-        self.reindex(i);
-        self.dirty[i] = false;
-    }
-
-    /// Whether queue `i`'s stored order may be stale (see the `dirty` field
-    /// docs). Freshly built structures report every queue dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn queue_dirty(&self, i: usize) -> bool {
-        self.dirty[i]
-    }
-
-    /// Flags queue `i` for re-sorting — for callers whose *sort keys*
-    /// changed in ways this structure cannot see (LAS_MQ marks a job's
-    /// queue when the job's remaining demand moved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn mark_queue_dirty(&mut self, i: usize) {
-        self.dirty[i] = true;
     }
 
     /// Per-queue job counts (handy for tests and introspection).
@@ -314,11 +302,11 @@ impl MultilevelQueue {
         self.next_seq
     }
 
-    /// Re-inserts a snapshotted job directly into queue `queue` with its
-    /// original arrival `seq` and monotonic `max_effective` key, preserving
-    /// in-queue order (jobs must be replayed queue by queue in their
-    /// snapshotted order). Finish by calling
-    /// [`set_next_seq`](Self::set_next_seq).
+    /// Re-inserts a snapshotted job into queue `queue` with its original
+    /// arrival `seq` and monotonic `max_effective` key. Its demand is
+    /// unknown again (derived state, not snapshotted), so it is placed by
+    /// `seq` and a queue's jobs may be replayed in any order. Finish by
+    /// calling [`set_next_seq`](Self::set_next_seq).
     ///
     /// # Errors
     ///
@@ -340,17 +328,15 @@ impl MultilevelQueue {
         if self.entry(job).is_some() {
             return Err(format!("{job} restored twice"));
         }
-        self.index_insert(
+        self.enqueue(
             job,
             Entry {
                 queue,
-                pos: self.queues[queue].len(),
+                demand: Self::UNKNOWN_DEMAND,
                 seq,
                 max_effective,
             },
         );
-        self.queues[queue].push(job);
-        self.dirty[queue] = true;
         Ok(())
     }
 
@@ -359,13 +345,20 @@ impl MultilevelQueue {
     ///
     /// # Errors
     ///
-    /// Returns a message if `next_seq` is not beyond every restored job's
-    /// seq (later inserts would collide with restored FIFO ranks).
+    /// Returns a message if two restored jobs share a seq (the in-queue key
+    /// would stop being a total order) or `next_seq` is not beyond every
+    /// restored job's seq (later inserts would collide with restored FIFO
+    /// ranks).
     pub fn set_next_seq(&mut self, next_seq: u64) -> Result<(), String> {
-        if let Some(max_seq) = self.index.iter().flatten().map(|e| e.seq).max() {
-            if next_seq <= max_seq {
+        let mut issued = HashSet::with_capacity(self.live);
+        for entry in self.index.iter().flatten() {
+            if !issued.insert(entry.seq) {
+                return Err(format!("seq {} was restored twice", entry.seq));
+            }
+            if next_seq <= entry.seq {
                 return Err(format!(
-                    "next_seq {next_seq} collides with an issued seq {max_seq}"
+                    "next_seq {next_seq} collides with an issued seq {}",
+                    entry.seq
                 ));
             }
         }
@@ -373,11 +366,11 @@ impl MultilevelQueue {
         Ok(())
     }
 
-    /// Checks the `index`/`queues` cross-invariants without panicking:
-    /// every queued job has an index entry pointing back at its exact queue
-    /// and position (which also guarantees each job appears in at most one
-    /// queue slot), every seq was actually issued, and the index holds
-    /// nothing else. O(total jobs).
+    /// Checks the structure's invariants without panicking: every queue is
+    /// strictly ascending by `(demand, seq)` (which also guarantees each
+    /// job appears in at most one slot of it), every member has an index
+    /// entry naming that queue, every seq was actually issued, and the
+    /// index holds nothing else. O(total jobs).
     ///
     /// # Errors
     ///
@@ -399,7 +392,8 @@ impl MultilevelQueue {
             ));
         }
         for (qi, queue) in self.queues.iter().enumerate() {
-            for (pos, &job) in queue.iter().enumerate() {
+            let mut previous: Option<(JobId, Key)> = None;
+            for &job in queue {
                 let Some(entry) = self.entry(job) else {
                     return Err(format!("{job} is queued but missing from the index"));
                 };
@@ -409,18 +403,22 @@ impl MultilevelQueue {
                         entry.queue
                     ));
                 }
-                if entry.pos != pos {
-                    return Err(format!(
-                        "{job} sits at position {pos} of queue {qi} but is indexed at {}",
-                        entry.pos
-                    ));
-                }
                 if entry.seq >= self.next_seq {
                     return Err(format!(
                         "{job} carries seq {} but only {} have been issued",
                         entry.seq, self.next_seq
                     ));
                 }
+                if let Some((ahead, key)) = previous {
+                    if key >= entry.key() {
+                        return Err(format!(
+                            "queue {qi} is out of order: {ahead} keyed {key:?} sits ahead of \
+                             {job} keyed {:?}",
+                            entry.key()
+                        ));
+                    }
+                }
+                previous = Some((job, entry.key()));
             }
         }
         Ok(())
@@ -520,36 +518,101 @@ mod tests {
         assert_eq!(mlq.queue_of(j), None);
     }
 
+    fn ids(jobs: &[JobId]) -> Vec<usize> {
+        jobs.iter().map(|j| j.index()).collect()
+    }
+
     #[test]
-    fn sort_queue_reorders() {
+    fn a_queue_is_ordered_by_demand_then_arrival() {
+        let mut mlq = MultilevelQueue::new(1);
+        for i in 0..5 {
+            mlq.insert(JobId::new(i));
+        }
+        assert_eq!(
+            ids(mlq.jobs_in(0)),
+            [0, 1, 2, 3, 4],
+            "unknown demands: FIFO"
+        );
+        mlq.set_demand(JobId::new(3), 7);
+        mlq.set_demand(JobId::new(1), 7);
+        mlq.set_demand(JobId::new(4), 2);
+        mlq.assert_consistent();
+        // Known demands ascending, ties by arrival, unknown demands last.
+        assert_eq!(ids(mlq.jobs_in(0)), [4, 1, 3, 0, 2]);
+        // A key that moves without changing rank stays put...
+        mlq.set_demand(JobId::new(1), 3);
+        assert_eq!(ids(mlq.jobs_in(0)), [4, 1, 3, 0, 2]);
+        // ...and one that does moves past exactly the jobs it outranks,
+        // in either direction.
+        mlq.set_demand(JobId::new(4), 9);
+        assert_eq!(ids(mlq.jobs_in(0)), [1, 3, 4, 0, 2]);
+        mlq.set_demand(JobId::new(2), 1);
+        assert_eq!(ids(mlq.jobs_in(0)), [2, 1, 3, 4, 0]);
+        mlq.assert_consistent();
+    }
+
+    /// The benchmark's regime: thousands of jobs in one queue, completions
+    /// at the head, demotions out of the middle (alternating between two
+    /// points, so demoted jobs reach the lower queue out of key order).
+    /// Order and membership are asserted after every single step.
+    #[test]
+    fn backlog_scale_head_drain_and_mid_queue_demotion() {
+        const JOBS: u32 = 5_000;
+        let t = thresholds(&[10.0]);
+        let mut mlq = MultilevelQueue::new(2);
+        for i in 0..JOBS {
+            mlq.insert(JobId::new(i));
+            // Duplicate demands on purpose: 50 jobs share each value.
+            mlq.set_demand(JobId::new(i), i / 50);
+        }
+        let mut top: Vec<JobId> = (0..JOBS).map(JobId::new).collect();
+        let mut demoted: Vec<JobId> = Vec::new();
+        assert_eq!(mlq.jobs_in(0), top);
+        while !top.is_empty() {
+            let head = top.remove(0);
+            mlq.remove(head);
+            if !top.is_empty() {
+                let middle = top.remove(top.len() / (2 + top.len() % 2));
+                let at = demoted.partition_point(|&j| j < middle);
+                demoted.insert(at, middle);
+                let queue = mlq.observe(middle, Service::from_container_secs(50.0), &t);
+                assert_eq!(queue, Some(1));
+            }
+            assert_eq!(mlq.jobs_in(0), top);
+            assert_eq!(mlq.jobs_in(1), demoted);
+            assert_eq!(mlq.len(), top.len() + demoted.len());
+            assert_eq!(mlq.queue_of(head), None);
+            mlq.assert_consistent();
+        }
+        assert_eq!(demoted.len(), JOBS as usize / 2);
+    }
+
+    #[test]
+    fn the_checker_catches_an_order_drift() {
         let mut mlq = MultilevelQueue::new(1);
         for i in 0..3 {
             mlq.insert(JobId::new(i));
         }
-        // Sort descending by id via a reversing key.
-        mlq.sort_queue_by_key(0, |j| std::cmp::Reverse(j.index()));
-        let order: Vec<usize> = mlq.jobs_in(0).iter().map(|j| j.index()).collect();
-        assert_eq!(order, vec![2, 1, 0]);
+        // Test-only: no public API can produce an unsorted queue.
+        mlq.queues[0].swap(0, 2);
+        let detail = mlq.check_consistent().unwrap_err();
+        assert!(detail.contains("out of order"), "{detail}");
     }
 
     #[test]
-    fn swap_removal_keeps_positions_consistent() {
-        let t = thresholds(&[10.0]);
+    fn restore_accepts_any_listed_order_but_not_a_shared_seq() {
         let mut mlq = MultilevelQueue::new(2);
-        for i in 0..5 {
-            mlq.insert(JobId::new(i));
+        for (job, seq) in [(2, 5), (0, 1), (1, 3)] {
+            mlq.restore_job(JobId::new(job), 1, seq, 20.0).unwrap();
         }
-        mlq.remove(JobId::new(1)); // the tail job is swapped into slot 1
+        mlq.set_next_seq(6).unwrap();
         mlq.assert_consistent();
-        mlq.observe(JobId::new(0), Service::from_container_secs(50.0), &t);
-        mlq.assert_consistent();
-        mlq.remove(JobId::new(4));
-        mlq.assert_consistent();
-        assert_eq!(mlq.queue_lengths(), vec![2, 1]);
-        mlq.sort_queue_by_key(0, |j| j.index());
-        mlq.assert_consistent();
-        let order: Vec<usize> = mlq.jobs_in(0).iter().map(|j| j.index()).collect();
-        assert_eq!(order, vec![2, 3]);
+        assert_eq!(ids(mlq.jobs_in(1)), [0, 1, 2]);
+        assert!(mlq.restore_job(JobId::new(1), 0, 9, 0.0).is_err());
+        assert!(mlq.restore_job(JobId::new(3), 2, 9, 0.0).is_err());
+        assert!(mlq.set_next_seq(5).unwrap_err().contains("collides"));
+        mlq.restore_job(JobId::new(3), 0, 3, 0.0).unwrap();
+        assert!(mlq.set_next_seq(6).unwrap_err().contains("twice"));
     }
 
     #[test]
@@ -565,45 +628,5 @@ mod tests {
     #[should_panic(expected = "at least one queue")]
     fn zero_queues_panics() {
         let _ = MultilevelQueue::new(0);
-    }
-
-    /// Plants a job in queue 0 with no index entry — the invariant breach
-    /// `sort_queue_with_seq`'s fallback exists for. Test-only: no public
-    /// API can produce this state.
-    fn plant_orphan(mlq: &mut MultilevelQueue, id: u32) {
-        mlq.queues[0].push(JobId::new(id));
-    }
-
-    /// Release builds must hit the documented `u64::MAX` fallback: the
-    /// orphaned job sorts last and the indexed jobs keep their seq order,
-    /// instead of the sort crashing mid-experiment. (Debug builds panic on
-    /// the same state — see `orphaned_job_panics_in_debug`.)
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn orphaned_job_sorts_last_in_release() {
-        let mut mlq = MultilevelQueue::new(2);
-        for i in 0..3 {
-            mlq.insert(JobId::new(i));
-        }
-        plant_orphan(&mut mlq, 9);
-        // Sort by seq alone: indexed jobs keep arrival order; the orphan's
-        // u64::MAX fallback key places it last, and a second sort is
-        // stable about it.
-        mlq.sort_queue_with_seq(0, |_, seq| seq);
-        let order: Vec<usize> = mlq.jobs_in(0).iter().map(|j| j.index()).collect();
-        assert_eq!(order, vec![0, 1, 2, 9]);
-        mlq.sort_queue_with_seq(0, |_, seq| seq);
-        let again: Vec<usize> = mlq.jobs_in(0).iter().map(|j| j.index()).collect();
-        assert_eq!(again, vec![0, 1, 2, 9]);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "missing from the index")]
-    fn orphaned_job_panics_in_debug() {
-        let mut mlq = MultilevelQueue::new(2);
-        mlq.insert(JobId::new(0));
-        plant_orphan(&mut mlq, 9);
-        mlq.sort_queue_with_seq(0, |_, seq| seq);
     }
 }

@@ -13,14 +13,17 @@
 //!    finally share any remaining containers with jobs that can still use
 //!    them (work conservation).
 //!
-//! Both steps run *incrementally* when the engine supplies a changed-job
-//! hint ([`SchedContext::changed`]): only changed jobs are re-observed (an
-//! unchanged view implies an unchanged effective service, and demotion is
-//! monotonic, so unchanged jobs can never move), per-queue demand sums are
-//! maintained as a running total, and a queue is only re-sorted when its
-//! membership or a member's sort key actually moved. Without the hint the
-//! scheduler falls back to the full per-pass recomputation, which produces
-//! bit-identical plans.
+//! Step 1 is *incremental*: per-queue demand sums are running totals, and
+//! the queues are never sorted — [`MultilevelQueue`] keeps each one
+//! ascending by `(remaining demand, arrival seq)` at all times, so
+//! refreshing a job moves that one job (a binary search plus the shift of
+//! the members it passes) and a pass costs nothing for the jobs that did
+//! not change. With the engine's changed-job hint
+//! ([`SchedContext::changed`]) only changed jobs are refreshed: an
+//! unchanged view implies an unchanged effective service and demand, and
+//! demotion is monotonic, so unchanged jobs can never move. Without the
+//! hint every view is refreshed, which is the same code over more jobs and
+//! produces bit-identical plans.
 
 use lasmq_simulator::{
     AllocationPlan, JobId, JobView, QueueDemotion, SchedContext, Scheduler, Service, SimTime,
@@ -33,7 +36,9 @@ use crate::estimate::effective_service;
 use crate::mlq::MultilevelQueue;
 
 /// One queued job in a serialized LAS_MQ snapshot: its id, FIFO rank and
-/// monotonic demotion key. Order within the queue list is the live order.
+/// monotonic demotion key. Queues are written in `seq` order — a function
+/// of membership alone, where the live order also follows the derived
+/// demand keys — and read in any order.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct QueuedJobState {
     job: u32,
@@ -66,12 +71,14 @@ struct LasMqState {
 const NO_QUEUE: u32 = u32::MAX;
 
 /// Per-job demand snapshot from the last time the job's view was
-/// refreshed. The defaults are the fallbacks for jobs without a view:
-/// `remaining_demand = u32::MAX` (sorts last) and `max_useful = 0` (never
+/// refreshed. The defaults are the fallbacks for jobs not refreshed yet:
+/// an unknown `remaining_demand` (sorts last) and `max_useful = 0` (never
 /// granted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CachedDemand {
-    /// `JobView::remaining_demand` — the in-queue sort key.
+    /// `JobView::remaining_demand` — under
+    /// [`QueueOrdering::RemainingDemand`] also the demand the job is keyed
+    /// by in its queue.
     remaining_demand: u32,
     /// `JobView::max_useful_allocation` — the grant cap, also summed into
     /// [`LasMq::queue_demand`].
@@ -83,7 +90,7 @@ struct CachedDemand {
 
 impl CachedDemand {
     const EMPTY: CachedDemand = CachedDemand {
-        remaining_demand: u32::MAX,
+        remaining_demand: MultilevelQueue::UNKNOWN_DEMAND,
         max_useful: 0,
         contrib_queue: NO_QUEUE,
     };
@@ -210,11 +217,12 @@ impl LasMq {
     /// Algorithm 1, per job: refresh the job's effective service, demote it
     /// if warranted, and fold its current demand into the cache — moving
     /// its `max_useful` contribution to whichever queue it now sits in and
-    /// flagging that queue for re-sorting if its sort key moved.
+    /// the job to its new rank there if its sort key moved.
     ///
     /// Only *changed* jobs need this: demotion tracks the monotonic maximum
     /// of the effective service, and an unchanged view reproduces the same
-    /// effective service, so re-observing an unchanged job is a no-op.
+    /// effective service and demand, so refreshing an unchanged job is a
+    /// no-op.
     fn refresh_job(&mut self, view: &JobView) {
         // Defensive: jobs normally enter via `on_job_admitted`. Callers
         // iterate views in admission order so defensively inserted jobs
@@ -254,11 +262,10 @@ impl LasMq {
         if remaining_demand != old.remaining_demand
             && self.config.ordering() == QueueOrdering::RemainingDemand
         {
-            // The in-queue sort key moved (under `Fifo` the key is the
-            // arrival seq alone, which never does); membership changes
-            // (insert, demotion) already flag their queues inside the
-            // structure.
-            self.mlq.mark_queue_dirty(current);
+            // The in-queue sort key moved. Under `Fifo` the structure is
+            // never told a demand, which leaves the arrival seq as the
+            // whole key.
+            self.mlq.set_demand(view.id, remaining_demand);
         }
         self.job_cache[idx] = CachedDemand {
             remaining_demand,
@@ -335,61 +342,14 @@ impl Scheduler for LasMq {
         self.pass_epoch += 1;
         let views = ctx.jobs();
 
-        // Algorithm 1: refresh effective service, demote, update the
-        // demand cache — for changed jobs only when the engine says which
-        // ones changed, otherwise from scratch for everyone.
+        // Algorithm 1: refresh effective service, demote, re-rank and
+        // update the demand cache — for the jobs the engine says changed,
+        // or for every job when it does not say.
         match ctx.changed() {
-            Some(changed) => {
-                for &slot in changed {
-                    self.refresh_job(&views[slot]);
-                }
-            }
-            None => {
-                // No hint: discard the cache and rebuild it from every
-                // view (an EMPTY entry carries the missing-view fallbacks).
-                for entry in &mut self.job_cache {
-                    *entry = CachedDemand::EMPTY;
-                }
-                for demand in &mut self.queue_demand {
-                    *demand = 0;
-                }
-                for i in 0..self.mlq.num_queues() {
-                    self.mlq.mark_queue_dirty(i);
-                }
-                for view in views {
-                    self.refresh_job(view);
-                }
-            }
-        }
-
-        // Re-sort only queues whose order may have moved. A clean queue's
-        // stored order *is* its sorted order: both keys below tie-break on
-        // the unique arrival seq, so the sorted order is total and unique.
-        let LasMq {
-            mlq,
-            config,
-            job_cache,
-            ..
-        } = self;
-        let k = mlq.num_queues();
-        for i in 0..k {
-            if !mlq.queue_dirty(i) {
-                continue;
-            }
-            match config.ordering() {
-                QueueOrdering::RemainingDemand => {
-                    mlq.sort_queue_with_seq(i, |job, seq| {
-                        let demand = job_cache
-                            .get(job.index())
-                            .map(|c| c.remaining_demand)
-                            .unwrap_or(u32::MAX);
-                        (demand, seq)
-                    });
-                }
-                QueueOrdering::Fifo => {
-                    mlq.sort_queue_with_seq(i, |_, seq| seq);
-                }
-            }
+            Some(changed) => changed
+                .iter()
+                .for_each(|&slot| self.refresh_job(&views[slot])),
+            None => views.iter().for_each(|view| self.refresh_job(view)),
         }
 
         let capacity = ctx.total_containers();
@@ -425,6 +385,7 @@ impl Scheduler for LasMq {
             ..
         } = self;
         let epoch = *pass_epoch;
+        let k = mlq.num_queues();
         let mut assigned_total: u32 = 0;
         for (i, &allotment) in allot_buf.iter().enumerate().take(k) {
             let mut budget = allotment;
@@ -487,7 +448,8 @@ impl Scheduler for LasMq {
     fn snapshot_state(&self) -> Option<String> {
         let queues: Vec<Vec<QueuedJobState>> = (0..self.mlq.num_queues())
             .map(|i| {
-                self.mlq
+                let mut queue: Vec<QueuedJobState> = self
+                    .mlq
                     .jobs_in(i)
                     .iter()
                     .map(|&j| QueuedJobState {
@@ -498,7 +460,9 @@ impl Scheduler for LasMq {
                             .max_effective_of(j)
                             .expect("queued job has a demotion key"),
                     })
-                    .collect()
+                    .collect();
+                queue.sort_unstable_by_key(|entry| entry.seq);
+                queue
             })
             .collect();
         let state = LasMqState {
@@ -536,10 +500,10 @@ impl Scheduler for LasMq {
         }
         mlq.set_next_seq(state.next_seq)?;
         self.mlq = mlq;
-        // Demand caches are derived state, not snapshotted: the engine
-        // marks every active job changed after a restore, so the first
-        // pass refreshes them all (the fresh structure reports every queue
-        // dirty, forcing the full re-sort too).
+        // Demands are derived state, not snapshotted — neither the cache
+        // nor the queues' demand keys: the engine marks every active job
+        // changed after a restore, so the first pass refreshes and re-ranks
+        // them all.
         self.job_cache.clear();
         self.queue_demand = vec![0; self.config.num_queues()];
         self.granted.clear();
@@ -558,13 +522,27 @@ impl Scheduler for LasMq {
 
     fn check_consistency(&self) -> Result<(), String> {
         self.mlq.check_consistent()?;
-        // The running demand sums must agree with a from-scratch rewalk of
-        // the cached entries, and every contributing job must actually sit
-        // in the queue its contribution is booked under.
+        // Every job must be keyed by the demand the cache last saw for it
+        // (by none under `Fifo`), the running demand sums must agree with a
+        // from-scratch rewalk of the cached entries, and every contributing
+        // job must actually sit in the queue its contribution is booked
+        // under.
+        let keyed = self.config.ordering() == QueueOrdering::RemainingDemand;
         let mut sums = vec![0u64; self.mlq.num_queues()];
         for (i, sum) in sums.iter_mut().enumerate() {
             for &job in self.mlq.jobs_in(i) {
-                let Some(entry) = self.job_cache.get(job.index()) else {
+                let cached = self.job_cache.get(job.index());
+                let expected = match cached {
+                    Some(entry) if keyed => entry.remaining_demand,
+                    _ => MultilevelQueue::UNKNOWN_DEMAND,
+                };
+                if self.mlq.demand_of(job) != Some(expected) {
+                    return Err(format!(
+                        "{job} is keyed by demand {:?} but its cached demand is {expected}",
+                        self.mlq.demand_of(job)
+                    ));
+                }
+                let Some(entry) = cached else {
                     continue;
                 };
                 if entry.contrib_queue == NO_QUEUE {
@@ -751,25 +729,25 @@ mod tests {
     }
 
     #[test]
-    fn a_demand_only_change_flags_its_queue_only_when_demand_is_the_sort_key() {
-        for (ordering, resort) in [
-            (QueueOrdering::Fifo, false),
-            (QueueOrdering::RemainingDemand, true),
+    fn a_demand_only_change_re_ranks_the_job_only_when_demand_is_the_sort_key() {
+        for (ordering, order) in [
+            (QueueOrdering::Fifo, [0, 1]),
+            (QueueOrdering::RemainingDemand, [1, 0]),
         ] {
             let mut sched = LasMq::new(config().with_ordering(ordering));
             let mut views = vec![
-                view(0, 0.0, 0.0, 0.0, 50, 50, 0),
-                view(1, 0.0, 0.0, 0.0, 30, 30, 0),
+                view(0, 0.0, 0.0, 0.0, 30, 30, 0),
+                view(1, 0.0, 0.0, 0.0, 50, 50, 0),
             ];
             admit_all(&mut sched, &views);
             let _ = sched.allocate(&SchedContext::new(SimTime::ZERO, 10, &views));
-            assert!(!sched.mlq.queue_dirty(0), "a pass leaves its queues sorted");
-            // A task of job 0 finished: same queue, smaller remaining demand.
-            views[0].remaining_tasks -= 1;
-            views[0].unstarted_tasks -= 1;
-            sched.refresh_job(&views[0]);
-            assert_eq!(sched.queue_of(JobId::new(0)), Some(0));
-            assert_eq!(sched.mlq.queue_dirty(0), resort, "{ordering:?}");
+            assert_eq!(sched.mlq.jobs_in(0), [JobId::new(0), JobId::new(1)]);
+            // Job 1 sheds most of its tasks: same queue, smaller demand.
+            views[1].remaining_tasks = 20;
+            views[1].unstarted_tasks = 20;
+            sched.refresh_job(&views[1]);
+            assert_eq!(sched.mlq.jobs_in(0), order.map(JobId::new), "{ordering:?}");
+            sched.check_consistency().unwrap();
         }
     }
 

@@ -298,34 +298,6 @@ proptest! {
         }
     }
 
-    /// The `index` map and the `queues` vectors stay mutually consistent
-    /// (every queued job indexed at its exact queue and position, nothing
-    /// dangling) under arbitrary insert/observe/remove/sort sequences —
-    /// the invariant behind O(1) swap-removal and the seq-lookup fallback.
-    #[test]
-    fn mlq_index_and_queues_stay_consistent(
-        ops in prop::collection::vec((0u32..30, 0.0f64..1e5, 0u8..4), 1..200),
-    ) {
-        let thresholds: Vec<Service> =
-            [10.0, 100.0, 1_000.0].iter().map(|&t| Service::from_container_secs(t)).collect();
-        let mut mlq = MultilevelQueue::new(4);
-        for (id, service, op) in ops {
-            let job = JobId::new(id);
-            match op {
-                0 => mlq.insert(job),
-                1 => mlq.remove(job),
-                2 => {
-                    let _ = mlq.observe(job, Service::from_container_secs(service), &thresholds);
-                }
-                _ => {
-                    let queue = (id as usize) % mlq.num_queues();
-                    mlq.sort_queue_with_seq(queue, |_, seq| seq);
-                }
-            }
-            mlq.assert_consistent();
-        }
-    }
-
     /// The stage-awareness estimate never ranks a job below its precisely
     /// attained service, and equals it when disabled.
     #[test]
@@ -337,31 +309,35 @@ proptest! {
         prop_assert!(aware.as_container_secs() + 1e-9 >= view.attained.as_container_secs());
     }
 
-    /// `MultilevelQueue` matches a naive `Vec`-of-`Vec`s model checker op
-    /// for op: identical queue contents *in order* (so identical pop
-    /// order), identical membership, identical observe() answers, and a
-    /// structurally consistent index after every single operation.
+    /// `MultilevelQueue` matches a naive model op for op: the model keeps
+    /// one flat list and *fully re-sorts* each queue by `(demand, seq)`
+    /// whenever it is read, so identical queue contents in order (hence
+    /// identical grant order) mean the one-job moves are equivalent to
+    /// sorting from scratch, and the structure's own checker must agree
+    /// after every op. Demands are drawn from six values so ties are the
+    /// norm, and observed services from one value per decade so a demotion
+    /// skips zero to three thresholds. Last, what a snapshot keeps (queue,
+    /// seq, demotion key), replayed in reverse order, rebuilds the FIFO
+    /// view of the same membership.
     #[test]
     fn mlq_matches_vec_model(
-        ops in prop::collection::vec((0u32..25, 0.0f64..1e5, 0u8..4), 1..300),
+        ops in prop::collection::vec((0u32..25, 0u8..6, 0u8..4, 0u32..6), 1..300),
     ) {
-        #[derive(Clone)]
         struct ModelEntry {
             job: JobId,
+            queue: usize,
+            demand: u32,
             seq: u64,
             max_effective: f64,
         }
-        // The model is the spec made literal: plain vectors, linear
-        // scans, and the same swap-removal the real structure documents.
+        #[derive(Default)]
         struct Model {
-            queues: Vec<Vec<ModelEntry>>,
+            entries: Vec<ModelEntry>,
             next_seq: u64,
         }
         impl Model {
-            fn find(&self, job: JobId) -> Option<(usize, usize)> {
-                self.queues.iter().enumerate().find_map(|(q, jobs)| {
-                    jobs.iter().position(|e| e.job == job).map(|p| (q, p))
-                })
+            fn find(&mut self, job: JobId) -> Option<&mut ModelEntry> {
+                self.entries.iter_mut().find(|e| e.job == job)
             }
             fn insert(&mut self, job: JobId) {
                 if self.find(job).is_some() {
@@ -369,12 +345,13 @@ proptest! {
                 }
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.queues[0].push(ModelEntry { job, seq, max_effective: 0.0 });
-            }
-            fn remove(&mut self, job: JobId) {
-                if let Some((q, p)) = self.find(job) {
-                    self.queues[q].swap_remove(p);
-                }
+                self.entries.push(ModelEntry {
+                    job,
+                    queue: 0,
+                    demand: MultilevelQueue::UNKNOWN_DEMAND,
+                    seq,
+                    max_effective: 0.0,
+                });
             }
             fn observe(
                 &mut self,
@@ -382,28 +359,28 @@ proptest! {
                 effective: f64,
                 thresholds: &[Service],
             ) -> Option<usize> {
-                let (q, p) = self.find(job)?;
-                let entry = &mut self.queues[q][p];
+                let entry = self.find(job)?;
                 entry.max_effective = entry.max_effective.max(effective);
-                let max_effective = entry.max_effective;
                 let target = thresholds
                     .iter()
-                    .position(|t| max_effective <= t.as_container_secs() * (1.0 + 1e-6))
+                    .position(|t| entry.max_effective <= t.as_container_secs() * (1.0 + 1e-6))
                     .unwrap_or(thresholds.len());
-                if target <= q {
-                    return Some(q);
-                }
-                let entry = self.queues[q].swap_remove(p);
-                self.queues[target].push(entry);
-                Some(target)
+                entry.queue = entry.queue.max(target);
+                Some(entry.queue)
+            }
+            fn sorted_queue(&self, queue: usize) -> Vec<JobId> {
+                let mut members: Vec<&ModelEntry> =
+                    self.entries.iter().filter(|e| e.queue == queue).collect();
+                members.sort_by_key(|e| (e.demand, e.seq));
+                members.iter().map(|e| e.job).collect()
             }
         }
 
         let thresholds: Vec<Service> =
             [10.0, 100.0, 1_000.0].iter().map(|&t| Service::from_container_secs(t)).collect();
         let mut mlq = MultilevelQueue::new(4);
-        let mut model = Model { queues: vec![Vec::new(); 4], next_seq: 0 };
-        for (id, service, op) in ops {
+        let mut model = Model::default();
+        for (id, decade, op, demand) in ops {
             let job = JobId::new(id);
             match op {
                 0 => {
@@ -412,34 +389,51 @@ proptest! {
                 }
                 1 => {
                     mlq.remove(job);
-                    model.remove(job);
+                    model.entries.retain(|e| e.job != job);
                 }
                 2 => {
+                    let service = 0.3 * 10f64.powi(i32::from(decade));
                     let got = mlq.observe(job, Service::from_container_secs(service), &thresholds);
                     let want = model.observe(job, service, &thresholds);
                     prop_assert_eq!(got, want, "observe disagreed for {}", job);
                 }
                 _ => {
-                    let queue = (id as usize) % mlq.num_queues();
-                    mlq.sort_queue_with_seq(queue, |_, seq| seq);
-                    model.queues[queue].sort_by_key(|e| e.seq);
+                    mlq.set_demand(job, demand);
+                    if let Some(entry) = model.find(job) {
+                        entry.demand = demand;
+                    }
                 }
             }
-            prop_assert_eq!(mlq.len(), model.queues.iter().map(Vec::len).sum::<usize>());
+            prop_assert_eq!(mlq.len(), model.entries.len());
             for q in 0..4 {
-                let real: Vec<JobId> = mlq.jobs_in(q).to_vec();
-                let want: Vec<JobId> = model.queues[q].iter().map(|e| e.job).collect();
-                prop_assert_eq!(real, want, "queue {} contents diverged", q);
-                for entry in &model.queues[q] {
-                    prop_assert_eq!(mlq.queue_of(entry.job), Some(q));
-                    prop_assert_eq!(mlq.seq_of(entry.job), Some(entry.seq));
-                    let eff = mlq.max_effective_of(entry.job).expect("queued job has a key");
-                    prop_assert!((eff - entry.max_effective).abs() < 1e-12);
-                }
+                prop_assert_eq!(mlq.jobs_in(q), model.sorted_queue(q), "queue {} diverged", q);
+            }
+            for entry in &model.entries {
+                prop_assert_eq!(mlq.queue_of(entry.job), Some(entry.queue));
+                prop_assert_eq!(mlq.seq_of(entry.job), Some(entry.seq));
+                prop_assert_eq!(mlq.demand_of(entry.job), Some(entry.demand));
+                let eff = mlq.max_effective_of(entry.job).expect("queued job has a key");
+                prop_assert!((eff - entry.max_effective).abs() < 1e-12);
             }
             if let Err(detail) = mlq.check_consistent() {
                 return Err(TestCaseError::fail(format!("inconsistent structure: {detail}")));
             }
+        }
+        let mut restored = MultilevelQueue::new(4);
+        for q in 0..4 {
+            for &job in mlq.jobs_in(q).iter().rev() {
+                let seq = mlq.seq_of(job).expect("queued");
+                let key = mlq.max_effective_of(job).expect("queued");
+                restored.restore_job(job, q, seq, key).expect("fresh job, valid queue");
+            }
+        }
+        restored.set_next_seq(mlq.next_seq()).expect("seqs are unique and issued");
+        restored.assert_consistent();
+        for entry in &mut model.entries {
+            entry.demand = MultilevelQueue::UNKNOWN_DEMAND;
+        }
+        for q in 0..4 {
+            prop_assert_eq!(restored.jobs_in(q), model.sorted_queue(q), "restored queue {}", q);
         }
     }
 
