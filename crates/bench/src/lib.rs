@@ -1,12 +1,12 @@
-//! Shared helpers for the criterion benches.
+//! Shared helper for the benches that print a series before timing.
 //!
-//! Every bench regenerates its table/figure's series once at reduced
-//! ([`Scale::bench`]) scale — so `cargo bench` reproduces the paper's rows
-//! — and then measures the wall-clock cost of the underlying simulation
-//! runs at [`Scale::test`] scale.
+//! The paper's tables and figures are `repro <figure>` and every timing
+//! claim is measured by the `benchmark/` harness. What stays here is what
+//! neither covers: `ablation_extensions` (the extension tables, at
+//! [`Scale::bench`]), `snapshot_restore` and `env_rollout`, plus the
+//! `perf-smoke` event-count gate.
 //!
 //! [`Scale::bench`]: lasmq_experiments::Scale::bench
-//! [`Scale::test`]: lasmq_experiments::Scale::test
 
 use std::sync::Once;
 

@@ -10,10 +10,12 @@
 //!    uninterrupted run's report byte-for-byte. This exercises every
 //!    scheduler's `snapshot_state`/`restore_state` with real mid-run
 //!    state, not hand-built fixtures.
-//! 2. **`check_consistency` cleanliness**: with the invariant checker
-//!    armed (which calls `Scheduler::check_consistency` after every pass
-//!    and byte-checks snapshot fidelity on a sample of passes), a full
-//!    run must report zero violations.
+//! 2. **A clean invariant report**: with the invariant checker armed
+//!    (which audits every pass's views and plan — sanity, discipline, work
+//!    conservation — calls `Scheduler::check_consistency` after every
+//!    batch and byte-checks snapshot fidelity on a sample of them), a full
+//!    run must report zero violations: on two traces, on PUMA, and on PUMA
+//!    with task failures and speculative copies.
 //! 3. **Thread-count determinism**: a campaign over the zoo produces
 //!    byte-identical serialized reports on a 1-thread and a 3-thread
 //!    worker pool.
@@ -34,8 +36,8 @@ use lasmq_campaign::{
 };
 use lasmq_simulator::testkit;
 use lasmq_simulator::{
-    AllocationPlan, FailureConfig, JobId, JobSpec, JobView, QueueDemotion, SchedContext, Scheduler,
-    Service, SimSnapshot, SimTime, SimulationReport, SpeculationConfig,
+    AllocationPlan, EngineStats, FailureConfig, JobId, JobSpec, JobView, QueueDemotion,
+    SchedContext, Scheduler, Service, SimSnapshot, SimTime, SimulationReport, SpeculationConfig,
 };
 use lasmq_workload::{FacebookTrace, PumaWorkload};
 
@@ -302,19 +304,46 @@ fn every_kind_snapshot_restores_byte_identically_mid_run() {
     }
 }
 
+fn assert_runs_clean(setup: &SimSetup, jobs: &[JobSpec], kind: &SchedulerKind) -> EngineStats {
+    let setup = setup.clone().check_invariants(true);
+    let report = setup.run(jobs.to_vec(), kind);
+    assert!(report.all_completed(), "{kind}: jobs left unfinished");
+    let invariants = report
+        .invariants()
+        .unwrap_or_else(|| panic!("{kind}: invariant checker was not armed"));
+    assert!(
+        invariants.is_clean(),
+        "{kind}: invariant violations: {invariants}"
+    );
+    *report.stats()
+}
+
 #[test]
 fn every_kind_is_consistency_clean_under_the_invariant_checker() {
-    let jobs = contract_jobs();
-    let setup = SimSetup::trace_sim().check_invariants(true);
-    for kind in SchedulerKind::zoo() {
-        let report = setup.run(jobs.clone(), &kind);
-        let invariants = report
-            .invariants()
-            .unwrap_or_else(|| panic!("{kind}: invariant checker was not armed"));
-        assert!(
-            invariants.is_clean(),
-            "{kind}: invariant violations: {invariants}"
-        );
+    let four_by_thirty = SimSetup::trace_sim().cluster(SimSetup::testbed().cluster_config());
+    let trace_400 = FacebookTrace::new().jobs(400).seed(8).generate();
+    let puma = |jobs| PumaWorkload::new().jobs(jobs).seed(9).generate();
+    // Twelve jobs keep the faulty runs cheap (an armed run's cost grows
+    // with the square of the job count) and still see failed attempts and
+    // speculative copies by the dozen.
+    let inputs = [
+        (SimSetup::trace_sim(), contract_jobs()),
+        (SimSetup::trace_sim(), trace_400),
+        (four_by_thirty, puma(25)),
+        (faulty_testbed(), puma(12)),
+    ];
+    for (setup, jobs) in &inputs {
+        for kind in SchedulerKind::zoo() {
+            assert_runs_clean(setup, jobs, &kind);
+        }
+    }
+    // The testbed's LAS_MQ is not the zoo's: stage-aware, and ordered by
+    // remaining demand.
+    let [.., (faulty, jobs)] = &inputs;
+    for kind in SchedulerKind::paper_lineup_experiments() {
+        let stats = assert_runs_clean(faulty, jobs, &kind);
+        assert!(stats.tasks_failed > 0, "{kind}: {stats:?}");
+        assert!(stats.speculative_launched > 0, "{kind}: {stats:?}");
     }
 }
 

@@ -11,7 +11,9 @@
 //!   reader/writer pairs;
 //! * each **reader thread** parses newline-delimited requests off its
 //!   socket and forwards them (with arrival timestamps) over one shared
-//!   bounded channel to the engine;
+//!   bounded channel to the engine; a line is at most 8 MiB
+//!   (`MAX_LINE_BYTES`), and a longer or never-terminated one is answered
+//!   with one error before its connection is closed;
 //! * each **writer thread** drains that connection's response queue back
 //!   to the socket, preserving request order per connection.
 //!
@@ -33,7 +35,7 @@
 //! temp+rename, and exits cleanly. `--resume` restores it and continues
 //! byte-identically (modulo wall-clock pacing).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,6 +68,13 @@ const IDLE_WAIT: Duration = Duration::from_millis(50);
 /// Socket read timeout for reader threads: how often they re-check the
 /// shutdown flag while a connection is idle.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Longest request line a connection may send, newline included: some 25
+/// times the largest job of the 24,443-job Facebook trace (0.3 MB as a
+/// `submit`). A longer one — or one that never ends — is answered with
+/// one error and the connection is closed, so a reader buffers at most
+/// this much.
+const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Shared request-channel capacity (the transport backpressure bound).
 const REQUEST_QUEUE_CAP: usize = 65_536;
@@ -434,26 +443,43 @@ fn spawn_connection(stream: TcpStream, req_tx: SyncSender<Envelope>, stop: Arc<A
     thread::spawn(move || {
         let _ = read_half.set_read_timeout(Some(READ_TIMEOUT));
         let mut reader = BufReader::new(read_half);
-        let mut line = String::new();
+        let mut line: Vec<u8> = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            // On timeout, `line` keeps any partial bytes already read;
-            // the retry appends the rest, so no request is torn.
-            match reader.read_line(&mut line) {
+            // On timeout, `line` keeps every byte already read and the
+            // retry appends the rest, so no request is torn. That takes
+            // bytes: `read_line` drops a partial read that ends inside a
+            // multi-byte character. A line is decoded once, when complete.
+            let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => break, // EOF: client closed.
                 Ok(_) => {
-                    let trimmed = line.trim();
-                    if !trimmed.is_empty() {
+                    let oversize = line.len() > MAX_LINE_BYTES;
+                    let req = if oversize {
+                        Some(Err(format!(
+                            "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                        )))
+                    } else {
+                        match std::str::from_utf8(&line).map(str::trim) {
+                            Ok("") => None,
+                            Ok(text) => Some(Request::parse(text)),
+                            Err(e) => Some(Err(format!("request is not valid UTF-8: {e}"))),
+                        }
+                    };
+                    if let Some(req) = req {
                         let envelope = Envelope {
-                            req: Request::parse(trimmed),
+                            req,
                             reply: reply_tx.clone(),
                             received: Instant::now(),
                         };
                         if req_tx.send(envelope).is_err() {
                             break; // Engine gone.
                         }
+                    }
+                    if oversize {
+                        break;
                     }
                     line.clear();
                 }

@@ -19,7 +19,9 @@
 //!
 //! Failures are `{"ok":false,"error":...}`; a deferred admission
 //! (backpressure) additionally carries `"deferred":true` so clients can
-//! distinguish "retry later" from a malformed request.
+//! distinguish "retry later" from a malformed request. A request line
+//! that is not UTF-8 is a malformed request like any other; one longer
+//! than 8 MiB is answered with an error and its connection closed.
 
 use lasmq_simulator::JobSpec;
 use serde::{Deserialize, Serialize, Value};

@@ -203,6 +203,75 @@ fn malformed_lines_get_errors_and_do_not_wedge_the_connection() {
 }
 
 #[test]
+fn a_character_split_across_a_read_timeout_is_not_torn() {
+    let dir = unique_dir("split-char");
+    let path = dir.join("state.json");
+    let config = ServeConfig {
+        snapshot_path: Some(path.clone()),
+        ..manual_config()
+    };
+    let handle = Daemon::spawn(config).unwrap();
+    let mut client = Client::connect(handle.addr());
+
+    let spec = serde_json::to_string(&job(1, "café", 1, 3)).unwrap();
+    let line = format!(r#"{{"op":"submit","job":{spec}}}"#);
+    // Cut inside the two-byte 'é', and pause past the reader's 250 ms
+    // socket timeout so it retries with half a character buffered.
+    let cut = line.find('é').expect("label is in the line") + 1;
+    assert!(!line.is_char_boundary(cut));
+    client.writer.write_all(&line.as_bytes()[..cut]).unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    client.writer.write_all(&line.as_bytes()[cut..]).unwrap();
+    let resp = client.request(""); // ends the line
+    assert!(bool_field(&resp, "ok"), "submit failed: {resp:?}");
+    assert!(bool_field(&client.request(r#"{"op":"snapshot"}"#), "ok"));
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert!(written.contains("café"), "the label arrived torn");
+
+    // Bytes that are no character at all are one malformed request, and
+    // the connection stays up.
+    client.writer.write_all(b"\xC3\x28").unwrap();
+    assert!(!bool_field(&client.request(""), "ok"));
+    assert!(bool_field(&client.request(r#"{"op":"ping"}"#), "ok"));
+
+    handle.request_stop();
+    let summary = handle.join().unwrap();
+    assert_eq!((summary.accepted, summary.malformed), (1, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_oversize_line_gets_one_error_and_only_its_connection_is_closed() {
+    let handle = Daemon::spawn(manual_config()).unwrap();
+    let mut hostile = Client::connect(handle.addr());
+
+    // Twice the daemon's 8 MiB line cap, never terminated. The daemon
+    // stops reading at the cap, so the write may fail part-way; the reply
+    // is read alongside it.
+    let mut sink = hostile.writer.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = sink.write_all(&vec![b'x'; 16 << 20]);
+    });
+    let mut response = String::new();
+    hostile.reader.read_line(&mut response).unwrap();
+    let err = serde_json::parse_value_str(response.trim()).unwrap();
+    assert!(!bool_field(&err, "ok"));
+    assert!(matches!(field(&err, "error"), Value::Str(why) if why.contains("exceeds")));
+    // Then the daemon hangs up; on unread bytes, so a reset counts.
+    let closed = hostile.reader.read_line(&mut String::new());
+    assert!(matches!(closed, Ok(0) | Err(_)));
+    flood.join().unwrap();
+
+    let mut client = Client::connect(handle.addr());
+    assert!(bool_field(&client.submit(&job(1, "after", 1, 3)), "ok"));
+    let metrics = client.request(r#"{"op":"metrics"}"#);
+    assert_eq!(u64_field(&metrics, "malformed"), 1);
+
+    handle.request_stop();
+    handle.join().unwrap();
+}
+
+#[test]
 fn backpressure_defers_beyond_queue_cap_without_losing_jobs() {
     let config = ServeConfig {
         setup: SimSetup::trace_sim()

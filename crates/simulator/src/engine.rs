@@ -658,6 +658,8 @@ struct JobScratch {
     median: Vec<SimDuration>,
     /// Speculative-copy candidate positions for the job being examined.
     candidates: Vec<usize>,
+    /// Final plan target per view slot, for the armed pass audit.
+    final_targets: Vec<u32>,
     /// Stage buffers harvested from finished jobs, regrafted into newly
     /// admitted ones.
     stage_bufs: Vec<(Vec<RunningTask>, Vec<usize>, Vec<SimDuration>)>,
@@ -932,21 +934,10 @@ impl SimulationBuilder {
 /// # Examples
 ///
 /// ```
+/// use lasmq_simulator::testkit::BudgetedGreedy;
 /// use lasmq_simulator::{
-///     AllocationPlan, ClusterConfig, JobSpec, SchedContext, Scheduler, SimDuration,
-///     Simulation, StageKind, StageSpec, TaskSpec,
+///     ClusterConfig, JobSpec, SimDuration, Simulation, StageKind, StageSpec, TaskSpec,
 /// };
-///
-/// /// Gives every job everything it asks for, first-come first-served.
-/// struct Greedy;
-/// impl Scheduler for Greedy {
-///     fn name(&self) -> &str {
-///         "greedy"
-///     }
-///     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-///         ctx.jobs().iter().map(|j| (j.id, j.max_useful_allocation())).collect()
-///     }
-/// }
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let job = JobSpec::builder()
@@ -955,7 +946,7 @@ impl SimulationBuilder {
 /// let report = Simulation::builder()
 ///     .cluster(ClusterConfig::single_node(4))
 ///     .job(job)
-///     .build(Greedy)?
+///     .build(BudgetedGreedy)? // first come, first served
 ///     .run();
 /// assert!(report.all_completed());
 /// // 8 tasks on 4 containers: two 10-second waves.
@@ -2245,6 +2236,14 @@ impl<S: Scheduler> Simulation<S> {
         .with_changed(&self.changed_slots);
         let mut plan = std::mem::take(&mut self.plan_buf);
         self.scheduler.allocate_into(&ctx, &mut plan);
+        if let Some(report) = &mut self.invariants {
+            report.audit_pass(
+                &ctx,
+                &plan,
+                &self.view_slot,
+                &mut self.scratch.final_targets,
+            );
+        }
         let active_jobs = self.active_views.len() as u32;
 
         // Always drain so schedulers that buffer demotions never accumulate
@@ -2578,23 +2577,10 @@ mod tests {
     use super::*;
     use crate::job::{StageKind, TaskSpec};
     use crate::sched::AllocationPlan;
-
-    /// Gives jobs their full demand in admission order (a work-conserving
-    /// FIFO used to exercise the engine).
-    struct Greedy;
-
-    impl Scheduler for Greedy {
-        fn name(&self) -> &str {
-            "greedy"
-        }
-
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-            ctx.jobs()
-                .iter()
-                .map(|j| (j.id, j.max_useful_allocation()))
-                .collect()
-        }
-    }
+    // Jobs served in admission order, within the cluster's capacity: the
+    // one helper here whose plans need no clamping (`EvenSplit`,
+    // `NewestFirst` and `NeedsOracle` are merely tolerated).
+    use crate::testkit::BudgetedGreedy as Greedy;
 
     /// Splits capacity evenly among jobs every pass (a crude fair share).
     struct EvenSplit;
@@ -3352,7 +3338,7 @@ mod tests {
             .cluster(ClusterConfig::new(2, 2))
             .check_invariants(true)
             .jobs(vec![two_stage_job(0), map_job(3, 5, 7), map_job(4, 2, 13)])
-            .build(EvenSplit)
+            .build(Greedy)
             .unwrap()
             .run();
         let inv = report.invariants().expect("checking was enabled");
@@ -3388,7 +3374,7 @@ mod tests {
             .cluster(ClusterConfig::single_node(4))
             .check_invariants(true)
             .jobs(vec![map_job(0, 8, 10), map_job(2, 8, 10)])
-            .build(EvenSplit)
+            .build(Greedy)
             .unwrap();
         assert!(sim.run_until(SimTime::from_secs(5)), "run must be mid-way");
         let clean = sim.invariants.clone().expect("checking was enabled");
@@ -3457,6 +3443,84 @@ mod tests {
         sim.jobs.running_at.insert(JobStore::attempt_key(0, 7), 0);
         sim.run_invariant_checks();
         assert_eq!(index_violations(&sim), 1);
+    }
+
+    /// Two jobs five seconds into a four-container run — job 0 holds the
+    /// cluster, job 1 could use eight containers — audited as a pass audits
+    /// them: the views after `corrupt`, answered with `plan`. Returns the
+    /// view-sanity, plan-discipline and work-conservation violations.
+    fn audit_mid_run(corrupt: impl Fn(&mut [JobView]), plan: &[(u32, u32)]) -> [usize; 3] {
+        let mut sim = Simulation::builder()
+            .cluster(ClusterConfig::single_node(4))
+            .jobs(vec![two_stage_job(0), map_job(0, 8, 10)])
+            .build(Greedy)
+            .unwrap();
+        assert!(sim.run_until(SimTime::from_secs(5)), "run must be mid-way");
+        let mut views = sim.active_views.clone();
+        corrupt(&mut views);
+        let ctx = SchedContext::new(sim.now, 4, &views);
+        let plan = plan.iter().map(|&(job, n)| (JobId::new(job), n)).collect();
+        let mut report = InvariantReport::default();
+        report.audit_pass(&ctx, &plan, &sim.view_slot, &mut Vec::new());
+        [
+            InvariantKind::ViewSanity,
+            InvariantKind::PlanDiscipline,
+            InvariantKind::WorkConservation,
+        ]
+        .map(|kind| report.violations.iter().filter(|v| v.kind == kind).count())
+    }
+
+    #[test]
+    fn mutation_corrupted_view_is_caught() {
+        let audit = |corrupt: &dyn Fn(&mut [JobView])| audit_mid_run(corrupt, &[(0, 4)]);
+        assert_eq!(audit(&|_| {}), [0, 0, 0]);
+        assert_eq!(audit(&|v| v[0].stage_progress = 1.5), [1, 0, 0]);
+        assert_eq!(audit(&|v| v[0].stage_progress = f64::NAN), [1, 0, 0]);
+        assert_eq!(audit(&|v| v[1].remaining_tasks = 0), [1, 0, 0]);
+        let much = Service::from_container_secs(1e6);
+        assert_eq!(audit(&|v| v[0].attained_stage = much), [1, 0, 0]);
+        assert_eq!(audit(&|v| v[0].stage_index = 2), [1, 0, 0]);
+        assert_eq!(audit(&|v| v[0].held = 5), [1, 0, 0]);
+        // A second view of job 0, in job 1's slot.
+        let second = |v: &mut [JobView]| {
+            v[1] = JobView {
+                held: 0,
+                ..v[0].clone()
+            }
+        };
+        assert_eq!(audit(&second), [1, 0, 0]);
+    }
+
+    #[test]
+    fn mutation_undisciplined_plan_is_caught() {
+        let audit = |plan| audit_mid_run(|_| {}, plan);
+        // Every job its full demand: each within what it can use, the sum
+        // three times the cluster.
+        assert_eq!(audit(&[(0, 4), (1, 8)]), [0, 1, 0]);
+        assert_eq!(audit(&[(0, 4), (7, 0)]), [0, 1, 0], "an unknown job");
+        assert_eq!(audit(&[(0, 5)]), [0, 2, 0], "past demand and capacity");
+        assert_eq!(audit(&[(0, 9), (0, 4)]), [0, 0, 0], "the last entry wins");
+        // And from inside a run, under the scheduler that plans like the
+        // first: `NeedsOracle` hands every job its full demand.
+        let report = Simulation::builder()
+            .cluster(ClusterConfig::single_node(4))
+            .expose_oracle(true)
+            .check_invariants(true)
+            .jobs(vec![map_job(0, 8, 10), map_job(0, 8, 10)])
+            .build(NeedsOracle)
+            .unwrap()
+            .run();
+        let inv = report.invariants().expect("checking was enabled");
+        assert!(!inv.is_clean());
+        assert!(inv.violations.iter().all(|v| {
+            v.kind == InvariantKind::PlanDiscipline && v.detail.contains("of 4 containers")
+        }));
+    }
+
+    #[test]
+    fn mutation_lazy_plan_is_caught_as_laziness_only() {
+        assert_eq!(audit_mid_run(|_| {}, &[]), [0, 0, 1]);
+        assert_eq!(audit_mid_run(|_| {}, &[(0, 3)]), [0, 0, 1]);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! When a simulation is built with
 //! [`SimulationBuilder::check_invariants`](crate::SimulationBuilder::check_invariants),
-//! the engine audits its own state after every event batch and records any
-//! breach as an [`InvariantViolation`] instead of panicking. The checked
-//! invariants are the ones every later optimisation must preserve:
+//! the engine audits its own state after every event batch, and every
+//! scheduling pass between the scheduler's answer and its application, and
+//! records any breach as an [`InvariantViolation`] instead of panicking. The
+//! per-batch invariants are the ones every later optimisation must preserve:
 //!
 //! * **container conservation** — containers used cluster-wide equal the sum
 //!   of per-job holdings, and no node holds more than its capacity;
@@ -19,6 +20,21 @@
 //!   round-trips through JSON bit-identically (sampled, as it is the one
 //!   expensive check).
 //!
+//! The per-pass ones are the two promises the engine and a scheduler make
+//! each other, audited before the engine clamps and applies the plan:
+//!
+//! * **view sanity** — each job has one view, progress lies in `[0, 1]`,
+//!   remaining ≥ unstarted tasks, attained ≥ attained-in-stage service, the
+//!   stage index is within the job, and holdings sum to at most capacity;
+//! * **plan discipline** — the plan names only jobs it was shown, and its
+//!   final targets (last entry per job wins, as the engine applies them)
+//!   exceed neither a job's useful demand nor, summed, the cluster. The
+//!   engine *tolerates* a sloppy plan by clamping, which makes the plan's
+//!   priority order meaningless; the checker reports it;
+//! * **work conservation** — the final targets sum to all the capacity the
+//!   jobs could use. A class of its own, so a deliberately lazy policy's
+//!   report stays readable by class.
+//!
 //! Violations surface through
 //! [`SimulationReport::invariants`](crate::SimulationReport::invariants), so
 //! campaigns and the differential harness in `lasmq-verify` can fail a run
@@ -27,6 +43,8 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+
+use crate::sched::{AllocationPlan, SchedContext};
 
 /// At most this many violations are stored verbatim; further breaches only
 /// bump [`InvariantReport::violations_total`], so a systematically broken
@@ -46,6 +64,13 @@ pub enum InvariantKind {
     QueueConsistency,
     /// A live snapshot failed to round-trip through JSON bit-identically.
     SnapshotFidelity,
+    /// A pass showed the scheduler an inconsistent set of job views.
+    ViewSanity,
+    /// A plan named an unknown job, or its final targets exceeded a job's
+    /// useful demand or the cluster's capacity.
+    PlanDiscipline,
+    /// A plan left containers idle that the shown jobs could have used.
+    WorkConservation,
 }
 
 impl fmt::Display for InvariantKind {
@@ -56,6 +81,9 @@ impl fmt::Display for InvariantKind {
             InvariantKind::TaskAccounting => "task-accounting",
             InvariantKind::QueueConsistency => "queue-consistency",
             InvariantKind::SnapshotFidelity => "snapshot-fidelity",
+            InvariantKind::ViewSanity => "view-sanity",
+            InvariantKind::PlanDiscipline => "plan-discipline",
+            InvariantKind::WorkConservation => "work-conservation",
         };
         f.write_str(name)
     }
@@ -110,6 +138,103 @@ impl InvariantReport {
                 at_ms,
                 detail,
             });
+        }
+    }
+
+    /// Audits one scheduling pass: the views `ctx` showed the scheduler and
+    /// the `plan` it answered with, before the engine clamps and applies
+    /// it. `slot_of` maps a job index to its slot in `ctx.jobs()`
+    /// (anything else for a job without a view); `finals` is scratch for
+    /// the final target per slot, so a pass costs O(views + plan entries).
+    pub(crate) fn audit_pass(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        plan: &AllocationPlan,
+        slot_of: &[usize],
+        finals: &mut Vec<u32>,
+    ) {
+        use InvariantKind::{PlanDiscipline, ViewSanity, WorkConservation};
+        let at = ctx.now().as_millis();
+        let mut breach = |kind, detail: String| self.record(kind, at, detail);
+        let views = ctx.jobs();
+        let capacity = u64::from(ctx.total_containers());
+
+        // Final targets first: the last entry per job wins, as the engine
+        // applies the plan.
+        finals.clear();
+        finals.resize(views.len(), 0);
+        for &(id, target) in plan.entries() {
+            match slot_of
+                .get(id.index())
+                .and_then(|&slot| finals.get_mut(slot))
+            {
+                Some(last) => *last = target,
+                None => breach(PlanDiscipline, format!("plan references unknown {id}")),
+            }
+        }
+
+        let (mut held, mut demand, mut planned) = (0u64, 0u64, 0u64);
+        for (slot, (view, &target)) in views.iter().zip(finals.iter()).enumerate() {
+            let id = view.id;
+            if slot_of.get(id.index()) != Some(&slot) {
+                breach(
+                    ViewSanity,
+                    format!("{id}: a second view, or one at the wrong slot"),
+                );
+            }
+            let progress = view.stage_progress;
+            if !(0.0..=1.0).contains(&progress) {
+                breach(
+                    ViewSanity,
+                    format!("{id}: progress {progress} outside [0, 1]"),
+                );
+            }
+            let (remaining, unstarted) = (view.remaining_tasks, view.unstarted_tasks);
+            if remaining < unstarted {
+                breach(
+                    ViewSanity,
+                    format!("{id}: remaining {remaining} < unstarted {unstarted}"),
+                );
+            }
+            if view.attained.as_container_secs() + 1e-9 < view.attained_stage.as_container_secs() {
+                breach(ViewSanity, format!("{id}: stage service exceeds total"));
+            }
+            let (stage, stages) = (view.stage_index, view.stage_count);
+            if stage >= stages {
+                breach(
+                    ViewSanity,
+                    format!("{id}: stage index {stage} out of {stages}"),
+                );
+            }
+            let useful = view.max_useful_allocation();
+            if target > useful {
+                breach(
+                    PlanDiscipline,
+                    format!("{id}: target {target} exceeds useful demand {useful}"),
+                );
+            }
+            held += u64::from(view.held);
+            demand += u64::from(useful);
+            planned += u64::from(target);
+        }
+        if held > capacity {
+            breach(
+                ViewSanity,
+                format!("held containers {held} exceed capacity {capacity}"),
+            );
+        }
+        if planned > capacity {
+            breach(
+                PlanDiscipline,
+                format!("plan allocates {planned} of {capacity} containers"),
+            );
+        }
+        let usable = demand.min(capacity);
+        if planned < usable {
+            breach(
+                WorkConservation,
+                format!("not work-conserving: planned {planned} of {usable} usable"),
+            );
         }
     }
 }

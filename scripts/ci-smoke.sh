@@ -1,0 +1,189 @@
+#!/usr/bin/env bash
+# CI's end-to-end smoke steps over the one release build:
+#
+#   cargo build --offline --release --workspace && scripts/ci-smoke.sh
+#
+# Every step runs even after an earlier one has failed, a step · seconds ·
+# PASS/FAIL table closes the run, and the exit status is non-zero if any
+# failed. A step is a function, run in its own subshell under
+# `set -euo pipefail` so that its first failing command fails it.
+set -u
+cd "$(dirname "$0")/.."
+
+perf_smoke() {
+    # Facebook-scale engine throughput against the committed baseline
+    # (BENCH_5.json, re-recorded via scripts/record-bench.sh). The
+    # event count must match the baseline exactly — that part is
+    # hardware-independent determinism. The events/sec gate is wide
+    # (30%) so it catches algorithmic regressions, not runner noise;
+    # if CI hardware changes class, re-record the baseline.
+    ./target/release/perf-smoke --check BENCH_5.json
+}
+
+benchmark_harness() {
+    # The repo benchmark (BENCHMARK.json, benchmark/) is a package of
+    # its own built against this workspace's public API. The --quick
+    # run proves it still compiles and runs every workload after an
+    # API change (its output checks apply; the golden check and the
+    # numbers do not — a --quick run is not a measurement).
+    bash benchmark/run.sh --quick
+}
+
+engine_bit_identity() {
+    # Unlike --quick, a single-workload run applies benchmark/golden.tsv
+    # (event and pass counts, outcome digest) and exits non-zero on a
+    # mismatch: whatever an engine change did to speed, it may not
+    # move one simulated byte. zoo_campaign's golden covers all 13
+    # kinds plus the paper line-up on PUMA with failures and
+    # speculation. Three seconds each; the numbers these runs print
+    # are not a measurement.
+    for w in scale_wide fb_narrow uniform_batch zoo_campaign; do
+        bash benchmark/run.sh --workload "$w" --seconds 3
+    done
+}
+
+million_job_perf() {
+    # BENCH_7: one million heavy-tailed jobs on the 1,000-node x
+    # 8-container cluster (scripts/record-bench.sh re-records it).
+    # A single iteration — the run takes minutes — but the event
+    # count must still match the committed baseline exactly, and
+    # events/sec sits behind the same wide 30% gate as BENCH_5.
+    ./target/release/perf-smoke --trace scale --iters 1 --check BENCH_7.json
+}
+
+reproduction() {
+    ./target/release/repro --help
+    ./target/release/repro fig3 --quick --threads 2
+    ./target/release/repro fig3 --quick --threads 2   # warm cache
+    ./target/release/repro campaign-status
+}
+
+checkpoint_resume() {
+    # Kill a campaign mid-run, resume it from its on-disk checkpoints,
+    # and require the final artifacts to be byte-identical to an
+    # uninterrupted, uncached reference run.
+    rm -rf target/campaign-cache target/smoke-resume target/smoke-reference
+    timeout -s KILL 7 ./target/release/repro fig8 --threads 2 \
+        --checkpoint-every 1800 --out target/smoke-resume && \
+        echo "run finished before the kill (fast machine); determinism check still applies" || true
+    echo "after interrupt: $(ls target/campaign-cache/*.ckpt.json 2>/dev/null | wc -l) checkpoint(s), \
+        $(ls target/campaign-cache/ | grep -c 'manifest' || true) manifest(s)"
+    ./target/release/repro fig8 --threads 2 --checkpoint-every 1800 --resume \
+        --out target/smoke-resume
+    # Finished cells must clean their checkpoints up.
+    if ls target/campaign-cache/*.ckpt.json >/dev/null 2>&1; then
+        echo "stale checkpoint files survived the resumed run" >&2; exit 1
+    fi
+    ./target/release/repro fig8 --threads 2 --no-cache --out target/smoke-reference
+    diff -r target/smoke-resume target/smoke-reference
+    echo "resumed artifacts are byte-identical to the uninterrupted reference"
+}
+
+verify() {
+    # Differential oracle: one PUMA cell and one Facebook-trace cell,
+    # each run under all five schedulers through both the optimized
+    # engine (invariant checker armed) and the naive reference
+    # executor. Any trace divergence or invariant violation fails CI.
+    # Then a verified campaign run, which must leave tables identical.
+    ./target/release/verify-smoke
+    rm -rf target/verify-smoke-out target/verify-smoke-ref
+    ./target/release/repro fig3 --quick --threads 2 --no-cache --verify --out target/verify-smoke-out
+    ./target/release/repro fig3 --quick --threads 2 --no-cache --out target/verify-smoke-ref
+    diff -r target/verify-smoke-out target/verify-smoke-ref
+    echo "verified run artifacts are byte-identical to the unverified reference"
+}
+
+robustness() {
+    # The estimation-error campaign at --quick scale: the full
+    # 13-scheduler zoo (including the new FSP/HFSP/WFP3/UNICEF
+    # estimate-based schedulers) swept across a downscaled noise
+    # sigma × load grid on both traces with the invariant checker
+    # armed on every cell. The run must emit both the grid CSV and
+    # the LAS_MQ-vs-rival crossover CSV.
+    ./target/release/repro robustness --quick --threads 2 --no-cache --verify \
+        --out target/robustness-smoke
+    test -s target/robustness-smoke/robustness_0.csv
+    test -s target/robustness-smoke/robustness_1.csv
+    head -3 target/robustness-smoke/robustness_1.csv
+}
+
+env_training() {
+    # The policy-training stack end to end at smoke scale: a tiny
+    # cross-entropy run (2 rounds, population 8, downscaled PUMA via
+    # --quick) whose trained policy must beat FIFO's mean response on
+    # a held-out seed, the committed artifact re-evaluated through
+    # --policy (exercising the artifact loader), and a trace replayed
+    # under the committed policy. The env's determinism and
+    # invariant/differential gates run in the test suite
+    # (lasmq-env, ext_train and lasmq-verify tests).
+    ./target/release/repro train --quick --threads 2 --out target/env-smoke
+    python3 - <<'EOF'
+import csv, sys
+
+with open("target/env-smoke/ext_train_1.csv", newline="") as f:
+    rows = {r[0]: float(r[-1]) for r in list(csv.reader(f))[1:]}
+if not rows["LEARNED"] < rows["FIFO"]:
+    sys.exit(f"trained policy ({rows['LEARNED']}) must beat FIFO ({rows['FIFO']})")
+print(f"smoke-trained policy beats FIFO on held-out seed: {rows['LEARNED']} < {rows['FIFO']}")
+EOF
+    test -s target/env-smoke/learned-linear.v1.json
+    ./target/release/repro train --quick --threads 2 \
+        --policy policies/learned-linear.v1.json --out target/env-smoke-artifact
+    ./target/release/repro trace-gen puma --jobs 30 --out target/env-smoke.trace.json
+    ./target/release/repro trace-run target/env-smoke.trace.json \
+        --policy policies/learned-linear.v1.json
+}
+
+serve() {
+    # Daemon lifecycle end-to-end: replay half the 1k-job Facebook
+    # prefix open-loop, SIGTERM mid-trace (clean exit + final
+    # snapshot), restart with --resume, replay the rest, drain,
+    # query metrics, and shut down via the protocol verb.
+    sh scripts/serve-smoke.sh
+}
+
+telemetry() {
+    ./target/release/repro fig3 --quick --threads 2 --telemetry target/telemetry-smoke
+    python3 - <<'EOF'
+import csv, json, pathlib, sys
+
+root = pathlib.Path("target/telemetry-smoke")
+cells = sorted(p for p in root.iterdir() if p.is_dir())
+if not cells:
+    sys.exit("no telemetry cell directories were written")
+for cell in cells:
+    for name in ("samples.csv", "decisions.csv"):
+        with open(cell / name, newline="") as f:
+            rows = list(csv.reader(f))
+        if not rows or not rows[0][0] == "t_ms":
+            sys.exit(f"{cell / name}: missing t_ms header")
+    with open(cell / "summary.json") as f:
+        summary = json.load(f)
+    if summary["samples"] <= 0:
+        sys.exit(f"{cell}: summary reports no samples")
+print(f"telemetry artifacts OK for {len(cells)} cells")
+EOF
+}
+
+# In the order ci.yml ran them.
+steps=(perf_smoke benchmark_harness engine_bit_identity million_job_perf
+    reproduction checkpoint_resume verify robustness env_training serve telemetry)
+
+table=$(printf '%-20s %8s  %s' step seconds result)
+failed=0
+for step in "${steps[@]}"; do
+    echo "=== $step ==="
+    started=$SECONDS
+    # Not the condition of an `if`: bash ignores `set -e` inside one.
+    (set -euo pipefail; "$step")
+    if [ $? -eq 0 ]; then
+        result=PASS
+    else
+        result=FAIL
+        failed=1
+    fi
+    table+=$(printf '\n%-20s %8d  %s' "$step" $((SECONDS - started)) "$result")
+done
+
+printf '\n%s\n' "$table"
+exit "$failed"

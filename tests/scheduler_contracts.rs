@@ -1,71 +1,88 @@
-//! Every shipped scheduler must satisfy the engine's scheduling-pass
-//! contracts on every pass of a realistic workload — checked live by the
-//! simulator's `InvariantSpy` test kit.
+//! The scheduling-pass contracts — view sanity, plan discipline, work
+//! conservation, audited on every pass by the engine's armed invariant
+//! checker — for what needs the facade crate: the schedulers no
+//! `SchedulerKind` builds (LAS_MQ at the paper's defaults and in every
+//! configuration corner, the capacity-deployed LAS_MQ; the zoo itself is
+//! `crates/campaign/tests/zoo_contract.rs`), and every scheduler wrapper
+//! held to forwarding the whole trait.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lasmq::campaign::{SchedulerKind, SimSetup};
+use lasmq::campaign::SimSetup;
 use lasmq::core::{LasMq, LasMqConfig};
-use lasmq::simulator::testkit::{self, InvariantSpy};
+use lasmq::simulator::testkit;
 use lasmq::simulator::{
-    AllocationPlan, ClusterConfig, JobId, JobSpec, JobView, QueueDemotion, SchedContext, Scheduler,
-    Service, SimTime,
+    AllocationPlan, ClusterConfig, FailureConfig, JobId, JobSpec, JobView, QueueDemotion,
+    SchedContext, Scheduler, Service, SimTime, SpeculationConfig,
 };
 use lasmq::workload::{FacebookTrace, PumaWorkload};
 use lasmq::yarn::{CapacityController, CapacityGranularity};
 
-fn check(jobs: Vec<JobSpec>, cluster: ClusterConfig, scheduler: impl Scheduler, oracle: bool) {
-    // The spy panics on the first contract violation.
-    let spy = InvariantSpy::new(scheduler).check_work_conservation(true);
-    let report = SimSetup::trace_sim()
-        .cluster(cluster)
-        .build_simulation_with(jobs, spy, oracle)
+fn check(setup: &SimSetup, jobs: &[JobSpec], scheduler: impl Scheduler) {
+    let report = setup
+        .clone()
+        .check_invariants(true)
+        .build_simulation_with(jobs.to_vec(), scheduler, false)
         .run();
-    assert!(
-        report.all_completed(),
-        "{} left jobs unfinished",
-        report.scheduler()
+    let who = report.scheduler();
+    assert!(report.all_completed(), "{who} left jobs unfinished");
+    let invariants = report.invariants().expect("the checker was armed");
+    assert!(invariants.is_clean(), "{who}: {invariants}");
+}
+
+fn check_paper_defaults_and_capacity_deployment(setup: &SimSetup, jobs: &[JobSpec]) {
+    check(setup, jobs, LasMq::with_paper_defaults());
+    check(
+        setup,
+        jobs,
+        CapacityController::new(
+            LasMq::with_paper_defaults(),
+            CapacityGranularity::WholePercent,
+        ),
     );
 }
 
-/// Every kind in the zoo, so a new `SchedulerKind` variant cannot dodge
-/// the spy. All thirteen are work-conserving, so none is exempt from that
-/// check.
-fn check_zoo(jobs: &[JobSpec], cluster: ClusterConfig) {
-    for kind in SchedulerKind::zoo() {
-        check(jobs.to_vec(), cluster, kind.build(), kind.requires_oracle());
-    }
+/// `zoo_contract.rs`'s faulty testbed: PUMA on 4 × 30 under the admission
+/// cap, with task failures and speculative copies (some sixty and ninety
+/// over twelve jobs). An armed run's cost grows with the square of the job
+/// count, and this suite runs on every `cargo test`.
+fn faulty_testbed() -> (SimSetup, Vec<JobSpec>) {
+    let setup = SimSetup::testbed()
+        .failures(FailureConfig::with_probability(0.02, 11))
+        .speculation(SpeculationConfig::enabled(3, 1.5));
+    (setup, PumaWorkload::new().jobs(12).seed(9).generate())
 }
 
 #[test]
 fn all_schedulers_honour_the_contracts_on_the_trace() {
-    let jobs = FacebookTrace::new().jobs(400).seed(8).generate();
-    check_zoo(&jobs, ClusterConfig::single_node(100));
+    for jobs in [
+        FacebookTrace::new().jobs(60).seed(5).generate(),
+        FacebookTrace::new().jobs(400).seed(8).generate(),
+    ] {
+        check_paper_defaults_and_capacity_deployment(&SimSetup::trace_sim(), &jobs);
+    }
 }
 
 #[test]
 fn all_schedulers_honour_the_contracts_on_puma() {
     let jobs = PumaWorkload::new().jobs(25).seed(9).generate();
-    let cluster = ClusterConfig::new(4, 30);
-    check_zoo(&jobs, cluster);
-    check(jobs.clone(), cluster, LasMq::with_paper_defaults(), false);
-    check(
-        jobs,
-        cluster,
-        CapacityController::new(
-            LasMq::with_paper_defaults(),
-            CapacityGranularity::WholePercent,
-        ),
-        false,
-    );
+    let four_by_thirty = SimSetup::trace_sim().cluster(ClusterConfig::new(4, 30));
+    check_paper_defaults_and_capacity_deployment(&four_by_thirty, &jobs);
+    let (setup, jobs) = faulty_testbed();
+    check_paper_defaults_and_capacity_deployment(&setup, &jobs);
 }
 
 #[test]
 fn lasmq_honours_the_contracts_in_every_configuration_corner() {
     use lasmq::core::{QueueOrdering, QueueSharing, QueueWeights};
-    let jobs = FacebookTrace::new().jobs(200).seed(10).generate();
-    let cluster = ClusterConfig::single_node(50);
+    let inputs = [
+        (
+            SimSetup::trace_sim().cluster(ClusterConfig::single_node(50)),
+            FacebookTrace::new().jobs(200).seed(10).generate(),
+        ),
+        faulty_testbed(),
+    ];
     for k in [1, 3, 10] {
         for sharing in [QueueSharing::Weighted, QueueSharing::StrictPriority] {
             for ordering in [QueueOrdering::RemainingDemand, QueueOrdering::Fifo] {
@@ -74,7 +91,9 @@ fn lasmq_honours_the_contracts_in_every_configuration_corner() {
                     .with_sharing(sharing)
                     .with_ordering(ordering)
                     .with_weights(QueueWeights::Geometric { ratio: 3.0 });
-                check(jobs.clone(), cluster, LasMq::new(config), false);
+                for (setup, jobs) in &inputs {
+                    check(setup, jobs, LasMq::new(config.clone()));
+                }
             }
         }
     }
@@ -221,7 +240,6 @@ fn wrappers_forward_every_scheduler_method() {
     assert_forwards("Box<dyn>", |probe| -> Box<dyn Scheduler> {
         Box::new(probe)
     });
-    assert_forwards("InvariantSpy", InvariantSpy::new);
     assert_forwards("CapacityController", |probe| {
         CapacityController::new(probe, CapacityGranularity::Exact)
     });
