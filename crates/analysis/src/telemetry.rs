@@ -9,7 +9,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use lasmq_simulator::{DecisionEvent, Telemetry};
+use lasmq_simulator::{SimEvent, Telemetry};
 
 /// Aggregates of one run's telemetry. Build with
 /// [`TelemetrySummary::from_telemetry`].
@@ -85,7 +85,7 @@ impl TelemetrySummary {
 
         for d in telemetry.decisions() {
             match *d {
-                DecisionEvent::JobDemoted { to_queue, .. } => {
+                SimEvent::JobDemoted { to_queue, .. } => {
                     let to = to_queue as usize;
                     if to >= s.demotions_per_level.len() {
                         s.demotions_per_level.resize(to + 1, 0);
@@ -93,12 +93,12 @@ impl TelemetrySummary {
                     s.demotions_per_level[to] += 1;
                     s.total_demotions += 1;
                 }
-                DecisionEvent::TaskPreempted { .. } => s.preemption_kills += 1,
-                DecisionEvent::SpeculativeLaunched { .. } => s.speculative_launched += 1,
-                DecisionEvent::SpeculativeWon { .. } => s.speculative_won += 1,
-                DecisionEvent::AdmissionDeferred { .. } => s.admission_deferrals += 1,
-                DecisionEvent::AdmissionAccepted { .. } => s.admission_accepts += 1,
-                // DecisionEvent is non_exhaustive; ignore future variants.
+                SimEvent::TaskKilled { .. } => s.preemption_kills += 1,
+                SimEvent::SpeculativeLaunched { .. } => s.speculative_launched += 1,
+                SimEvent::SpeculativeWon { .. } => s.speculative_won += 1,
+                SimEvent::AdmissionDeferred { .. } => s.admission_deferrals += 1,
+                SimEvent::JobAdmitted { .. } => s.admission_accepts += 1,
+                // The log holds decisions only, and SimEvent is non_exhaustive.
                 _ => {}
             }
         }
@@ -131,7 +131,7 @@ impl fmt::Display for TelemetrySummary {
 mod tests {
     use super::*;
     use lasmq_simulator::{
-        JobId, Service, SimDuration, SimTime, TaskId, Telemetry, TelemetrySample,
+        JobId, Service, SimDuration, SimTime, StageId, TaskId, Telemetry, TelemetrySample,
     };
 
     fn sample(at_secs: u64, used: u32, waiting: u32, depths: &[u32]) -> TelemetrySample {
@@ -171,17 +171,18 @@ mod tests {
     #[test]
     fn decision_tallies() {
         let job = JobId::new(0);
+        let stage = StageId::new(0);
         let task = TaskId::new(0);
         let at = SimTime::ZERO;
         let mut t = Telemetry::new();
-        t.push_decision(DecisionEvent::AdmissionAccepted {
+        t.record(SimEvent::JobAdmitted {
             job,
             waited: SimDuration::ZERO,
             at,
         });
-        t.push_decision(DecisionEvent::AdmissionDeferred { job, at });
+        t.record(SimEvent::AdmissionDeferred { job, at });
         for to_queue in [1, 1, 3] {
-            t.push_decision(DecisionEvent::JobDemoted {
+            t.record(SimEvent::JobDemoted {
                 job,
                 from_queue: 0,
                 to_queue,
@@ -189,9 +190,24 @@ mod tests {
                 at,
             });
         }
-        t.push_decision(DecisionEvent::TaskPreempted { job, task, at });
-        t.push_decision(DecisionEvent::SpeculativeLaunched { job, task, at });
-        t.push_decision(DecisionEvent::SpeculativeWon { job, task, at });
+        t.record(SimEvent::TaskKilled {
+            job,
+            stage,
+            task,
+            at,
+        });
+        t.record(SimEvent::SpeculativeLaunched {
+            job,
+            stage,
+            task,
+            at,
+        });
+        t.record(SimEvent::SpeculativeWon {
+            job,
+            stage,
+            task,
+            at,
+        });
         let s = TelemetrySummary::from_telemetry(&t);
         assert_eq!(s.total_demotions, 3);
         assert_eq!(s.demotions_per_level, vec![0, 2, 0, 1]);

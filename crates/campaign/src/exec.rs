@@ -1,13 +1,12 @@
-//! The campaign executor: a sharded work-stealing thread pool over run
-//! cells.
+//! The campaign executor: run cells on the workspace's one worker pool.
 //!
-//! Cells are claimed from a shared atomic index — a worker that draws a
-//! cache hit (milliseconds) immediately claims the next cell while
-//! another worker is still simulating, so the pool load-balances without
-//! any queue structure. Results land in per-cell slots, so
-//! [`CampaignResult::reports`] is always in declaration order and the
-//! output of a campaign is **bit-identical regardless of worker count or
-//! cache state**: each cell's simulation is single-threaded and
+//! Cells run on [`map_parallel`], claimed from a shared atomic index — a
+//! worker that draws a cache hit (milliseconds) immediately claims the
+//! next cell while another worker is still simulating, so the pool
+//! load-balances without any queue structure. Results come back in index
+//! order, so [`CampaignResult::reports`] is always in declaration order
+//! and the output of a campaign is **bit-identical regardless of worker
+//! count or cache state**: each cell's simulation is single-threaded and
 //! deterministic, the cache round-trips reports losslessly, and nothing
 //! about scheduling order can leak into the results.
 //!
@@ -28,13 +27,14 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use lasmq_simulator::{Scheduler, SimDuration, Simulation, SimulationReport};
 
 use crate::cache::{CheckpointError, ResultCache, DEFAULT_CACHE_DIR};
 use crate::manifest::Manifest;
+use crate::pool::map_parallel;
 use crate::run::RunCell;
 use crate::setup::SimSetup;
 
@@ -322,59 +322,43 @@ impl Campaign {
         }
         let threads = opts.resolved_threads(total);
 
-        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let hits = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Result<SimulationReport, String>>> =
-            (0..total).map(|_| OnceLock::new()).collect();
         let progress = Mutex::new(Progress::new(start));
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let key = &keys[i];
-                    // A panicking cell (malformed job list, scheduler
-                    // bug) must not unwind through the pool: it would
-                    // poison the progress mutex, cascade panics through
-                    // every other worker's `lock()`, and destroy the
-                    // whole campaign's in-flight work. Catch it, record
-                    // it, keep draining cells.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        self.execute_cell(cell, key, cache.as_ref(), opts, &hits)
-                    }))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                    slots[i]
-                        .set(outcome)
-                        .expect("each cell index is claimed once");
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if opts.progress {
-                        // A mutex poisoned by a pre-fix panic path would
-                        // still hold a usable Progress; never cascade.
-                        progress
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .tick(
-                                &self.name,
-                                &cell.label,
-                                completed,
-                                total,
-                                hits.load(Ordering::Relaxed),
-                                threads,
-                            );
-                    }
-                });
+        let outcomes = map_parallel(threads, total, |i| {
+            let cell = &cells[i];
+            // A panicking cell (malformed job list, scheduler bug) must not
+            // unwind through the pool: it would poison the progress mutex,
+            // cascade panics through every other worker's `lock()`, and
+            // destroy the whole campaign's in-flight work. Catch it, record
+            // it, keep draining cells.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.execute_cell(cell, &keys[i], cache.as_ref(), opts, &hits)
+            }))
+            .map_err(|payload| panic_message(payload.as_ref()));
+            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if opts.progress {
+                // A mutex poisoned by a pre-fix panic path would still hold
+                // a usable Progress; never cascade.
+                progress
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .tick(
+                        &self.name,
+                        &cell.label,
+                        completed,
+                        total,
+                        hits.load(Ordering::Relaxed),
+                        threads,
+                    );
             }
+            outcome
         });
 
         let mut reports = Vec::with_capacity(total);
         let mut failures = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().expect("every cell produced an outcome") {
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
                 Ok(report) => reports.push(report),
                 Err(message) => failures.push(CellFailure {
                     index: i,

@@ -1,12 +1,12 @@
-//! A minimal deterministic fan-out helper: the campaign executor's
-//! worker-pool core (shared atomic claim index, per-slot `OnceLock`
-//! results) without the cells, cache or progress machinery.
+//! The workspace's one worker pool: a minimal deterministic fan-out
+//! (shared atomic claim index, per-slot `OnceLock` results).
 //!
-//! Callers that are not campaigns — the policy trainer's fork-parallel
-//! candidate evaluation, the env's N-way rollouts — need exactly this
-//! much: run `f(0..count)` on up to `threads` workers and get the results
-//! back **in index order**, so the output is bit-identical regardless of
-//! worker count.
+//! The campaign executor runs its cells on it (panic capture, caching and
+//! progress live in the closure it passes), and so do the policy
+//! trainer's fork-parallel candidate evaluation and the env's N-way
+//! rollouts: run `f(0..count)` on up to `threads` workers and get the
+//! results back **in index order**, so the output is bit-identical
+//! regardless of worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

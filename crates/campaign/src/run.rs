@@ -21,7 +21,10 @@ use crate::workload::WorkloadSpec;
 ///
 /// v5: setups lost the pass-mode and event-queue-backend switches (one
 /// engine path), so v4 cell descriptions no longer match.
-pub const CACHE_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: telemetry's decision log is a journal of `SimEvent`s, so v5
+/// telemetry-bearing reports no longer parse.
+pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// One unit of campaign work: run `workload` under `scheduler` in
 /// `setup`.

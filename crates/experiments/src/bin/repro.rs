@@ -231,8 +231,8 @@ fn main() -> ExitCode {
     // Trace and status subcommands take their own argument shapes.
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("trace-gen") => return trace_gen(&argv[1..]),
-        Some("trace-run") => return trace_run(&argv[1..]),
+        Some("trace-gen") => return exit_code(trace_gen(&argv[1..])),
+        Some("trace-run") => return exit_code(trace_run(&argv[1..])),
         Some("campaign-status") => return campaign_status(),
         _ => {}
     }
@@ -478,27 +478,48 @@ fn campaign_status() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Prints a subcommand's error, if any, and maps it to the exit status.
+fn exit_code(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-fn trace_gen(args: &[String]) -> ExitCode {
-    let Some(kind) = args.first() else {
-        eprintln!(
-            "usage: repro trace-gen <facebook|uniform|puma> [--jobs N] [--seed S] [--out FILE]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let jobs: usize = flag_value(args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000);
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let out = PathBuf::from(flag_value(args, "--out").unwrap_or("trace.json"));
+/// The value following `flag`, if the flag is given at all.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{flag} needs a value")),
+    }
+}
+
+/// `flag`'s value as an integer, or `default` when the flag is absent.
+fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    match flag_value(args, flag)? {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{flag} needs a non-negative integer, got '{v}'")),
+    }
+}
+
+fn trace_gen(args: &[String]) -> Result<(), String> {
+    let kind = args.first().ok_or(
+        "usage: repro trace-gen <facebook|uniform|puma> [--jobs N] [--seed S] [--out FILE]",
+    )?;
+    let jobs: usize = int_flag(args, "--jobs", 1_000)?;
+    if jobs == 0 {
+        return Err("--jobs needs at least one job, got '0'".into());
+    }
+    let seed: u64 = int_flag(args, "--seed", 42)?;
+    let out = PathBuf::from(flag_value(args, "--out")?.unwrap_or("trace.json"));
     let (name, specs) = match kind.as_str() {
         "facebook" => (
             format!("facebook-synthetic-{jobs}-seed{seed}"),
@@ -513,16 +534,16 @@ fn trace_gen(args: &[String]) -> ExitCode {
             PumaWorkload::new().jobs(jobs).seed(seed).generate(),
         ),
         other => {
-            eprintln!("unknown trace kind '{other}' (expected facebook, uniform or puma)");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "unknown trace kind '{other}' (expected facebook, uniform or puma)"
+            ))
         }
     };
     let trace = Trace::new(name, specs);
     let summary = trace.summary();
-    if let Err(e) = trace.save(&out) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    trace
+        .save(&out)
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(
         "wrote '{}' to {}: {} jobs, mean size {:.1} c·s, max {:.0} c·s",
         trace.name(),
@@ -531,45 +552,35 @@ fn trace_gen(args: &[String]) -> ExitCode {
         summary.mean_size,
         summary.max_size,
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn trace_run(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("usage: repro trace-run <FILE> [--scheduler NAME] [--containers N]");
-        return ExitCode::FAILURE;
-    };
-    let trace = match Trace::load(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot load {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let kind: SchedulerKind = match flag_value(args, "--policy") {
+fn trace_run(args: &[String]) -> Result<(), String> {
+    let path = args
+        .first()
+        .ok_or("usage: repro trace-run <FILE> [--scheduler NAME] [--containers N]")?;
+    let trace = Trace::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let kind: SchedulerKind = match flag_value(args, "--policy")? {
         // A policy file implies the learned scheduler with those weights.
-        Some(path) => match std::fs::read_to_string(path)
+        Some(path) => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path}: {e}"))
             .and_then(|json| LinearPolicy::from_json(&json))
-        {
-            Ok(policy) => SchedulerKind::Learned(policy),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match flag_value(args, "--scheduler").unwrap_or("las_mq").parse() {
-            Ok(k) => k,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        },
+            .map(SchedulerKind::Learned)?,
+        None => flag_value(args, "--scheduler")?
+            .unwrap_or("las_mq")
+            .parse::<SchedulerKind>()
+            .map_err(|e| e.to_string())?,
     };
-    let containers: u32 = flag_value(args, "--containers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    let setup = SimSetup::trace_sim().cluster(ClusterConfig::single_node(containers));
+    let containers: u32 = int_flag(args, "--containers", 100)?;
+    let cluster = ClusterConfig::single_node(containers);
+    cluster
+        .validate()
+        .map_err(|e| format!("--containers {containers}: {e}"))?;
+    for (i, job) in trace.jobs().iter().enumerate() {
+        job.validate(cluster.total_containers())
+            .map_err(|e| format!("job {i} of {path}: {e}"))?;
+    }
+    let setup = SimSetup::trace_sim().cluster(cluster);
     let name = trace.name().to_string();
     let count = trace.jobs().len();
     let start = Instant::now();
@@ -588,7 +599,7 @@ fn trace_run(args: &[String]) -> ExitCode {
         report.mean_slowdown().unwrap_or(f64::NAN),
         report.stats().mean_utilization * 100.0,
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Runs one figure (the closure builds its tables, which is where the

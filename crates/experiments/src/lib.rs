@@ -10,16 +10,16 @@
 //! | [`fig7`] | Fig. 7 — heavy-tailed vs uniform size distributions |
 //! | [`fig8`] | Fig. 8 — sensitivity to queue count and first threshold |
 //!
-//! Three extension experiments go beyond the paper's figures:
+//! Extension experiments go beyond the paper's figures:
 //! [`ext_estimation`] (the price of bad size estimates, §II),
 //! [`ext_robustness`] (failures and slow nodes, plus the
 //! estimation-error campaign: the full scheduler zoo swept across
 //! size-noise sigma × offered load — `repro robustness`), [`ext_fairness`]
-//! (the §VII fairness knob) and [`ext_geo`] (the §VII geo-distributed
-//! direction: inter-datacenter shuffle transfers) and [`ext_load`] (load
-//! and admission-cap sweeps) and [`ext_warmstart`] (warm-state what-if
-//! forking: one snapshot, every lineup scheduler). [`autotune`] searches
-//! the (k, α₁, p) grid empirically.
+//! (the §VII fairness knob), [`ext_geo`] (the §VII geo-distributed
+//! direction: inter-datacenter shuffle transfers), [`ext_load`] (load
+//! and admission-cap sweeps), [`ext_warmstart`] (warm-state what-if
+//! forking: one snapshot, every lineup scheduler) and [`ext_train`] (the
+//! cross-entropy policy trainer — `repro train`).
 //!
 //! Each module exposes `run(&Scale) -> …Result` returning plain data plus
 //! paper-style [`table::TextTable`]s; the `repro` binary drives them all
@@ -40,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod autotune;
 pub mod ext_estimation;
 pub mod ext_fairness;
 pub mod ext_geo;

@@ -1,6 +1,8 @@
 //! CLI surface checks for the `repro` binary: the help text must exit
-//! cleanly and advertise the checkpoint/resume/fork-compare surface, and
-//! flag misuse must fail with a pointer to the usage.
+//! cleanly and advertise the checkpoint/resume/fork-compare surface, flag
+//! misuse must fail with a pointer to the usage, and the trace subcommands
+//! must turn malformed numbers, unusable clusters and unfit jobs into a
+//! one-line error with exit status 1.
 
 use std::process::Command;
 
@@ -71,4 +73,60 @@ fn unknown_experiment_names_fail_fast() {
     assert!(!out.status.success());
     let text = String::from_utf8(out.stderr).expect("error is utf-8");
     assert!(text.contains("unknown experiment"), "got:\n{text}");
+}
+
+#[test]
+fn trace_gen_rejects_malformed_numbers() {
+    let out_file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("never-written.json");
+    for (flag, bad) in [("--jobs", "lots"), ("--jobs", "0"), ("--seed", "x")] {
+        let out = repro(&[
+            "trace-gen",
+            "facebook",
+            flag,
+            bad,
+            "--out",
+            out_file.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag} '{bad}' must exit 1");
+        let text = String::from_utf8(out.stderr).expect("error is utf-8");
+        assert!(text.contains(flag), "got:\n{text}");
+        assert_eq!(text.lines().count(), 1, "one-line error, got:\n{text}");
+    }
+    assert!(!out_file.exists(), "a rejected trace-gen wrote its output");
+}
+
+#[test]
+fn trace_run_rejects_bad_clusters_and_numbers() {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("puma-cli.json");
+    let trace = trace.to_str().unwrap();
+    let gen = repro(&[
+        "trace-gen",
+        "puma",
+        "--jobs",
+        "5",
+        "--seed",
+        "3",
+        "--out",
+        trace,
+    ]);
+    assert!(gen.status.success());
+    // PUMA reduce tasks are two containers wide, so one container is too
+    // narrow for them.
+    for (containers, needle) in [
+        ("0", "--containers"),
+        ("abc", "--containers"),
+        ("1", "job "),
+    ] {
+        let out = repro(&["trace-run", trace, "--containers", containers]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--containers {containers} must exit 1"
+        );
+        let text = String::from_utf8(out.stderr).expect("error is utf-8");
+        assert!(text.contains(needle), "got:\n{text}");
+        assert_eq!(text.lines().count(), 1, "one-line error, got:\n{text}");
+    }
+    let ok = repro(&["trace-run", trace, "--containers", "4"]);
+    assert!(ok.status.success());
 }

@@ -37,7 +37,7 @@ use crate::journal::{Journal, SimEvent};
 use crate::metrics::{EngineStats, JobOutcome, SimulationReport};
 use crate::sched::{AllocationPlan, JobView, OracleInfo, SchedContext, Scheduler};
 use crate::snapshot::{SimSnapshot, SNAPSHOT_SCHEMA_VERSION};
-use crate::telemetry::{DecisionEvent, Telemetry, TelemetrySample};
+use crate::telemetry::{Telemetry, TelemetrySample};
 use crate::time::{Service, SimDuration, SimTime};
 
 /// How the engine reclaims containers from jobs whose allocation target
@@ -1743,8 +1743,8 @@ impl<S: Scheduler> Simulation<S> {
         self.record(SimEvent::JobSubmitted { job, at: self.now });
         if self.admission.offer(job).is_some() {
             self.admit(job);
-        } else if let Some(tel) = &mut self.telemetry {
-            tel.push_decision(DecisionEvent::AdmissionDeferred { job, at: self.now });
+        } else {
+            self.record(SimEvent::AdmissionDeferred { job, at: self.now });
         }
     }
 
@@ -1765,15 +1765,11 @@ impl<S: Scheduler> Simulation<S> {
             }
         }
         self.admitted.push(id);
-        self.record(SimEvent::JobAdmitted { job: id, at: now });
-        if let Some(tel) = &mut self.telemetry {
-            let waited = now.saturating_since(self.jobs.specs[id.index()].arrival());
-            tel.push_decision(DecisionEvent::AdmissionAccepted {
-                job: id,
-                waited,
-                at: now,
-            });
-        }
+        self.record(SimEvent::JobAdmitted {
+            job: id,
+            waited: now.saturating_since(self.jobs.specs[id.index()].arrival()),
+            at: now,
+        });
         let view = self.build_view(id);
         self.scheduler.on_job_admitted(&view, now);
         // Enter the view cache dirty: the view is re-derived at pass time,
@@ -2038,9 +2034,14 @@ impl<S: Scheduler> Simulation<S> {
         self.jobs.core[id.index()].accrue(self.now);
     }
 
+    /// The engine's one event sink: every transition goes to the journal
+    /// and, if it is a decision, to telemetry's decision log.
     fn record(&mut self, event: SimEvent) {
         if let Some(journal) = &mut self.journal {
             journal.push(event);
+        }
+        if let Some(tel) = &mut self.telemetry {
+            tel.record(event);
         }
     }
 
@@ -2248,17 +2249,14 @@ impl<S: Scheduler> Simulation<S> {
 
         // Always drain so schedulers that buffer demotions never accumulate
         // them unboundedly; recording them is the cheap part.
-        let demotions = self.scheduler.drain_demotions();
-        if let Some(tel) = &mut self.telemetry {
-            for d in demotions {
-                tel.push_decision(DecisionEvent::JobDemoted {
-                    job: d.job,
-                    from_queue: d.from_queue,
-                    to_queue: d.to_queue,
-                    effective: d.effective,
-                    at: self.now,
-                });
-            }
+        for d in self.scheduler.drain_demotions() {
+            self.record(SimEvent::JobDemoted {
+                job: d.job,
+                from_queue: d.from_queue,
+                to_queue: d.to_queue,
+                effective: d.effective,
+                at: self.now,
+            });
         }
 
         // Apply the plan (last entry wins; clamp to useful demand). Jobs
@@ -2355,13 +2353,6 @@ impl<S: Scheduler> Simulation<S> {
                     task: killed_task,
                     at: self.now,
                 });
-                if let Some(tel) = &mut self.telemetry {
-                    tel.push_decision(DecisionEvent::TaskPreempted {
-                        job: id,
-                        task: killed_task,
-                        at: self.now,
-                    });
-                }
             }
         }
     }
@@ -2408,25 +2399,11 @@ impl<S: Scheduler> Simulation<S> {
                 running.spec_copy = Some(SpecCopy { node, containers });
                 core.held += containers;
                 self.stats.speculative_launched += 1;
-                let spec_task_id = TaskId::new(running.task_idx as u32);
-                let spec_stage = StageId::new(core.stage_index as u16);
+                let stage = StageId::new(core.stage_index as u16);
+                let task = TaskId::new(running.task_idx as u32);
                 let copy_finish = now + median;
-                if let Some(journal) = &mut self.journal {
-                    journal.push(SimEvent::SpeculativeLaunched {
-                        job: id,
-                        stage: spec_stage,
-                        task: spec_task_id,
-                        at: now,
-                    });
-                }
-                if let Some(tel) = &mut self.telemetry {
-                    tel.push_decision(DecisionEvent::SpeculativeLaunched {
-                        job: id,
-                        task: spec_task_id,
-                        at: now,
-                    });
-                }
-                if copy_finish < running.finish {
+                let won = copy_finish < running.finish;
+                if won {
                     // The restarted copy wins: supersede the original
                     // attempt and finish earlier.
                     let attempt = core.attempt_counter;
@@ -2434,8 +2411,6 @@ impl<S: Scheduler> Simulation<S> {
                     running.attempt = attempt;
                     running.finish = copy_finish;
                     running.will_fail = false;
-                    let stage = StageId::new(core.stage_index as u16);
-                    let task = TaskId::new(running.task_idx as u32);
                     self.events.push(
                         copy_finish,
                         Event::TaskFinish {
@@ -2446,13 +2421,20 @@ impl<S: Scheduler> Simulation<S> {
                         },
                     );
                     self.stats.speculative_won += 1;
-                    if let Some(tel) = &mut self.telemetry {
-                        tel.push_decision(DecisionEvent::SpeculativeWon {
-                            job: id,
-                            task,
-                            at: now,
-                        });
-                    }
+                }
+                self.record(SimEvent::SpeculativeLaunched {
+                    job: id,
+                    stage,
+                    task,
+                    at: now,
+                });
+                if won {
+                    self.record(SimEvent::SpeculativeWon {
+                        job: id,
+                        stage,
+                        task,
+                        at: now,
+                    });
                 }
             }
         }
@@ -3175,7 +3157,7 @@ mod tests {
 
     #[test]
     fn telemetry_records_samples_and_admission_decisions() {
-        use crate::telemetry::DecisionEvent as D;
+        use crate::journal::SimEvent as E;
         let report = Simulation::builder()
             .cluster(ClusterConfig::single_node(4))
             .admission_limit(1)
@@ -3196,19 +3178,19 @@ mod tests {
         }
         // Job 1 is deferred behind the admission cap, then admitted when
         // job 0 finishes at t=10.
+        let decisions = tel.decisions();
         assert_eq!(
-            tel.count_decisions_where(|d| matches!(d, D::AdmissionDeferred { .. })),
+            decisions.count_where(|d| matches!(d, E::AdmissionDeferred { .. })),
             1
         );
         assert_eq!(
-            tel.count_decisions_where(|d| matches!(d, D::AdmissionAccepted { .. })),
+            decisions.count_where(|d| matches!(d, E::JobAdmitted { .. })),
             2
         );
-        let waited: Vec<SimDuration> = tel
-            .decisions()
-            .iter()
+        let waited: Vec<SimDuration> = decisions
+            .into_iter()
             .filter_map(|d| match *d {
-                D::AdmissionAccepted { waited, .. } => Some(waited),
+                E::JobAdmitted { waited, .. } => Some(waited),
                 _ => None,
             })
             .collect();
@@ -3219,7 +3201,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_preemption_kills() {
-        use crate::telemetry::DecisionEvent as D;
+        use crate::journal::SimEvent as E;
         let report = Simulation::builder()
             .cluster(ClusterConfig::single_node(2))
             .preemption(PreemptionPolicy::Kill)
@@ -3229,14 +3211,16 @@ mod tests {
             .unwrap()
             .run();
         let tel = report.telemetry().unwrap();
-        let kills = tel.count_decisions_where(|d| matches!(d, D::TaskPreempted { .. }));
+        let kills = tel
+            .decisions()
+            .count_where(|d| matches!(d, E::TaskKilled { .. }));
         assert_eq!(kills as u64, report.stats().tasks_killed);
         assert!(kills > 0);
     }
 
     #[test]
     fn telemetry_counts_speculation() {
-        use crate::telemetry::DecisionEvent as D;
+        use crate::journal::SimEvent as E;
         let stage = StageSpec::new(
             StageKind::Map,
             vec![
@@ -3255,8 +3239,9 @@ mod tests {
             .unwrap()
             .run();
         let tel = report.telemetry().unwrap();
-        let launched = tel.count_decisions_where(|d| matches!(d, D::SpeculativeLaunched { .. }));
-        let won = tel.count_decisions_where(|d| matches!(d, D::SpeculativeWon { .. }));
+        let decisions = tel.decisions();
+        let launched = decisions.count_where(|d| matches!(d, E::SpeculativeLaunched { .. }));
+        let won = decisions.count_where(|d| matches!(d, E::SpeculativeWon { .. }));
         assert_eq!(launched as u64, report.stats().speculative_launched);
         assert_eq!(won as u64, report.stats().speculative_won);
         assert!(won >= 1);
@@ -3264,7 +3249,8 @@ mod tests {
 
     #[test]
     fn telemetry_plumbs_scheduler_queue_state() {
-        use crate::telemetry::{DecisionEvent as D, QueueDemotion};
+        use crate::journal::SimEvent as E;
+        use crate::telemetry::QueueDemotion;
         /// Greedy allocation plus a fake two-queue structure that demotes
         /// every job once, to exercise the trait plumbing end to end.
         struct FakeMlq {
@@ -3314,11 +3300,94 @@ mod tests {
             .run();
         let tel = report.telemetry().unwrap();
         assert_eq!(
-            tel.count_decisions_where(|d| matches!(d, D::JobDemoted { .. })),
+            tel.decisions()
+                .count_where(|d| matches!(d, E::JobDemoted { .. })),
             2
         );
         assert!(tel.samples().iter().all(|s| s.queue_depths.len() == 2));
         assert_eq!(tel.queue_columns(), 2);
+    }
+
+    #[test]
+    fn telemetry_decisions_are_the_journal_filtered_by_tag() {
+        use crate::journal::SimEvent as E;
+        use crate::telemetry::QueueDemotion;
+        /// Newest-first (so `Kill` preempts older jobs) that demotes every
+        /// job once, the first time it sees it.
+        struct DemotingNewestFirst {
+            seen: Vec<JobId>,
+            pending: Vec<QueueDemotion>,
+        }
+        impl Scheduler for DemotingNewestFirst {
+            fn name(&self) -> &str {
+                "demoting-newest-first"
+            }
+            fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+                for j in ctx.jobs() {
+                    if !self.seen.contains(&j.id) {
+                        self.seen.push(j.id);
+                        self.pending.push(QueueDemotion {
+                            job: j.id,
+                            from_queue: 0,
+                            to_queue: 1,
+                            effective: j.attained,
+                        });
+                    }
+                }
+                NewestFirst.allocate(ctx)
+            }
+            fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
+                std::mem::take(&mut self.pending)
+            }
+        }
+        // Job 0's last task straggles (speculation), job 1 preempts it
+        // (kill), job 2 waits behind the cap of two (admission).
+        let straggler = JobSpec::builder()
+            .stage(StageSpec::new(
+                StageKind::Map,
+                [10, 10, 10, 100]
+                    .map(|secs| TaskSpec::new(SimDuration::from_secs(secs)))
+                    .to_vec(),
+            ))
+            .build();
+        let report = Simulation::builder()
+            .cluster(ClusterConfig::single_node(8))
+            .admission_limit(2)
+            .preemption(PreemptionPolicy::Kill)
+            .speculation(SpeculationConfig::enabled(3, 1.5))
+            .record_journal(true)
+            .record_telemetry(true)
+            .jobs(vec![straggler, map_job(20, 2, 5), map_job(21, 2, 5)])
+            .build(DemotingNewestFirst {
+                seen: Vec::new(),
+                pending: Vec::new(),
+            })
+            .unwrap()
+            .run();
+        assert!(report.all_completed());
+        let journal = report.journal().unwrap();
+        let decisions = report.telemetry().unwrap().decisions();
+        let filtered: Vec<E> = journal
+            .into_iter()
+            .filter(|e| e.decision_tag().is_some())
+            .copied()
+            .collect();
+        assert_eq!(decisions.events(), filtered.as_slice());
+        let mut tags: Vec<&str> = decisions.into_iter().filter_map(E::decision_tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(
+            tags,
+            [
+                "admission_accept",
+                "admission_defer",
+                "demote",
+                "preempt_kill",
+                "spec_launch",
+                "spec_win"
+            ],
+            "the run must exercise every decision kind"
+        );
     }
 
     #[test]

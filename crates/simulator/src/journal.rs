@@ -1,26 +1,32 @@
-//! A structured journal of everything that happened in a run.
+//! The engine's one event stream: everything that happened in a run.
 //!
 //! The paper's implementation works by "monitoring the job's running
 //! status such as task completion events and stage progresses" (§IV);
-//! debugging a scheduler needs the same visibility. When enabled with
-//! [`SimulationBuilder::record_journal`], the engine appends one
-//! [`SimEvent`] per lifecycle transition — submissions, admissions, task
-//! attempts starting/finishing/failing/being killed, speculative copies,
-//! stage and job completions — and the report carries the journal for
-//! querying or serialization.
+//! debugging a scheduler needs the same visibility. The engine reports
+//! every transition as one [`SimEvent`] — submissions, admission verdicts,
+//! task attempts starting/finishing/failing/being killed, speculative
+//! copies, demotions, stage and job completions — through a single call
+//! that feeds two optional recorders:
+//!
+//! * [`SimulationBuilder::record_journal`] keeps every event in a
+//!   [`Journal`] the report carries for querying or serialization;
+//! * [`SimulationBuilder::record_telemetry`] keeps the events that are
+//!   scheduling decisions ([`SimEvent::decision_tag`] is `Some`) as the
+//!   decision log of the run's [`Telemetry`](crate::telemetry::Telemetry).
 //!
 //! Recording is off by default: a 24,443-job trace produces millions of
 //! events, and the paper's experiments do not need them.
 //!
 //! [`SimulationBuilder::record_journal`]: crate::SimulationBuilder::record_journal
+//! [`SimulationBuilder::record_telemetry`]: crate::SimulationBuilder::record_telemetry
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{JobId, NodeId, StageId, TaskId};
-use crate::time::SimTime;
+use crate::time::{Service, SimDuration, SimTime};
 
-/// One lifecycle transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One lifecycle transition or scheduling decision.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum SimEvent {
     /// A job arrived at the cluster.
@@ -30,10 +36,20 @@ pub enum SimEvent {
         /// When.
         at: SimTime,
     },
+    /// Admission control deferred an arriving job behind its cap.
+    AdmissionDeferred {
+        /// The job.
+        job: JobId,
+        /// When.
+        at: SimTime,
+    },
     /// Admission control let a job in.
     JobAdmitted {
         /// The job.
         job: JobId,
+        /// How long it waited behind the admission cap (zero if admitted
+        /// on arrival).
+        waited: SimDuration,
         /// When.
         at: SimTime,
     },
@@ -100,6 +116,30 @@ pub enum SimEvent {
         /// When.
         at: SimTime,
     },
+    /// A speculative copy will beat the original attempt.
+    SpeculativeWon {
+        /// The job.
+        job: JobId,
+        /// The stage within the job.
+        stage: StageId,
+        /// The task within the stage.
+        task: TaskId,
+        /// When the copy was launched (the decision instant).
+        at: SimTime,
+    },
+    /// A multilevel-queue scheduler demoted a job.
+    JobDemoted {
+        /// The job.
+        job: JobId,
+        /// Queue it left (0 = highest priority).
+        from_queue: u32,
+        /// Queue it landed in.
+        to_queue: u32,
+        /// The effective service estimate that triggered the demotion.
+        effective: Service,
+        /// When.
+        at: SimTime,
+    },
     /// A job finished a stage and moved to the next.
     StageCompleted {
         /// The job.
@@ -123,12 +163,15 @@ impl SimEvent {
     pub fn at(&self) -> SimTime {
         match *self {
             SimEvent::JobSubmitted { at, .. }
+            | SimEvent::AdmissionDeferred { at, .. }
             | SimEvent::JobAdmitted { at, .. }
             | SimEvent::TaskStarted { at, .. }
             | SimEvent::TaskFinished { at, .. }
             | SimEvent::TaskKilled { at, .. }
             | SimEvent::TaskFailed { at, .. }
             | SimEvent::SpeculativeLaunched { at, .. }
+            | SimEvent::SpeculativeWon { at, .. }
+            | SimEvent::JobDemoted { at, .. }
             | SimEvent::StageCompleted { at, .. }
             | SimEvent::JobCompleted { at, .. } => at,
         }
@@ -138,14 +181,38 @@ impl SimEvent {
     pub fn job(&self) -> JobId {
         match *self {
             SimEvent::JobSubmitted { job, .. }
+            | SimEvent::AdmissionDeferred { job, .. }
             | SimEvent::JobAdmitted { job, .. }
             | SimEvent::TaskStarted { job, .. }
             | SimEvent::TaskFinished { job, .. }
             | SimEvent::TaskKilled { job, .. }
             | SimEvent::TaskFailed { job, .. }
             | SimEvent::SpeculativeLaunched { job, .. }
+            | SimEvent::SpeculativeWon { job, .. }
+            | SimEvent::JobDemoted { job, .. }
             | SimEvent::StageCompleted { job, .. }
             | SimEvent::JobCompleted { job, .. } => job,
+        }
+    }
+
+    /// The stable machine-readable tag of a scheduling decision
+    /// ("demote", "preempt_kill", ...), used as the `event` column of
+    /// [`Telemetry::decisions_csv`](crate::telemetry::Telemetry::decisions_csv);
+    /// `None` for pure lifecycle events.
+    pub fn decision_tag(&self) -> Option<&'static str> {
+        match self {
+            SimEvent::JobDemoted { .. } => Some("demote"),
+            SimEvent::TaskKilled { .. } => Some("preempt_kill"),
+            SimEvent::SpeculativeLaunched { .. } => Some("spec_launch"),
+            SimEvent::SpeculativeWon { .. } => Some("spec_win"),
+            SimEvent::AdmissionDeferred { .. } => Some("admission_defer"),
+            SimEvent::JobAdmitted { .. } => Some("admission_accept"),
+            SimEvent::JobSubmitted { .. }
+            | SimEvent::TaskStarted { .. }
+            | SimEvent::TaskFinished { .. }
+            | SimEvent::TaskFailed { .. }
+            | SimEvent::StageCompleted { .. }
+            | SimEvent::JobCompleted { .. } => None,
         }
     }
 }
@@ -234,60 +301,91 @@ mod tests {
 
     #[test]
     fn accessors_cover_every_variant() {
+        let job = JobId::new(1);
+        let stage = StageId::new(0);
+        let task = TaskId::new(2);
+        let at = SimTime::from_secs;
         let events = [
             submitted(1, 0),
+            SimEvent::AdmissionDeferred { job, at: at(1) },
             SimEvent::JobAdmitted {
-                job: JobId::new(1),
-                at: SimTime::from_secs(1),
+                job,
+                waited: SimDuration::from_secs(1),
+                at: at(2),
             },
             SimEvent::TaskStarted {
-                job: JobId::new(1),
-                stage: StageId::new(0),
-                task: TaskId::new(0),
+                job,
+                stage,
+                task,
                 attempt: 0,
                 node: NodeId::new(0),
                 containers: 1,
-                at: SimTime::from_secs(2),
+                at: at(3),
             },
             SimEvent::TaskFailed {
-                job: JobId::new(1),
-                stage: StageId::new(0),
-                task: TaskId::new(0),
-                at: SimTime::from_secs(3),
+                job,
+                stage,
+                task,
+                at: at(4),
             },
             SimEvent::TaskKilled {
-                job: JobId::new(1),
-                stage: StageId::new(0),
-                task: TaskId::new(1),
-                at: SimTime::from_secs(4),
+                job,
+                stage,
+                task,
+                at: at(5),
             },
             SimEvent::SpeculativeLaunched {
-                job: JobId::new(1),
-                stage: StageId::new(0),
-                task: TaskId::new(2),
-                at: SimTime::from_secs(5),
+                job,
+                stage,
+                task,
+                at: at(6),
+            },
+            SimEvent::SpeculativeWon {
+                job,
+                stage,
+                task,
+                at: at(7),
+            },
+            SimEvent::JobDemoted {
+                job,
+                from_queue: 0,
+                to_queue: 2,
+                effective: Service::from_container_secs(150.0),
+                at: at(8),
             },
             SimEvent::TaskFinished {
-                job: JobId::new(1),
-                stage: StageId::new(0),
-                task: TaskId::new(0),
+                job,
+                stage,
+                task,
                 attempt: 1,
-                at: SimTime::from_secs(6),
+                at: at(9),
             },
             SimEvent::StageCompleted {
-                job: JobId::new(1),
-                stage: StageId::new(0),
-                at: SimTime::from_secs(7),
+                job,
+                stage,
+                at: at(10),
             },
-            SimEvent::JobCompleted {
-                job: JobId::new(1),
-                at: SimTime::from_secs(8),
-            },
+            SimEvent::JobCompleted { job, at: at(11) },
         ];
+        let mut tags = Vec::new();
         for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.job(), JobId::new(1));
-            assert_eq!(e.at(), SimTime::from_secs(i as u64));
+            assert_eq!(e.job(), job);
+            assert_eq!(e.at(), at(i as u64));
+            tags.extend(e.decision_tag());
         }
+        // Exactly the six decision kinds carry a tag, each a distinct one.
+        tags.sort_unstable();
+        assert_eq!(
+            tags,
+            [
+                "admission_accept",
+                "admission_defer",
+                "demote",
+                "preempt_kill",
+                "spec_launch",
+                "spec_win"
+            ]
+        );
     }
 
     #[test]

@@ -106,5 +106,5 @@ pub use journal::{Journal, SimEvent};
 pub use metrics::{EngineStats, JobOutcome, SimulationReport};
 pub use sched::{AllocationPlan, JobView, OracleInfo, SchedContext, Scheduler};
 pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA_VERSION};
-pub use telemetry::{DecisionEvent, QueueDemotion, Telemetry, TelemetrySample};
+pub use telemetry::{QueueDemotion, Telemetry, TelemetrySample};
 pub use time::{Service, SimDuration, SimTime};

@@ -1,16 +1,17 @@
 //! Time-series telemetry of a run: how the schedule *unfolded*.
 //!
-//! The [`Journal`](crate::journal::Journal) records what happened to each
-//! task; this module records what the **scheduler** saw and decided —
-//! per-queue depths, running/queued jobs, cluster occupancy over time, and
-//! the typed decision events (demotions, preemption kills, speculative
-//! copies, admission verdicts) that explain *why* response times come out
-//! the way they do. The paper argues entirely from end-of-run aggregates
-//! (§V); validating the aging behaviour of LAS_MQ requires watching queue
-//! depths and demotions over time.
+//! The [`Journal`] records what happened to each task; this module records
+//! what the **scheduler** saw and decided — per-queue depths, running/queued
+//! jobs, cluster occupancy over time, and the decision events of the
+//! engine's one [`SimEvent`] stream (demotions, preemption kills,
+//! speculative copies, admission verdicts) that explain *why* response
+//! times come out the way they do. The paper argues entirely from
+//! end-of-run aggregates (§V); validating the aging behaviour of LAS_MQ
+//! requires watching queue depths and demotions over time.
 //!
-//! Recording is off by default and zero-cost when disabled: the engine
-//! samples once per full scheduling pass and only when built with
+//! Recording is off by default and then costs one branch per event: the
+//! engine samples once per full scheduling pass and keeps decisions only
+//! when built with
 //! [`record_telemetry`](crate::SimulationBuilder::record_telemetry).
 //!
 //! Everything here is deterministic: samples and decisions are appended in
@@ -20,8 +21,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{JobId, TaskId};
-use crate::time::{Service, SimDuration, SimTime};
+use crate::ids::JobId;
+use crate::journal::{Journal, SimEvent};
+use crate::time::{Service, SimTime};
 
 /// One snapshot of scheduler-visible state, taken at the end of a full
 /// scheduling pass.
@@ -59,7 +61,7 @@ impl TelemetrySample {
 /// [`Scheduler::drain_demotions`](crate::Scheduler::drain_demotions).
 ///
 /// The engine stamps the simulation time when it turns this into a
-/// [`DecisionEvent::JobDemoted`].
+/// [`SimEvent::JobDemoted`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueDemotion {
     /// The demoted job.
@@ -72,116 +74,14 @@ pub struct QueueDemotion {
     pub effective: Service,
 }
 
-/// One scheduling decision, with the simulation time it was made.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum DecisionEvent {
-    /// A multilevel-queue scheduler demoted a job.
-    JobDemoted {
-        /// The job.
-        job: JobId,
-        /// Queue it left (0 = highest priority).
-        from_queue: u32,
-        /// Queue it landed in.
-        to_queue: u32,
-        /// The effective service estimate that triggered the demotion.
-        effective: Service,
-        /// When.
-        at: SimTime,
-    },
-    /// Kill-based preemption reclaimed a running task's containers.
-    TaskPreempted {
-        /// The job.
-        job: JobId,
-        /// The killed task.
-        task: TaskId,
-        /// When.
-        at: SimTime,
-    },
-    /// A speculative copy was launched for a late task.
-    SpeculativeLaunched {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-        /// When.
-        at: SimTime,
-    },
-    /// A speculative copy will beat the original attempt.
-    SpeculativeWon {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-        /// When the copy was launched (the decision instant).
-        at: SimTime,
-    },
-    /// Admission control deferred an arriving job.
-    AdmissionDeferred {
-        /// The job.
-        job: JobId,
-        /// When.
-        at: SimTime,
-    },
-    /// Admission control let a job in.
-    AdmissionAccepted {
-        /// The job.
-        job: JobId,
-        /// How long it waited behind the admission cap (zero if admitted
-        /// on arrival).
-        waited: SimDuration,
-        /// When.
-        at: SimTime,
-    },
-}
-
-impl DecisionEvent {
-    /// The instant the decision was made.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            DecisionEvent::JobDemoted { at, .. }
-            | DecisionEvent::TaskPreempted { at, .. }
-            | DecisionEvent::SpeculativeLaunched { at, .. }
-            | DecisionEvent::SpeculativeWon { at, .. }
-            | DecisionEvent::AdmissionDeferred { at, .. }
-            | DecisionEvent::AdmissionAccepted { at, .. } => at,
-        }
-    }
-
-    /// The job the decision concerns.
-    pub fn job(&self) -> JobId {
-        match *self {
-            DecisionEvent::JobDemoted { job, .. }
-            | DecisionEvent::TaskPreempted { job, .. }
-            | DecisionEvent::SpeculativeLaunched { job, .. }
-            | DecisionEvent::SpeculativeWon { job, .. }
-            | DecisionEvent::AdmissionDeferred { job, .. }
-            | DecisionEvent::AdmissionAccepted { job, .. } => job,
-        }
-    }
-
-    /// A stable machine-readable tag ("demote", "preempt_kill", ...), used
-    /// as the `event` column of [`Telemetry::decisions_csv`].
-    pub fn tag(&self) -> &'static str {
-        match self {
-            DecisionEvent::JobDemoted { .. } => "demote",
-            DecisionEvent::TaskPreempted { .. } => "preempt_kill",
-            DecisionEvent::SpeculativeLaunched { .. } => "spec_launch",
-            DecisionEvent::SpeculativeWon { .. } => "spec_win",
-            DecisionEvent::AdmissionDeferred { .. } => "admission_defer",
-            DecisionEvent::AdmissionAccepted { .. } => "admission_accept",
-        }
-    }
-}
-
-/// The recorded telemetry of one run: per-pass samples plus decision
-/// events, both in chronological order.
+/// The recorded telemetry of one run: per-pass samples plus the decision
+/// events of the run's [`SimEvent`] stream, both in chronological order.
 ///
 /// # Examples
 ///
 /// ```
-/// use lasmq_simulator::telemetry::{DecisionEvent, Telemetry, TelemetrySample};
-/// use lasmq_simulator::{JobId, SimTime};
+/// use lasmq_simulator::telemetry::{Telemetry, TelemetrySample};
+/// use lasmq_simulator::{JobId, SimEvent, SimTime};
 ///
 /// let mut t = Telemetry::new();
 /// t.push_sample(TelemetrySample {
@@ -192,17 +92,22 @@ impl DecisionEvent {
 ///     total_containers: 4,
 ///     queue_depths: vec![2, 0],
 /// });
-/// t.push_decision(DecisionEvent::AdmissionDeferred {
+/// t.record(SimEvent::AdmissionDeferred {
 ///     job: JobId::new(7),
 ///     at: SimTime::from_secs(1),
 /// });
+/// t.record(SimEvent::JobSubmitted {
+///     job: JobId::new(8),
+///     at: SimTime::from_secs(1),
+/// });
 /// assert_eq!(t.samples().len(), 1);
+/// assert_eq!(t.decisions().len(), 1); // a submission is not a decision
 /// assert!(t.samples_csv().starts_with("t_ms,"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Telemetry {
     samples: Vec<TelemetrySample>,
-    decisions: Vec<DecisionEvent>,
+    decisions: Journal,
 }
 
 impl Telemetry {
@@ -223,16 +128,13 @@ impl Telemetry {
         self.samples.push(sample);
     }
 
-    /// Appends a decision event (chronological).
-    pub fn push_decision(&mut self, decision: DecisionEvent) {
-        debug_assert!(
-            self.decisions
-                .last()
-                .map(|d| d.at() <= decision.at())
-                .unwrap_or(true),
-            "telemetry decisions must stay chronological"
-        );
-        self.decisions.push(decision);
+    /// Appends `event` to the decision log if it is a scheduling decision
+    /// ([`SimEvent::decision_tag`] is `Some`); lifecycle events are not
+    /// kept. Chronological, like [`Journal::push`].
+    pub fn record(&mut self, event: SimEvent) {
+        if event.decision_tag().is_some() {
+            self.decisions.push(event);
+        }
     }
 
     /// All samples, in order.
@@ -240,19 +142,14 @@ impl Telemetry {
         &self.samples
     }
 
-    /// All decision events, in order.
-    pub fn decisions(&self) -> &[DecisionEvent] {
+    /// The decision log, in order.
+    pub fn decisions(&self) -> &Journal {
         &self.decisions
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty() && self.decisions.is_empty()
-    }
-
-    /// Decision events matching a predicate.
-    pub fn count_decisions_where(&self, pred: impl Fn(&DecisionEvent) -> bool) -> usize {
-        self.decisions.iter().filter(|d| pred(d)).count()
     }
 
     /// The widest `queue_depths` vector across all samples (schedulers
@@ -309,10 +206,10 @@ impl Telemetry {
             String::from("t_ms,event,job,task,from_queue,to_queue,effective_cs,waited_ms\n");
         for d in &self.decisions {
             let at = d.at().as_millis();
-            let tag = d.tag();
+            let tag = d.decision_tag().unwrap_or_default();
             let job = u32::from(d.job());
             let (task, from, to, effective, waited) = match *d {
-                DecisionEvent::JobDemoted {
+                SimEvent::JobDemoted {
                     from_queue,
                     to_queue,
                     effective,
@@ -324,23 +221,23 @@ impl Telemetry {
                     effective.as_container_secs().to_string(),
                     String::new(),
                 ),
-                DecisionEvent::TaskPreempted { task, .. }
-                | DecisionEvent::SpeculativeLaunched { task, .. }
-                | DecisionEvent::SpeculativeWon { task, .. } => (
+                SimEvent::TaskKilled { task, .. }
+                | SimEvent::SpeculativeLaunched { task, .. }
+                | SimEvent::SpeculativeWon { task, .. } => (
                     task.index().to_string(),
                     String::new(),
                     String::new(),
                     String::new(),
                     String::new(),
                 ),
-                DecisionEvent::AdmissionDeferred { .. } => Default::default(),
-                DecisionEvent::AdmissionAccepted { waited, .. } => (
+                SimEvent::JobAdmitted { waited, .. } => (
                     String::new(),
                     String::new(),
                     String::new(),
                     String::new(),
                     waited.as_millis().to_string(),
                 ),
+                _ => Default::default(),
             };
             out.push_str(&format!(
                 "{at},{tag},{job},{task},{from},{to},{effective},{waited}\n"
@@ -353,6 +250,8 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{StageId, TaskId};
+    use crate::time::SimDuration;
 
     fn sample(at_secs: u64, used: u32, depths: &[u32]) -> TelemetrySample {
         TelemetrySample {
@@ -376,40 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_accessors_cover_every_variant() {
-        let job = JobId::new(3);
-        let task = TaskId::new(5);
-        let at = SimTime::from_secs(9);
-        let events = [
-            DecisionEvent::JobDemoted {
-                job,
-                from_queue: 0,
-                to_queue: 2,
-                effective: Service::from_container_secs(150.0),
-                at,
-            },
-            DecisionEvent::TaskPreempted { job, task, at },
-            DecisionEvent::SpeculativeLaunched { job, task, at },
-            DecisionEvent::SpeculativeWon { job, task, at },
-            DecisionEvent::AdmissionDeferred { job, at },
-            DecisionEvent::AdmissionAccepted {
-                job,
-                waited: SimDuration::from_secs(4),
-                at,
-            },
-        ];
-        let mut tags = Vec::new();
-        for e in &events {
-            assert_eq!(e.at(), at);
-            assert_eq!(e.job(), job);
-            tags.push(e.tag());
-        }
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), events.len(), "tags must be distinct");
-    }
-
-    #[test]
     fn samples_csv_pads_queue_columns() {
         let mut t = Telemetry::new();
         t.push_sample(sample(1, 2, &[3]));
@@ -427,17 +292,23 @@ mod tests {
     #[test]
     fn decisions_csv_has_per_kind_columns() {
         let mut t = Telemetry::new();
-        t.push_decision(DecisionEvent::AdmissionAccepted {
+        t.record(SimEvent::JobAdmitted {
             job: JobId::new(0),
             waited: SimDuration::from_millis(1500),
             at: SimTime::from_secs(2),
         });
-        t.push_decision(DecisionEvent::JobDemoted {
+        t.record(SimEvent::JobDemoted {
             job: JobId::new(1),
             from_queue: 0,
             to_queue: 3,
             effective: Service::from_container_secs(250.5),
             at: SimTime::from_secs(4),
+        });
+        t.record(SimEvent::TaskKilled {
+            job: JobId::new(1),
+            stage: StageId::new(1),
+            task: TaskId::new(6),
+            at: SimTime::from_secs(5),
         });
         let csv = t.decisions_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -447,14 +318,16 @@ mod tests {
         );
         assert_eq!(lines[1], "2000,admission_accept,0,,,,,1500");
         assert_eq!(lines[2], "4000,demote,1,,0,3,250.5,");
+        assert_eq!(lines[3], "5000,preempt_kill,1,6,,,,");
     }
 
     #[test]
     fn serde_roundtrip_is_lossless() {
         let mut t = Telemetry::new();
         t.push_sample(sample(1, 5, &[2, 1, 0]));
-        t.push_decision(DecisionEvent::SpeculativeWon {
+        t.record(SimEvent::SpeculativeWon {
             job: JobId::new(2),
+            stage: StageId::new(0),
             task: TaskId::new(0),
             at: SimTime::from_secs(1),
         });
@@ -478,20 +351,27 @@ mod tests {
     fn counting_helper_filters() {
         let mut t = Telemetry::new();
         for i in 0..3 {
-            t.push_decision(DecisionEvent::AdmissionDeferred {
+            t.record(SimEvent::AdmissionDeferred {
                 job: JobId::new(i),
                 at: SimTime::from_secs(i as u64),
             });
         }
-        t.push_decision(DecisionEvent::AdmissionAccepted {
+        t.record(SimEvent::JobAdmitted {
             job: JobId::new(0),
             waited: SimDuration::ZERO,
             at: SimTime::from_secs(9),
         });
+        // Lifecycle events are not decisions and are not kept.
+        t.record(SimEvent::JobCompleted {
+            job: JobId::new(0),
+            at: SimTime::from_secs(9),
+        });
         assert_eq!(
-            t.count_decisions_where(|d| matches!(d, DecisionEvent::AdmissionDeferred { .. })),
+            t.decisions()
+                .count_where(|d| matches!(d, SimEvent::AdmissionDeferred { .. })),
             3
         );
+        assert_eq!(t.decisions().len(), 4);
         assert!(!t.is_empty());
     }
 }

@@ -208,6 +208,30 @@ fn from_json_rejects_garbage_and_future_schemas() {
     assert!(err.to_string().contains("schema"), "got {err}");
 }
 
+/// Schema v2 snapshots written before telemetry's decision log became a
+/// journal of `SimEvent`s held a bare list of the older decision
+/// vocabulary (`TaskPreempted`, `AdmissionAccepted`, ...). Such a file must
+/// be refused with a structured error, never half-read.
+#[test]
+fn a_v2_snapshot_with_the_old_decision_log_is_rejected() {
+    let fixture = include_str!("fixtures/snapshot_v2.json");
+    let with_telemetry = |telemetry: &str| {
+        let json = fixture.replacen("\"telemetry\":null", telemetry, 1);
+        assert_ne!(json, fixture, "telemetry field not found to replace");
+        lasmq_simulator::SimSnapshot::from_json(&json)
+    };
+    let old_log = r#""telemetry":{"samples":[],"decisions":[{"TaskPreempted":{"job":0,"task":1,"at":5000}},{"AdmissionAccepted":{"job":2,"waited":0,"at":6000}}]}"#;
+    let err = with_telemetry(old_log).unwrap_err();
+    assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
+    // An old variant name is refused even inside the current structure.
+    let old_name = r#""telemetry":{"samples":[],"decisions":{"events":[{"TaskPreempted":{"job":0,"stage":0,"task":1,"at":5000}}]}}"#;
+    let err = with_telemetry(old_name).unwrap_err();
+    assert!(err.to_string().contains("TaskPreempted"), "got {err}");
+    // The same entry in the current vocabulary loads.
+    let current = r#""telemetry":{"samples":[],"decisions":{"events":[{"TaskKilled":{"job":0,"stage":0,"task":1,"at":5000}}]}}"#;
+    assert!(with_telemetry(current).is_ok());
+}
+
 #[test]
 fn fork_switches_policy_and_still_completes_everything() {
     struct Greedy;

@@ -15,9 +15,7 @@
 //! Supporting modules: [`dist`] (first-principles distributions),
 //! [`arrivals`] (Poisson/batch arrival processes), [`skew`] (map/reduce
 //! data-skew models, §II of the paper), [`trace`] (a JSON trace format
-//! for freezing and replaying workloads), [`swim`] (ingestion of
-//! published SWIM-format MapReduce traces, so the real Facebook 2010
-//! trace can be replayed when a copy is available) and [`adversarial`]
+//! for freezing and replaying workloads) and [`adversarial`]
 //! (seeded hostile traces for the `lasmq-verify` differential oracle).
 //! The [`scale`] module stretches the trace shape to millions of jobs on
 //! thousand-node clusters for engine scaling benchmarks.
@@ -46,7 +44,6 @@ pub mod facebook;
 pub mod puma;
 pub mod scale;
 pub mod skew;
-pub mod swim;
 pub mod trace;
 pub mod uniform;
 

@@ -35,10 +35,12 @@ engine_bit_identity() {
     # mismatch: whatever an engine change did to speed, it may not
     # move one simulated byte. zoo_campaign's golden covers all 13
     # kinds plus the paper line-up on PUMA with failures and
-    # speculation. Three seconds each; the numbers these runs print
-    # are not a measurement.
-    for w in scale_wide fb_narrow uniform_batch zoo_campaign; do
-        bash benchmark/run.sh --workload "$w" --seconds 3
+    # speculation. golden.tsv pins seeds 0 and 1, so both run. Three
+    # seconds each; the numbers these runs print are not a measurement.
+    for seed in 0 1; do
+        for w in scale_wide fb_narrow uniform_batch zoo_campaign; do
+            bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds 3
+        done
     done
 }
 
@@ -143,10 +145,15 @@ serve() {
 }
 
 telemetry() {
+    # Per-cell artifacts: both CSVs carry their header, every decision
+    # row is one of the six decision tags, and summary.json counts
+    # exactly the rows decisions.csv holds.
     ./target/release/repro fig3 --quick --threads 2 --telemetry target/telemetry-smoke
     python3 - <<'EOF'
 import csv, json, pathlib, sys
 
+TAGS = {"demote", "preempt_kill", "spec_launch", "spec_win",
+        "admission_defer", "admission_accept"}
 root = pathlib.Path("target/telemetry-smoke")
 cells = sorted(p for p in root.iterdir() if p.is_dir())
 if not cells:
@@ -157,10 +164,18 @@ for cell in cells:
             rows = list(csv.reader(f))
         if not rows or not rows[0][0] == "t_ms":
             sys.exit(f"{cell / name}: missing t_ms header")
+    with open(cell / "decisions.csv", newline="") as f:
+        decisions = list(csv.DictReader(f))
+    unknown = {row["event"] for row in decisions} - TAGS
+    if unknown:
+        sys.exit(f"{cell}: unknown decision tags {sorted(unknown)}")
     with open(cell / "summary.json") as f:
         summary = json.load(f)
     if summary["samples"] <= 0:
         sys.exit(f"{cell}: summary reports no samples")
+    if summary["decisions"] != len(decisions):
+        sys.exit(f"{cell}: summary counts {summary['decisions']} decisions, "
+                 f"decisions.csv has {len(decisions)}")
 print(f"telemetry artifacts OK for {len(cells)} cells")
 EOF
 }
