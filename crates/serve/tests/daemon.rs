@@ -9,12 +9,14 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use lasmq_campaign::SimSetup;
 use lasmq_serve::{Daemon, Pacing, ServeConfig};
 use lasmq_simulator::{ClusterConfig, SimDuration, SimTime, StageKind, StageSpec, TaskSpec};
+use lasmq_workload::facebook::FacebookTrace;
+use lasmq_workload::puma::PumaWorkload;
 use serde::Value;
 
 /// A blocking line-protocol client: one request out, one response in.
@@ -269,6 +271,34 @@ fn an_oversize_line_gets_one_error_and_only_its_connection_is_closed() {
 
     handle.request_stop();
     handle.join().unwrap();
+}
+
+#[test]
+fn a_job_with_more_stages_than_stage_ids_is_refused_and_the_connection_serves_on() {
+    let handle = Daemon::spawn(manual_config()).unwrap();
+    let mut client = Client::connect(handle.addr());
+
+    // One-task stages, one more than a `u16` stage id numbers: a ~4.6 MB
+    // line, under the daemon's 8 MiB cap.
+    let stage = StageSpec::uniform(StageKind::Map, 1, TaskSpec::new(SimDuration::from_secs(1)));
+    let spec = lasmq_simulator::JobSpec::builder()
+        .stages(vec![stage; lasmq_simulator::JobSpec::MAX_STAGES + 1])
+        .build();
+    let err = client.submit(&spec);
+    assert!(!bool_field(&err, "ok"));
+    assert!(matches!(field(&err, "error"), Value::Str(why) if why.contains("limit of 65536")));
+
+    assert!(bool_field(&client.submit(&job(1, "after", 1, 3)), "ok"));
+    client.advance(60_000);
+    let status = client.status();
+    assert_eq!(
+        (u64_field(&status, "jobs"), u64_field(&status, "finished")),
+        (1, 1)
+    );
+
+    handle.request_stop();
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.accepted, 1);
 }
 
 #[test]
@@ -562,4 +592,153 @@ fn wall_pacing_schedules_submissions_without_advance_requests() {
     handle.request_stop();
     let summary = handle.join().unwrap();
     assert_eq!(summary.finished, 3);
+}
+
+// The committed `SERVE_SNAPSHOT_SCHEMA` 1 fixture: a daemon paused mid-run,
+// written by the commit before job specs stored a stage of identical tasks
+// as one task and a count, with the status the daemon went on to report
+// once resumed and drained. To write a fixture for a later schema, run
+// `write_serve_snapshot_fixture` (ignored by default) at the commit whose
+// format is to be pinned.
+
+const SERVE_SNAPSHOT_V1: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/serve_snapshot_v1.json"
+);
+const SERVE_SNAPSHOT_V1_STATUS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/serve_snapshot_v1.status.json"
+);
+
+/// LAS_MQ on the trace-sim environment: Facebook-shaped submissions (one
+/// stage of identical tasks each), two PUMA-shaped jobs with skewed stages
+/// at 40 s, a second Facebook batch at 59 s so its tasks run at the pause,
+/// then a stop at 60 s, which writes the final snapshot to `snapshot`.
+fn run_fixture_daemon_to_pause(snapshot: &Path) {
+    let config = ServeConfig {
+        snapshot_path: Some(snapshot.to_path_buf()),
+        ..manual_config()
+    };
+    let handle = Daemon::spawn(config).unwrap();
+    let mut client = Client::connect(handle.addr());
+    let batches = [
+        FacebookTrace::new().jobs(12).load(0.7).seed(26).generate(),
+        PumaWorkload::new().jobs(2).seed(26).generate(),
+        FacebookTrace::new().jobs(6).load(0.7).seed(27).generate(),
+    ];
+    for (batch, advance_to_ms) in batches.iter().zip([40_000, 59_000, 60_000]) {
+        for spec in batch {
+            assert!(bool_field(&client.submit(spec), "ok"));
+        }
+        client.advance(advance_to_ms);
+    }
+    handle.request_stop();
+    handle.join().unwrap();
+}
+
+/// Resumes a daemon from `snapshot`, drains it, and returns its status
+/// without the wall-clock `uptime_ms`.
+fn resume_and_drain(snapshot: &Path) -> String {
+    let config = ServeConfig {
+        snapshot_path: Some(snapshot.to_path_buf()),
+        resume: true,
+        ..manual_config()
+    };
+    let handle = Daemon::spawn(config).unwrap();
+    let mut client = Client::connect(handle.addr());
+    client.advance(20_000_000);
+    let Value::Object(entries) = client.status() else {
+        panic!("status is not an object")
+    };
+    handle.request_stop();
+    handle.join().unwrap();
+    let entries = entries.into_iter().filter(|(k, _)| k != "uptime_ms");
+    serde_json::to_string(&Value::Object(entries.collect())).unwrap()
+}
+
+/// Counts the serialized stages of `value` with at least two tasks: those
+/// whose tasks are all identical, and those whose tasks differ.
+fn count_task_lists(value: &Value, identical: &mut usize, skewed: &mut usize) {
+    match value {
+        Value::Object(entries) => {
+            for (key, inner) in entries {
+                match (key.as_str(), inner) {
+                    ("tasks", Value::Array(tasks)) if tasks.len() >= 2 => {
+                        if tasks.windows(2).all(|w| w[0] == w[1]) {
+                            *identical += 1;
+                        } else {
+                            *skewed += 1;
+                        }
+                    }
+                    _ => count_task_lists(inner, identical, skewed),
+                }
+            }
+        }
+        Value::Array(items) => {
+            for item in items {
+                count_task_lists(item, identical, skewed);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Today's daemon loads the fixture, writes it back byte for byte and
+/// drains it to the recorded status, so both stage forms keep their
+/// serialized bytes and the load path reads the old files.
+#[test]
+fn parent_written_serve_snapshot_loads_rewrites_and_drains_identically() {
+    let written = std::fs::read_to_string(SERVE_SNAPSHOT_V1).expect("fixture present");
+    let recorded =
+        std::fs::read_to_string(SERVE_SNAPSHOT_V1_STATUS).expect("recorded status present");
+
+    // The fixture covers what it claims to: both stage shapes, and tasks
+    // running at the pause.
+    assert!(written.starts_with(r#"{"schema":1,"#));
+    let tree = serde_json::parse_value_str(written.trim_end()).unwrap();
+    let (mut identical, mut skewed) = (0, 0);
+    count_task_lists(&tree, &mut identical, &mut skewed);
+    assert!(identical >= 2, "no wide stage of identical tasks");
+    assert!(skewed >= 2, "no skewed PUMA stages");
+    assert!(
+        written.contains(r#""running":[{"#),
+        "nothing running at the pause"
+    );
+
+    // It is the run described above, and today's daemon still gets there.
+    let dir = unique_dir("fixture");
+    let reached = dir.join("reached.json");
+    run_fixture_daemon_to_pause(&reached);
+    assert!(
+        std::fs::read_to_string(&reached).unwrap() == written,
+        "the fixture's run no longer stops in the state the fixture holds"
+    );
+
+    // Loading and saving again writes the same bytes.
+    let snap = lasmq_serve::load_snapshot(Path::new(SERVE_SNAPSHOT_V1)).expect("v1 loads");
+    let rewritten = dir.join("rewritten.json");
+    lasmq_serve::save_snapshot(&snap, &rewritten).unwrap();
+    assert!(
+        std::fs::read_to_string(&rewritten).unwrap() == written,
+        "a loaded snapshot re-writes differently from the file it came from"
+    );
+
+    // A daemon resumed from the file drains to the recorded status.
+    let resumed = dir.join("resumed.json");
+    std::fs::copy(SERVE_SNAPSHOT_V1, &resumed).unwrap();
+    assert_eq!(resume_and_drain(&resumed), recorded.trim_end());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[ignore = "writes the fixture; run at the commit whose format is to be pinned"]
+fn write_serve_snapshot_fixture() {
+    run_fixture_daemon_to_pause(Path::new(SERVE_SNAPSHOT_V1));
+    let dir = unique_dir("write-fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    let resumed = dir.join("resumed.json");
+    std::fs::copy(SERVE_SNAPSHOT_V1, &resumed).unwrap();
+    let status = resume_and_drain(&resumed);
+    std::fs::write(SERVE_SNAPSHOT_V1_STATUS, status + "\n").expect("status written");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1842,7 +1842,7 @@ impl<S: Scheduler> Simulation<S> {
                 core.held -= copy.containers;
                 self.cluster.release(copy.node, copy.containers);
             }
-            let spec_task = spec.stages()[core.stage_index].tasks()[running.task_idx];
+            let spec_task = spec.stages()[core.stage_index].task(running.task_idx);
             st.completed += 1;
             st.completed_durations.push(spec_task.duration());
             core.completed_service += spec_task.service();
@@ -1959,7 +1959,7 @@ impl<S: Scheduler> Simulation<S> {
                 return false;
             }
         };
-        let spec_task = self.jobs.current_stage(i).tasks()[task_idx];
+        let spec_task = self.jobs.current_stage(i).task(task_idx);
         self.update_util();
         let Some(node) = self.cluster.allocate(spec_task.containers()) else {
             // Roll the reservation back.
@@ -2800,6 +2800,38 @@ mod tests {
         let bad = JobSpec::builder().build();
         let err = Simulation::builder().job(bad).build(Greedy).unwrap_err();
         assert!(matches!(err, SimError::InvalidJob { job_index: 0, .. }));
+    }
+
+    /// Stage ids are `u16`: a job with one stage more than they can number
+    /// is refused, and a job with exactly as many runs to completion.
+    #[test]
+    fn stage_count_is_capped_at_what_stage_ids_number() {
+        let stage = StageSpec::uniform(
+            StageKind::Map,
+            1,
+            TaskSpec::new(SimDuration::from_millis(1)),
+        );
+        let job = |stages: usize| {
+            JobSpec::builder()
+                .stages(vec![stage.clone(); stages])
+                .build()
+        };
+        let err = Simulation::builder()
+            .job(job(JobSpec::MAX_STAGES + 1))
+            .build(Greedy)
+            .unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidJob { job_index: 0, reason } if reason.contains("limit of 65536")),
+            "{err}"
+        );
+        let report = Simulation::builder()
+            .cluster(ClusterConfig::single_node(1))
+            .deadline(SimTime::from_secs(3_600))
+            .job(job(JobSpec::MAX_STAGES))
+            .build(Greedy)
+            .unwrap()
+            .run();
+        assert!(report.all_completed());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::job::JobSpec;
+use crate::job::{JobSpec, StageSpec};
 use crate::time::{SimDuration, SimTime};
 
 /// Computes the isolated (alone-on-the-cluster) running time of `job` on a
@@ -45,37 +45,33 @@ pub fn isolated_runtime(job: &JobSpec, total_containers: u32) -> SimDuration {
     for stage in job.stages() {
         let width = stage.containers_per_task();
         let lanes = (total_containers / width).max(1) as usize;
-        clock = clock
-            + stage.start_delay()
-            + stage_makespan(stage.tasks().iter().map(|t| t.duration()), lanes);
+        clock = clock + stage.start_delay() + stage_makespan(stage, lanes);
     }
     clock.saturating_since(SimTime::ZERO)
 }
 
-/// Makespan of list-scheduling `durations`, in order, on `lanes` identical
-/// lanes.
-fn stage_makespan(
-    durations: impl ExactSizeIterator<Item = SimDuration> + Clone,
-    lanes: usize,
-) -> SimDuration {
+/// Makespan of list-scheduling `stage`'s tasks, in order, on `lanes`
+/// identical lanes.
+fn stage_makespan(stage: &StageSpec, lanes: usize) -> SimDuration {
     // Lanes beyond the task count never host a task; dropping them keeps
     // the heap proportional to the work, not the cluster.
-    let count = durations.len();
+    let count = stage.task_count() as usize;
     let lanes = lanes.min(count).max(1);
+    // Identical tasks (every trace generator's stage) run in exact waves:
+    // list scheduling gives every lane at most ⌈n/L⌉ tasks. A validated
+    // stage's tasks share one width, so any other stage has differing
+    // durations.
+    if let [task] = stage.stored_tasks() {
+        let waves = count.div_ceil(lanes) as u64;
+        return SimDuration::from_millis(task.duration().as_millis() * waves);
+    }
+    let durations = stage.tasks().map(|t| t.duration());
     if lanes >= count {
         // Single wave: every task gets its own lane.
         return durations.max().unwrap_or(SimDuration::ZERO);
     }
     if lanes == 1 {
         return durations.fold(SimDuration::ZERO, |acc, d| acc + d);
-    }
-    // Equal-duration stages (the common case for trace generators) run in
-    // exact waves: list scheduling gives every lane at most ⌈n/L⌉ tasks.
-    let mut rest = durations.clone();
-    let first = rest.next().expect("count > lanes >= 2");
-    if rest.all(|d| d == first) {
-        let waves = count.div_ceil(lanes) as u64;
-        return SimDuration::from_millis(first.as_millis() * waves);
     }
     // Min-heap of lane available times.
     let mut heap: BinaryHeap<Reverse<SimDuration>> = BinaryHeap::with_capacity(lanes);

@@ -86,12 +86,68 @@ impl TaskSpec {
     }
 }
 
+/// A stage's tasks, in one of two canonical forms so that equal stages
+/// compare equal whichever constructor built them. Serialized as the full
+/// task array either way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Tasks {
+    /// `count ≥ 1` identical tasks: every trace generator's stage, one
+    /// task and a count however many tasks it has.
+    Compact { task: TaskSpec, count: u32 },
+    /// No tasks, or at least two that are not all equal (PUMA's skewed
+    /// stages).
+    Listed(Vec<TaskSpec>),
+}
+
+impl Tasks {
+    fn from_vec(tasks: Vec<TaskSpec>) -> Self {
+        match tasks.first() {
+            Some(&task) if tasks.iter().all(|t| *t == task) => Tasks::Compact {
+                task,
+                count: tasks.len() as u32,
+            },
+            _ => Tasks::Listed(tasks),
+        }
+    }
+
+    fn uniform(count: u32, task: TaskSpec) -> Self {
+        if count == 0 {
+            Tasks::Listed(Vec::new())
+        } else {
+            Tasks::Compact { task, count }
+        }
+    }
+}
+
+impl Serialize for Tasks {
+    fn to_value(&self) -> serde::Value {
+        match self {
+            Tasks::Compact { task, count } => {
+                let one = task.to_value();
+                serde::Value::Array(vec![one; *count as usize])
+            }
+            Tasks::Listed(tasks) => tasks.to_value(),
+        }
+    }
+}
+
+impl Deserialize for Tasks {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        Vec::<TaskSpec>::from_value(value).map(Tasks::from_vec)
+    }
+}
+
 /// A stage: tasks that can run in parallel once the previous stage finishes
 /// (and, optionally, a data-transfer delay has elapsed).
+///
+/// A stage of identical tasks costs the same whatever its width: it is
+/// stored as one task and a count. Readers go through
+/// [`task`](Self::task) and [`tasks`](Self::tasks), which see the same
+/// tasks either way.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageSpec {
     kind: StageKind,
-    tasks: Vec<TaskSpec>,
+    tasks: Tasks,
     #[serde(default)]
     start_delay: SimDuration,
 }
@@ -105,16 +161,17 @@ impl StageSpec {
     pub fn new(kind: StageKind, tasks: Vec<TaskSpec>) -> Self {
         StageSpec {
             kind,
-            tasks,
+            tasks: Tasks::from_vec(tasks),
             start_delay: SimDuration::ZERO,
         }
     }
 
-    /// A stage of `count` identical tasks.
+    /// A stage of `count` identical tasks, stored as one task and the
+    /// count.
     pub fn uniform(kind: StageKind, count: u32, task: TaskSpec) -> Self {
         StageSpec {
             kind,
-            tasks: vec![task; count as usize],
+            tasks: Tasks::uniform(count, task),
             start_delay: SimDuration::ZERO,
         }
     }
@@ -140,19 +197,52 @@ impl StageSpec {
         self.kind
     }
 
-    /// The stage's tasks.
-    pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
+    /// Task `i` of the stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= task_count()`.
+    pub fn task(&self, i: usize) -> TaskSpec {
+        match &self.tasks {
+            Tasks::Compact { task, count } => {
+                assert!(i < *count as usize, "task {i} of a {count}-task stage");
+                *task
+            }
+            Tasks::Listed(tasks) => tasks[i],
+        }
+    }
+
+    /// The stage's tasks, in order.
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = TaskSpec> + Clone + '_ {
+        (0..self.task_count() as usize).map(|i| self.task(i))
+    }
+
+    /// The tasks as stored: all of them for a stage of differing tasks, or
+    /// the one task that every task of a compact stage equals — so a
+    /// one-task slice means every task of the stage is that task. Task `j`
+    /// of the slice is task `j` of the stage, and a check over the slice is
+    /// a check over every distinct task.
+    pub(crate) fn stored_tasks(&self) -> &[TaskSpec] {
+        match &self.tasks {
+            Tasks::Compact { task, .. } => std::slice::from_ref(task),
+            Tasks::Listed(tasks) => tasks,
+        }
     }
 
     /// Number of tasks in the stage.
     pub fn task_count(&self) -> u32 {
-        self.tasks.len() as u32
+        match &self.tasks {
+            Tasks::Compact { count, .. } => *count,
+            Tasks::Listed(tasks) => tasks.len() as u32,
+        }
     }
 
     /// Total service the stage consumes when every task runs exactly once.
+    ///
+    /// A left fold of one addition per task even for a compact stage:
+    /// `count × service` is not bit-equal to that sum in `f64`.
     pub fn total_service(&self) -> Service {
-        self.tasks.iter().map(TaskSpec::service).sum()
+        self.tasks().map(|t| t.service()).sum()
     }
 
     /// Containers per task. The engine requires all tasks of a stage to
@@ -164,7 +254,7 @@ impl StageSpec {
     ///
     /// Panics if the stage is empty.
     pub fn containers_per_task(&self) -> u32 {
-        self.tasks
+        self.stored_tasks()
             .first()
             .expect("containers_per_task on an empty stage")
             .containers()
@@ -209,6 +299,11 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// The most stages a job may have: stages are numbered by a `u16`
+    /// [`StageId`](crate::StageId), so a later stage could not be told
+    /// apart from an earlier one.
+    pub const MAX_STAGES: usize = 1 << 16;
+
     /// Starts building a job. Defaults: arrival at time zero, priority 1,
     /// empty label, bin 0, no stages.
     pub fn builder() -> JobSpecBuilder {
@@ -271,22 +366,32 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason if the job has no stages, a stage has
-    /// no tasks, tasks within a stage disagree on container width, a task
-    /// has zero duration, or a task is wider than the whole cluster.
+    /// Returns a human-readable reason if the job has no stages or more
+    /// than [`MAX_STAGES`](Self::MAX_STAGES), a stage has no tasks, tasks
+    /// within a stage disagree on container width, a task has zero
+    /// duration, or a task is wider than the whole cluster.
     pub fn validate(&self, total_containers: u32) -> Result<(), String> {
         if self.stages.is_empty() {
             return Err("job has no stages".into());
+        }
+        if self.stages.len() > Self::MAX_STAGES {
+            return Err(format!(
+                "job has {} stages, more than the limit of {}",
+                self.stages.len(),
+                Self::MAX_STAGES
+            ));
         }
         if self.priority == 0 || self.priority > 5 {
             return Err(format!("priority {} outside 1..=5", self.priority));
         }
         for (i, stage) in self.stages.iter().enumerate() {
-            if stage.tasks().is_empty() {
+            if stage.task_count() == 0 {
                 return Err(format!("stage {i} has no tasks"));
             }
             let width = stage.containers_per_task();
-            for (j, task) in stage.tasks().iter().enumerate() {
+            // A compact stage stores one task for all of them: checking it
+            // checks the stage.
+            for (j, task) in stage.stored_tasks().iter().enumerate() {
                 if task.containers() != width {
                     return Err(format!(
                         "stage {i} mixes container widths ({} vs {} at task {j})",
@@ -374,6 +479,8 @@ impl JobSpecBuilder {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn two_stage_job() -> JobSpec {
@@ -477,5 +584,99 @@ mod tests {
         let json = serde_json::to_string(&job).unwrap();
         let back: JobSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(job, back);
+    }
+
+    #[test]
+    fn validate_rejects_more_stages_than_stage_ids_number() {
+        let stage = StageSpec::uniform(StageKind::Map, 1, TaskSpec::new(SimDuration::from_secs(1)));
+        let over = JobSpec::builder()
+            .stages(vec![stage; JobSpec::MAX_STAGES + 1])
+            .build();
+        let reason = over.validate(1).unwrap_err();
+        assert!(reason.contains("limit of 65536"), "{reason}");
+    }
+
+    #[test]
+    fn huge_compact_stage_answers_at_once() {
+        let task = TaskSpec::new(SimDuration::from_secs(1));
+        let stage = StageSpec::uniform(StageKind::Map, u32::MAX, task);
+        assert_eq!(stage.task_count(), u32::MAX);
+        assert_eq!(stage.task(u32::MAX as usize - 1), task);
+        assert_eq!(stage.tasks().len(), u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 of a 3-task stage")]
+    fn compact_stage_bounds_checks_task_index() {
+        let stage = StageSpec::uniform(StageKind::Map, 3, TaskSpec::new(SimDuration::from_secs(1)));
+        let _ = stage.task(3);
+    }
+
+    /// `StageSpec`'s fields with the tasks held as a plain vector: the
+    /// serialized form the compact representation must reproduce.
+    #[derive(Serialize)]
+    struct PlainStage {
+        kind: StageKind,
+        tasks: Vec<TaskSpec>,
+        start_delay: SimDuration,
+    }
+
+    /// Tasks from a small domain (three durations that are not exact in
+    /// binary, widths 1–2), so mixed lists are sometimes all-equal too.
+    fn task_strategy() -> impl Strategy<Value = TaskSpec> {
+        (1u64..=3, 1u32..=2).prop_map(|(k, width)| {
+            TaskSpec::new(SimDuration::from_millis(k * 333)).with_containers(width)
+        })
+    }
+
+    fn task_list_strategy() -> impl Strategy<Value = Vec<TaskSpec>> {
+        prop_oneof![
+            (task_strategy(), 0usize..40).prop_map(|(task, n)| vec![task; n]),
+            prop::collection::vec(task_strategy(), 0..12),
+            task_strategy().prop_map(|task| vec![task]),
+            Just(Vec::new()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whichever form a stage is stored in, every reader, the service
+        /// sum and the serialized bytes see the task list it was built
+        /// from.
+        #[test]
+        fn stage_representation_is_invisible(
+            tasks in task_list_strategy(),
+            delay in 0u64..3,
+        ) {
+            let delay = SimDuration::from_secs(delay);
+            let stage = StageSpec::new(StageKind::Reduce, tasks.clone()).with_start_delay(delay);
+            prop_assert_eq!(stage.task_count() as usize, tasks.len());
+            prop_assert_eq!(stage.tasks().len(), tasks.len());
+            prop_assert_eq!(stage.tasks().collect::<Vec<_>>(), tasks.clone());
+            for (i, task) in tasks.iter().enumerate() {
+                prop_assert_eq!(stage.task(i), *task);
+            }
+            let folded = tasks.iter().fold(Service::ZERO, |acc, t| acc + t.service());
+            prop_assert_eq!(
+                stage.total_service().as_container_secs().to_bits(),
+                folded.as_container_secs().to_bits()
+            );
+            let json = serde_json::to_string(&stage).unwrap();
+            let plain = PlainStage { kind: StageKind::Reduce, tasks, start_delay: delay };
+            prop_assert_eq!(&json, &serde_json::to_string(&plain).unwrap());
+            let back: StageSpec = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back, stage);
+        }
+
+        /// `uniform` and `new` over the same identical tasks build equal
+        /// stages, the empty stage included.
+        #[test]
+        fn uniform_equals_new_over_identical_tasks(task in task_strategy(), n in 0u32..40) {
+            prop_assert_eq!(
+                StageSpec::new(StageKind::Map, vec![task; n as usize]),
+                StageSpec::uniform(StageKind::Map, n, task)
+            );
+        }
     }
 }

@@ -119,7 +119,7 @@ proptest! {
         let critical: f64 = job
             .stages()
             .iter()
-            .map(|s| s.tasks().iter().map(|t| t.duration().as_secs_f64()).fold(0.0, f64::max))
+            .map(|s| s.tasks().map(|t| t.duration().as_secs_f64()).fold(0.0, f64::max))
             .sum();
         let serial: f64 = job
             .stages()

@@ -470,7 +470,7 @@ impl ReferenceSimulation {
             let job = &mut self.jobs[id];
             let running = job.stage.running.swap_remove(pos);
             job.held -= running.containers;
-            let spec_task = job.spec.stages()[job.stage_index].tasks()[running.task_idx];
+            let spec_task = job.spec.stages()[job.stage_index].task(running.task_idx);
             job.stage.completed += 1;
             job.completed_service += spec_task.service();
             stage_done = job.stage.completed == job.stage.total;
@@ -560,7 +560,7 @@ impl ReferenceSimulation {
                 return false;
             }
         };
-        let spec_task = self.jobs[id].current_stage().tasks()[task_idx];
+        let spec_task = self.jobs[id].current_stage().task(task_idx);
         let Some(node) = self.allocate(spec_task.containers()) else {
             let job = &mut self.jobs[id];
             if from_requeue {

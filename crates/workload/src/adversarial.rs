@@ -319,7 +319,6 @@ mod tests {
         assert!(jobs.iter().all(|j| {
             j.stages()[0]
                 .tasks()
-                .iter()
                 .all(|t| t.duration() == SimDuration::from_millis(1))
         }));
     }

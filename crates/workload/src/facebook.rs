@@ -242,8 +242,8 @@ mod tests {
             assert!(total <= 1e4 * 1.01, "job above the cap: {total}");
             // size/tasks × tasks == size: task durations are uniform.
             let stage = &j.stages()[0];
-            let per_task = stage.tasks()[0].duration();
-            assert!(stage.tasks().iter().all(|t| t.duration() == per_task));
+            let per_task = stage.task(0).duration();
+            assert!(stage.tasks().all(|t| t.duration() == per_task));
         }
     }
 

@@ -166,7 +166,7 @@ mod tests {
         let jobs = UniformWorkload::new().jobs(1).tasks_per_job(10).generate();
         let stage = &jobs[0].stages()[0];
         assert_eq!(stage.task_count(), 10);
-        assert_eq!(stage.tasks()[0].duration(), SimDuration::from_secs(1_000));
+        assert_eq!(stage.task(0).duration(), SimDuration::from_secs(1_000));
     }
 
     #[test]

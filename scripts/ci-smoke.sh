@@ -60,6 +60,24 @@ reproduction() {
     ./target/release/repro campaign-status
 }
 
+trace_bytes() {
+    # Trace files keep their bytes however job specs are stored in
+    # memory: each generator's output must hash to what commit 9a9ccf6
+    # (where every stage still held one TaskSpec per task) wrote, and
+    # each file must then replay.
+    mkdir -p target/trace-bytes
+    while read -r kind sha; do
+        local file="target/trace-bytes/$kind.json"
+        ./target/release/repro trace-gen "$kind" --jobs 300 --seed 3 --out "$file"
+        echo "$sha  $file" | sha256sum --check
+        ./target/release/repro trace-run "$file"
+    done <<'EOF'
+facebook 94824f6d6e2c2e775a6480947924f2296d730cde889df4cbc69ae6f21996e24c
+uniform da058e88ee446c71613c7b65cbefc66bd3da7603a2f6c6440e21856275d78bea
+puma fbbf341fb0a7f8c01548ec0ef52fa3a6c34f12094897928abfd8644ecdd084db
+EOF
+}
+
 checkpoint_resume() {
     # Kill a campaign mid-run, resume it from its on-disk checkpoints,
     # and require the final artifacts to be byte-identical to an
@@ -182,7 +200,8 @@ EOF
 
 # In the order ci.yml ran them.
 steps=(perf_smoke benchmark_harness engine_bit_identity million_job_perf
-    reproduction checkpoint_resume verify robustness env_training serve telemetry)
+    reproduction trace_bytes checkpoint_resume verify robustness env_training serve
+    telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)
 failed=0
