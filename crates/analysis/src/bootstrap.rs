@@ -31,47 +31,19 @@ pub struct BootstrapCi {
 
 /// Percentile-bootstrap CI of `statistic` over `values` at the given
 /// `confidence` (e.g. 0.95), using `resamples` resamples seeded by `seed`.
-///
-/// # Panics
-///
-/// Panics if `values` is empty, `resamples` is zero, or `confidence` is
-/// outside `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use lasmq_analysis::bootstrap_ci;
-///
-/// let data: Vec<f64> = (1..=100).map(f64::from).collect();
-/// let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
-/// let ci = bootstrap_ci(&data, mean, 0.95, 1_000, 7);
-/// assert!(ci.low < 50.5 && 50.5 < ci.high);
-/// ```
-pub fn bootstrap_ci(
-    values: &[f64],
-    statistic: impl Fn(&[f64]) -> f64,
-    confidence: f64,
-    resamples: usize,
-    seed: u64,
-) -> BootstrapCi {
-    assert!(!values.is_empty(), "cannot bootstrap an empty sample");
-    assert!(resamples > 0, "need at least one resample");
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must be in (0, 1)"
-    );
-    compute_bootstrap(values, statistic, confidence, resamples, seed)
-}
-
-/// Non-panicking [`bootstrap_ci`]: `None` for an empty or non-finite
-/// sample, zero resamples, or a confidence outside `(0, 1)`.
+/// `None` for an empty or non-finite sample, zero resamples, or a
+/// confidence outside `(0, 1)`.
 ///
 /// # Examples
 ///
 /// ```
 /// use lasmq_analysis::try_bootstrap_ci;
 ///
+/// let data: Vec<f64> = (1..=100).map(f64::from).collect();
 /// let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
+/// let ci = try_bootstrap_ci(&data, mean, 0.95, 1_000, 7).unwrap();
+/// assert!(ci.low < 50.5 && 50.5 < ci.high);
+///
 /// assert!(try_bootstrap_ci(&[], mean, 0.95, 100, 0).is_none());
 /// let ci = try_bootstrap_ci(&[5.0], mean, 0.95, 100, 0).unwrap();
 /// assert_eq!((ci.low, ci.point, ci.high), (5.0, 5.0, 5.0));
@@ -90,19 +62,6 @@ pub fn try_bootstrap_ci(
     {
         return None;
     }
-    Some(compute_bootstrap(
-        values, statistic, confidence, resamples, seed,
-    ))
-}
-
-/// Shared implementation; callers have validated the arguments.
-fn compute_bootstrap(
-    values: &[f64],
-    statistic: impl Fn(&[f64]) -> f64,
-    confidence: f64,
-    resamples: usize,
-    seed: u64,
-) -> BootstrapCi {
     let n = values.len();
     let point = statistic(values);
     let mut stats = Vec::with_capacity(resamples);
@@ -119,12 +78,12 @@ fn compute_bootstrap(
     let alpha = (1.0 - confidence) / 2.0;
     let idx =
         |q: f64| -> usize { ((q * (resamples - 1) as f64).round() as usize).min(resamples - 1) };
-    BootstrapCi {
+    Some(BootstrapCi {
         point,
         low: stats[idx(alpha)],
         high: stats[idx(1.0 - alpha)],
         resamples,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -138,7 +97,7 @@ mod tests {
     #[test]
     fn interval_brackets_the_point_estimate() {
         let data: Vec<f64> = (0..200).map(|i| (i % 13) as f64).collect();
-        let ci = bootstrap_ci(&data, mean, 0.95, 500, 1);
+        let ci = try_bootstrap_ci(&data, mean, 0.95, 500, 1).unwrap();
         assert!(ci.low <= ci.point && ci.point <= ci.high);
         assert!(ci.high - ci.low < 2.0, "interval too wide: {ci:?}");
     }
@@ -146,9 +105,9 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let data: Vec<f64> = (0..50).map(f64::from).collect();
-        let a = bootstrap_ci(&data, mean, 0.9, 200, 42);
-        let b = bootstrap_ci(&data, mean, 0.9, 200, 42);
-        let c = bootstrap_ci(&data, mean, 0.9, 200, 43);
+        let a = try_bootstrap_ci(&data, mean, 0.9, 200, 42);
+        let b = try_bootstrap_ci(&data, mean, 0.9, 200, 42);
+        let c = try_bootstrap_ci(&data, mean, 0.9, 200, 43);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -163,7 +122,7 @@ mod tests {
             v.sort_by(f64::total_cmp);
             v[(0.9 * (v.len() - 1) as f64) as usize]
         };
-        let ci = bootstrap_ci(&data, p90, 0.95, 400, 3);
+        let ci = try_bootstrap_ci(&data, p90, 0.95, 400, 3).unwrap();
         assert!(ci.point == 1.0 || ci.point == 100.0);
         assert!(ci.low <= ci.high);
     }
@@ -171,15 +130,9 @@ mod tests {
     #[test]
     fn wider_confidence_is_wider() {
         let data: Vec<f64> = (0..100).map(|i| ((i * 37) % 100) as f64).collect();
-        let narrow = bootstrap_ci(&data, mean, 0.5, 800, 9);
-        let wide = bootstrap_ci(&data, mean, 0.99, 800, 9);
+        let narrow = try_bootstrap_ci(&data, mean, 0.5, 800, 9).unwrap();
+        let wide = try_bootstrap_ci(&data, mean, 0.99, 800, 9).unwrap();
         assert!(wide.high - wide.low >= narrow.high - narrow.low);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_panics() {
-        let _ = bootstrap_ci(&[], mean, 0.9, 10, 0);
     }
 
     #[test]
@@ -198,11 +151,5 @@ mod tests {
         // finite — no NaN anywhere.
         let ci = try_bootstrap_ci(&[7.5], mean, 0.95, 50, 3).unwrap();
         assert_eq!((ci.low, ci.point, ci.high), (7.5, 7.5, 7.5));
-        // And the variant agrees with the panicking one on good input.
-        let data: Vec<f64> = (0..20).map(f64::from).collect();
-        assert_eq!(
-            try_bootstrap_ci(&data, mean, 0.9, 100, 1),
-            Some(bootstrap_ci(&data, mean, 0.9, 100, 1))
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! interval on the mean difference that excludes zero is evidence the
 //! gap is real, not seed luck.
 
-use crate::summary::{summarize, try_summarize, SampleSummary};
+use crate::summary::{try_summarize, SampleSummary};
 
 /// The result of a paired comparison `a − b` across seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,40 +46,7 @@ impl PairedComparison {
 }
 
 /// Pairs `a` and `b` by index (same seed at the same position) and
-/// summarizes their differences.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-///
-/// # Examples
-///
-/// ```
-/// use lasmq_analysis::paired_compare;
-///
-/// // LAS_MQ vs Fair mean responses over 4 seeds.
-/// let las_mq = [820.0, 790.0, 860.0, 810.0];
-/// let fair = [1400.0, 1350.0, 1490.0, 1380.0];
-/// let cmp = paired_compare(&las_mq, &fair);
-/// assert!(cmp.is_significant());
-/// assert!(cmp.improvement_pct() > 40.0);
-/// ```
-pub fn paired_compare(a: &[f64], b: &[f64]) -> PairedComparison {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "paired comparison needs equal-length samples"
-    );
-    assert!(!a.is_empty(), "paired comparison needs at least one pair");
-    let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-    PairedComparison {
-        difference: summarize(&diffs),
-        mean_a: a.iter().sum::<f64>() / a.len() as f64,
-        mean_b: b.iter().sum::<f64>() / b.len() as f64,
-    }
-}
-
-/// Non-panicking [`paired_compare`]: `None` when the slices differ in
+/// summarizes their differences. `None` when the slices differ in
 /// length, are empty, or contain non-finite values — the shapes that
 /// arise naturally when a campaign produced no completed repetitions for
 /// one of the two schedulers.
@@ -88,6 +55,13 @@ pub fn paired_compare(a: &[f64], b: &[f64]) -> PairedComparison {
 ///
 /// ```
 /// use lasmq_analysis::try_paired_compare;
+///
+/// // LAS_MQ vs Fair mean responses over 4 seeds.
+/// let las_mq = [820.0, 790.0, 860.0, 810.0];
+/// let fair = [1400.0, 1350.0, 1490.0, 1380.0];
+/// let cmp = try_paired_compare(&las_mq, &fair).unwrap();
+/// assert!(cmp.is_significant());
+/// assert!(cmp.improvement_pct() > 40.0);
 ///
 /// assert!(try_paired_compare(&[], &[]).is_none());
 /// assert!(try_paired_compare(&[1.0], &[1.0, 2.0]).is_none());
@@ -114,7 +88,7 @@ mod tests {
     fn consistent_gaps_are_significant() {
         let a = [1.0, 1.1, 0.9, 1.0, 1.05];
         let b = [2.0, 2.1, 1.9, 2.0, 2.05];
-        let cmp = paired_compare(&a, &b);
+        let cmp = try_paired_compare(&a, &b).unwrap();
         assert!(cmp.is_significant());
         assert!((cmp.improvement_pct() - 50.0).abs() < 2.0);
         assert!(cmp.difference.mean < 0.0);
@@ -124,37 +98,22 @@ mod tests {
     fn noisy_overlapping_samples_are_not() {
         let a = [1.0, 3.0, 2.0, 1.5];
         let b = [2.0, 1.0, 2.5, 2.0];
-        let cmp = paired_compare(&a, &b);
+        let cmp = try_paired_compare(&a, &b).unwrap();
         assert!(!cmp.is_significant());
-    }
-
-    #[test]
-    fn single_pair_is_never_significant() {
-        let cmp = paired_compare(&[1.0], &[5.0]);
-        assert!(!cmp.is_significant(), "n=1 carries no spread information");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn mismatched_lengths_panic() {
-        let _ = paired_compare(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]
     fn try_paired_compare_degrades_instead_of_panicking() {
         assert!(try_paired_compare(&[], &[]).is_none());
         assert!(try_paired_compare(&[1.0], &[]).is_none());
+        assert!(try_paired_compare(&[1.0], &[1.0, 2.0]).is_none());
         assert!(try_paired_compare(&[1.0, f64::NAN], &[2.0, 3.0]).is_none());
 
-        // A single pair is usable (never significant, never NaN).
+        // A single pair is usable: never significant (n=1 carries no
+        // spread information), never NaN.
         let cmp = try_paired_compare(&[1.0], &[5.0]).unwrap();
         assert!(!cmp.is_significant());
         assert_eq!(cmp.difference.mean, -4.0);
         assert!(cmp.improvement_pct().is_finite());
-
-        // And it agrees with the panicking variant on good input.
-        let a = [1.0, 1.1, 0.9];
-        let b = [2.0, 2.1, 1.9];
-        assert_eq!(try_paired_compare(&a, &b), Some(paired_compare(&a, &b)));
     }
 }

@@ -72,29 +72,7 @@ fn t_975(df: usize) -> f64 {
     }
 }
 
-/// Summarizes a sample.
-///
-/// # Panics
-///
-/// Panics if `values` is empty or contains non-finite entries.
-///
-/// # Examples
-///
-/// ```
-/// let s = lasmq_analysis::summarize(&[10.0, 12.0, 11.0]);
-/// assert_eq!(s.n, 3);
-/// assert!((s.mean - 11.0).abs() < 1e-12);
-/// assert!(s.contains(11.0));
-/// ```
-pub fn summarize(values: &[f64]) -> SampleSummary {
-    assert!(!values.is_empty(), "cannot summarize an empty sample");
-    for &v in values {
-        assert!(v.is_finite(), "sample contains a non-finite value: {v}");
-    }
-    compute_summary(values)
-}
-
-/// Non-panicking [`summarize`]: `None` for an empty sample or one with
+/// Summarizes a sample. `None` for an empty sample or one with
 /// non-finite entries, so pipeline code over possibly-empty slices (a
 /// bin no job landed in, a run where nothing completed) degrades to "no
 /// data" instead of a panic or a NaN-poisoned table.
@@ -104,6 +82,11 @@ pub fn summarize(values: &[f64]) -> SampleSummary {
 /// ```
 /// use lasmq_analysis::try_summarize;
 ///
+/// let s = try_summarize(&[10.0, 12.0, 11.0]).unwrap();
+/// assert_eq!(s.n, 3);
+/// assert!((s.mean - 11.0).abs() < 1e-12);
+/// assert!(s.contains(11.0));
+///
 /// assert!(try_summarize(&[]).is_none());
 /// assert!(try_summarize(&[1.0, f64::NAN]).is_none());
 /// assert_eq!(try_summarize(&[3.0]).unwrap().mean, 3.0);
@@ -112,32 +95,27 @@ pub fn try_summarize(values: &[f64]) -> Option<SampleSummary> {
     if values.is_empty() || values.iter().any(|v| !v.is_finite()) {
         return None;
     }
-    Some(compute_summary(values))
-}
-
-/// Shared implementation; callers have validated `values`.
-fn compute_summary(values: &[f64]) -> SampleSummary {
     let n = values.len();
     let mean = values.iter().sum::<f64>() / n as f64;
     if n == 1 {
-        return SampleSummary {
+        return Some(SampleSummary {
             n,
             mean,
             std_dev: 0.0,
             sem: 0.0,
             ci95_half_width: 0.0,
-        };
+        });
     }
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64;
     let std_dev = var.sqrt();
     let sem = std_dev / (n as f64).sqrt();
-    SampleSummary {
+    Some(SampleSummary {
         n,
         mean,
         std_dev,
         sem,
         ci95_half_width: t_975(n - 1) * sem,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -146,7 +124,7 @@ mod tests {
 
     #[test]
     fn single_value_has_zero_spread() {
-        let s = summarize(&[42.0]);
+        let s = try_summarize(&[42.0]).unwrap();
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.ci95_half_width, 0.0);
         assert_eq!(s.ci95(), (42.0, 42.0));
@@ -157,7 +135,7 @@ mod tests {
     fn textbook_example() {
         // n=5, values 2,4,4,4,6: mean 4, var 2, sd ~1.414, sem ~0.632,
         // t(4)=2.776 → half width ~1.756.
-        let s = summarize(&[2.0, 4.0, 4.0, 4.0, 6.0]);
+        let s = try_summarize(&[2.0, 4.0, 4.0, 4.0, 6.0]).unwrap();
         assert!((s.mean - 4.0).abs() < 1e-12);
         assert!((s.std_dev - 2.0f64.sqrt()).abs() < 1e-12);
         assert!((s.ci95_half_width - 2.776 * 2.0f64.sqrt() / 5.0f64.sqrt()).abs() < 1e-9);
@@ -168,20 +146,8 @@ mod tests {
     #[test]
     fn large_samples_use_the_normal_quantile() {
         let values: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
-        let s = summarize(&values);
+        let s = try_summarize(&values).unwrap();
         assert!((s.ci95_half_width - 1.96 * s.sem).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_sample_panics() {
-        let _ = summarize(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn nan_panics() {
-        let _ = summarize(&[1.0, f64::NAN]);
     }
 
     #[test]
@@ -202,6 +168,5 @@ mod tests {
         assert!(s.std_dev == 0.0 && s.sem == 0.0 && s.ci95_half_width == 0.0);
         assert!(s.ci95().0.is_finite() && s.ci95().1.is_finite());
         assert_eq!(Some(s), try_summarize(&[42.0]));
-        assert_eq!(s, summarize(&[42.0]));
     }
 }

@@ -12,36 +12,45 @@
 //! * `restore_and_finish` — rebuilding a paused simulation from the
 //!   snapshot and running it to completion (what a resumed campaign cell
 //!   pays instead of a from-scratch run).
+//!
+//! Two more are the policy trainer's per-candidate cost (`ext_train`
+//! forks every candidate from the same `warm_fork` snapshot), which
+//! bounds how many candidates a training round can afford:
+//!
+//! * `fork_only` — rebuilding a forked simulation under a learned policy
+//!   (the fixed cost, paid before any simulation);
+//! * `fork_and_finish` — fork, run the tail to completion and score it
+//!   (one full candidate evaluation).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use lasmq_campaign::{SchedulerKind, SimSetup, WorkloadSpec};
+use lasmq_experiments::warm_fork::{donor_snapshot, post_fork_mean_response};
+use lasmq_schedulers::{LearnedScheduler, LinearPolicy};
 use lasmq_simulator::{Scheduler, SimSnapshot, SimTime, Simulation};
 
 const JOBS: usize = 60;
 const SEED: u64 = 42;
 
-fn warmed_simulation() -> Simulation<Box<dyn Scheduler>> {
-    let workload = WorkloadSpec::Puma {
+fn workload() -> WorkloadSpec {
+    WorkloadSpec::Puma {
         jobs: JOBS,
         mean_interval_secs: 50.0,
         seed: SEED,
         geo_bandwidth_mb_per_s: None,
-    };
-    SimSetup::testbed().build_simulation(workload.generate(), &SchedulerKind::las_mq_simulations())
+    }
+}
+
+fn warmed_simulation() -> Simulation<Box<dyn Scheduler>> {
+    SimSetup::testbed()
+        .build_simulation(workload().generate(), &SchedulerKind::las_mq_simulations())
 }
 
 /// The pause point: the median job arrival, when the cluster is warm and
 /// a backlog exists.
 fn pause_point() -> SimTime {
-    let workload = WorkloadSpec::Puma {
-        jobs: JOBS,
-        mean_interval_secs: 50.0,
-        seed: SEED,
-        geo_bandwidth_mb_per_s: None,
-    };
-    let mut arrivals: Vec<SimTime> = workload.generate().iter().map(|j| j.arrival()).collect();
+    let mut arrivals: Vec<SimTime> = workload().generate().iter().map(|j| j.arrival()).collect();
     arrivals.sort();
     arrivals[arrivals.len() / 2]
 }
@@ -89,5 +98,25 @@ fn bench_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_snapshot);
+fn bench_fork(c: &mut Criterion) {
+    let snapshot = donor_snapshot(&SimSetup::testbed(), &workload());
+    let fork_at = snapshot.now();
+    let policy = LinearPolicy::las_like();
+    let fork = || {
+        Simulation::fork(&snapshot, LearnedScheduler::new(policy.clone()))
+            .expect("a learned policy forks from a non-oracle snapshot")
+    };
+
+    let mut group = c.benchmark_group("fork");
+    group.sample_size(10);
+    group.bench_function("fork_only_120c_puma", |b| {
+        b.iter(|| black_box(fork()));
+    });
+    group.bench_function("fork_and_finish_120c_puma", |b| {
+        b.iter(|| black_box(post_fork_mean_response(&fork().run(), fork_at)));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_snapshot, bench_fork);
 criterion_main!(benches);

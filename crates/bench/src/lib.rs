@@ -3,8 +3,8 @@
 //! The paper's tables and figures are `repro <figure>` and every timing
 //! claim is measured by the `benchmark/` harness. What stays here is what
 //! neither covers: `ablation_extensions` (the extension tables, at
-//! [`Scale::bench`]), `snapshot_restore` and `env_rollout`, plus the
-//! `perf-smoke` event-count gate.
+//! [`Scale::bench`]) and `snapshot_restore` (which also times the policy
+//! trainer's fork evaluation), plus the `perf-smoke` event-count gate.
 //!
 //! [`Scale::bench`]: lasmq_experiments::Scale::bench
 

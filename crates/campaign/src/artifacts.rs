@@ -20,16 +20,17 @@
 //! without touching the telemetry CSVs, which stay byte-identical whether
 //! or not the invariant checker was armed.
 
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use lasmq_analysis::TelemetrySummary;
 use lasmq_simulator::SimulationReport;
 
+use crate::cache::write_atomic;
+
 /// Maps a cell label to a safe single directory name: ASCII alphanumerics,
 /// `-` and `_` pass through, everything else (including `/`) becomes `_`.
-/// The same convention the campaign manifest uses for file names.
+/// The campaign manifest names its files the same way.
 pub fn sanitize_label(label: &str) -> String {
     label
         .chars()
@@ -62,7 +63,6 @@ pub fn write_cell_artifacts(
         return Ok(None);
     };
     let dir = root.join(sanitize_label(label));
-    fs::create_dir_all(&dir)?;
     let summary = TelemetrySummary::from_telemetry(telemetry);
     let summary_json =
         serde_json::to_string(&summary).expect("telemetry summaries always serialize");
@@ -95,24 +95,17 @@ pub fn write_invariant_artifact(
         return Ok(None);
     };
     let dir = root.join(sanitize_label(label));
-    fs::create_dir_all(&dir)?;
     let json = serde_json::to_string(invariants).expect("invariant reports always serialize");
     let path = dir.join("invariants.json");
     write_atomic(&path, json.as_bytes())?;
     Ok(Some(path))
 }
 
-/// Writes `bytes` to `path` through a sibling temp file + rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lasmq_simulator::{EngineStats, SimTime, Telemetry, TelemetrySample};
+    use std::fs;
 
     fn report_with_telemetry() -> SimulationReport {
         let mut t = Telemetry::new();

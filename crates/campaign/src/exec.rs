@@ -53,15 +53,15 @@ pub struct ExecOptions {
     /// writes per-cell artifacts under this directory.
     pub telemetry_dir: Option<PathBuf>,
     /// When set, every simulating cell writes a mid-run checkpoint to the
-    /// cache each `interval` of *simulated* time, so an interrupted
-    /// campaign can resume mid-cell. Requires the cache; ignored when
-    /// caching is off.
-    pub checkpoint_every: Option<SimDuration>,
-    /// When set, cells with a mid-run checkpoint in the cache restore it
-    /// and continue from the pause point instead of simulating from
-    /// scratch. Unusable checkpoints (older schema, different scheduler)
+    /// cache each `interval` of *simulated* time. Requires the cache;
+    /// ignored when caching is off.
+    ///
+    /// Restoring needs no setting: with the cache on, a cell without a
+    /// result but with a checkpoint under its fingerprint always continues
+    /// from it, since a restored run reports the same bits as a fresh
+    /// one. Unusable checkpoints (older schema, different scheduler)
     /// degrade to a warning and a fresh run.
-    pub resume: bool,
+    pub checkpoint_every: Option<SimDuration>,
     /// When set, every cell runs with the engine's runtime invariant
     /// checker armed; reports carry an
     /// [`InvariantReport`](lasmq_simulator::InvariantReport) and any
@@ -81,7 +81,6 @@ impl Default for ExecOptions {
             progress: false,
             telemetry_dir: None,
             checkpoint_every: None,
-            resume: false,
             verify: false,
         }
     }
@@ -125,13 +124,6 @@ impl ExecOptions {
     /// time (see [`ExecOptions::checkpoint_every`]).
     pub fn checkpoint_every(mut self, interval: SimDuration) -> Self {
         self.checkpoint_every = Some(interval);
-        self
-    }
-
-    /// Resumes interrupted cells from their last mid-run checkpoint (see
-    /// [`ExecOptions::resume`]).
-    pub fn resume(mut self) -> Self {
-        self.resume = true;
         self
     }
 
@@ -455,8 +447,8 @@ impl Campaign {
         report
     }
 
-    /// Simulates a cell from its last checkpoint (with `--resume`) or
-    /// from scratch, writing periodic checkpoints when configured.
+    /// Simulates a cell from its last checkpoint in the cache, if it has
+    /// one, or from scratch, writing periodic checkpoints when configured.
     fn simulate_cell(
         &self,
         cell: &RunCell,
@@ -464,28 +456,24 @@ impl Campaign {
         cache: Option<&ResultCache>,
         opts: &ExecOptions,
     ) -> SimulationReport {
-        if opts.resume {
-            match cache.map(|c| c.try_load_checkpoint(key)) {
-                Some(Ok(snapshot)) => {
-                    match SimSetup::resume_simulation(snapshot, &cell.scheduler) {
-                        Ok(sim) => return self.drive_cell(sim, key, cache, opts),
-                        Err(err) => eprintln!(
-                            "[campaign {}] warning: checkpoint for {} unusable ({err}); \
-                         restarting the cell",
-                            self.name, cell.label
-                        ),
-                    }
-                }
-                // Nothing to resume: the normal case, not worth a warning.
-                Some(Err(CheckpointError::Missing)) | None => {}
-                // Truncated, corrupt or schema-mismatched checkpoint:
-                // degrade to a fresh run, but say why.
-                Some(Err(err)) => eprintln!(
+        match cache.map(|c| c.try_load_checkpoint(key)) {
+            Some(Ok(snapshot)) => match SimSetup::resume_simulation(snapshot, &cell.scheduler) {
+                Ok(sim) => return self.drive_cell(sim, key, cache, opts),
+                Err(err) => eprintln!(
                     "[campaign {}] warning: checkpoint for {} unusable ({err}); \
                      restarting the cell",
                     self.name, cell.label
                 ),
-            }
+            },
+            // Nothing to resume: the normal case, not worth a warning.
+            Some(Err(CheckpointError::Missing)) | None => {}
+            // Truncated, corrupt or schema-mismatched checkpoint:
+            // degrade to a fresh run, but say why.
+            Some(Err(err)) => eprintln!(
+                "[campaign {}] warning: checkpoint for {} unusable ({err}); \
+                 restarting the cell",
+                self.name, cell.label
+            ),
         }
         let sim = cell
             .setup
@@ -865,7 +853,7 @@ mod tests {
         )
         .unwrap();
 
-        let resumed = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir).resume());
+        let resumed = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir));
         assert_eq!(
             fingerprint_reports(&baseline),
             fingerprint_reports(&resumed),
@@ -983,8 +971,7 @@ mod tests {
         let resumed = campaign.run(
             &ExecOptions::with_threads(2)
                 .cache_dir(&dir)
-                .checkpoint_every(SimDuration::from_secs(120))
-                .resume(),
+                .checkpoint_every(SimDuration::from_secs(120)),
         );
         assert_eq!(resumed.stats.cache_hits, 0);
         assert_eq!(
@@ -1019,11 +1006,53 @@ mod tests {
             .expect("mid-run");
         cache.store_checkpoint(&victim_key, &snapshot).unwrap();
 
-        let resumed = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir).resume());
+        let resumed = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir));
         assert_eq!(
             fingerprint_reports(&baseline),
             fingerprint_reports(&resumed)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn default_options_restore_a_planted_checkpoint() {
+        let dir = temp_cache("ckpt-default");
+        let campaign = small_campaign("ckpt-default");
+        let baseline = campaign.run(&ExecOptions::with_threads(2).no_cache());
+
+        // Plant a checkpoint from a deadline-truncated build of cell 3's
+        // workload and scheduler. The deadline travels in the snapshot, so
+        // a run that restored it stops there and leaves jobs unfinished;
+        // a fresh run would complete them all.
+        let cache = ResultCache::new(&dir);
+        let cell = &campaign.cells()[3];
+        let deadline = half_makespan(&baseline.reports[3]);
+        let mut truncated = Simulation::builder()
+            .cluster(cell.setup.cluster_config())
+            .deadline(deadline)
+            .jobs(cell.workload.generate())
+            .build(cell.scheduler.build())
+            .unwrap();
+        let pause = lasmq_simulator::SimTime::from_millis(deadline.as_millis() / 2);
+        let snapshot = truncated.snapshot_at(pause).expect("mid-run");
+        cache
+            .store_checkpoint(&cell.fingerprint(), &snapshot)
+            .unwrap();
+
+        let result = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir));
+        assert!(baseline.reports[3].all_completed());
+        let restored = &result.reports[3];
+        assert!(
+            !restored.all_completed(),
+            "the cell must continue from the planted, truncated checkpoint"
+        );
+        assert!(restored.stats().makespan <= deadline);
+        // The other cells had no checkpoint and ran fresh.
+        assert_eq!(
+            fingerprint_reports(&baseline)[..3],
+            fingerprint_reports(&result)[..3]
+        );
+        assert!(!cache.has_checkpoint(&cell.fingerprint()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

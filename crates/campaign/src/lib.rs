@@ -16,9 +16,9 @@
 //! * **mid-cell checkpoints** — with [`ExecOptions::checkpoint_every`],
 //!   simulating cells periodically write a
 //!   [`SimSnapshot`](lasmq_simulator::SimSnapshot) next to their cache
-//!   entry, and [`ExecOptions::resume`] restores it so a killed campaign
-//!   restarts cells from their last checkpoint instead of from scratch —
-//!   with bit-identical final reports either way;
+//!   entry, and the next run of the cell restores it, so a killed
+//!   campaign restarts cells from their last checkpoint instead of from
+//!   scratch — with bit-identical final reports either way;
 //! * **progress reporting** on stderr (cells done/total, cache hits,
 //!   per-worker throughput, ETA), keeping stdout byte-stable;
 //! * optional **telemetry artifacts** — with

@@ -14,7 +14,8 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::ResultCache;
+use crate::artifacts::sanitize_label;
+use crate::cache::{write_atomic, ResultCache};
 use crate::run::RunCell;
 
 /// One cell's entry in a manifest.
@@ -55,26 +56,17 @@ impl Manifest {
     pub fn path_for(dir: &Path, name: &str) -> PathBuf {
         // Campaign names are experiment identifiers (fig5, ext_load, …);
         // keep the file name safe regardless.
-        let safe: String = name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        dir.join(format!("manifest-{safe}.json"))
+        dir.join(format!("manifest-{}.json", sanitize_label(name)))
     }
 
-    /// Writes the manifest under `dir`, returning its path.
+    /// Writes the manifest under `dir` atomically, returning its path: a
+    /// kill mid-write leaves the previous manifest, never a torn one that
+    /// [`load_all`](Self::load_all) would drop.
     pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
         let path = Manifest::path_for(dir, &self.name);
         let json = serde_json::to_string(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        fs::write(&path, json)?;
+        write_atomic(&path, json.as_bytes())?;
         Ok(path)
     }
 
@@ -175,7 +167,16 @@ mod tests {
         let cells = cells();
         let keys: Vec<String> = cells.iter().map(|c| c.fingerprint()).collect();
         let manifest = Manifest::new("unit", &cells, &keys);
+        // A rewrite replaces the file in place and leaves no temp file.
         manifest.write(&dir).unwrap();
+        let path = manifest.write(&dir).unwrap();
+        assert_eq!(path, Manifest::path_for(&dir, "unit"));
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
 
         let loaded = Manifest::load_all(&dir);
         assert_eq!(loaded, vec![manifest.clone()]);

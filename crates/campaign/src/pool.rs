@@ -2,9 +2,9 @@
 //! (shared atomic claim index, per-slot `OnceLock` results).
 //!
 //! The campaign executor runs its cells on it (panic capture, caching and
-//! progress live in the closure it passes), and so do the policy
-//! trainer's fork-parallel candidate evaluation and the env's N-way
-//! rollouts: run `f(0..count)` on up to `threads` workers and get the
+//! progress live in the closure it passes), and so does the policy
+//! trainer's fork-parallel candidate evaluation: run `f(0..count)` on up
+//! to `threads` workers and get the
 //! results back **in index order**, so the output is bit-identical
 //! regardless of worker count.
 

@@ -174,8 +174,8 @@ impl SimSetup {
 
     /// Like [`build_simulation`](Self::build_simulation) but for a
     /// caller-constructed scheduler instance outside the
-    /// [`SchedulerKind`] registry (the env's action scheduler, ad-hoc
-    /// policy instances). The caller states whether the instance needs
+    /// [`SchedulerKind`] registry (wrapped or instrumented schedulers,
+    /// ad-hoc policy instances). The caller states whether the instance needs
     /// the size oracle, since an arbitrary `S` cannot be asked.
     ///
     /// # Panics

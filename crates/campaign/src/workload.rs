@@ -129,22 +129,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// The same workload with its generator seed replaced — the episode
-    /// axis for policy training and evaluation (train on one seed family,
-    /// hold out another). [`Explicit`](Self::Explicit) job lists have no
-    /// generator, so they are returned unchanged.
-    pub fn with_seed(&self, seed: u64) -> Self {
-        let mut spec = self.clone();
-        match &mut spec {
-            WorkloadSpec::Puma { seed: s, .. }
-            | WorkloadSpec::Facebook { seed: s, .. }
-            | WorkloadSpec::Scale { seed: s, .. }
-            | WorkloadSpec::Uniform { seed: s, .. } => *s = seed,
-            WorkloadSpec::Explicit { .. } => {}
-        }
-        spec
-    }
-
     /// A short human label for telemetry.
     pub fn label(&self) -> String {
         match self {
@@ -231,31 +215,6 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
-    }
-
-    #[test]
-    fn with_seed_reseeds_generators_and_leaves_explicit_alone() {
-        let spec = WorkloadSpec::Facebook {
-            jobs: 12,
-            seed: 5,
-            load: None,
-        };
-        let reseeded = spec.with_seed(99);
-        assert_eq!(
-            reseeded,
-            WorkloadSpec::Facebook {
-                jobs: 12,
-                seed: 99,
-                load: None,
-            }
-        );
-        assert_ne!(spec.generate(), reseeded.generate());
-
-        let explicit = WorkloadSpec::Explicit {
-            name: "fixed".into(),
-            jobs: vec![],
-        };
-        assert_eq!(explicit.with_seed(7), explicit);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--quick] [--out DIR] [--threads N] [--no-cache] [--seed S]
-//!       [--telemetry DIR] [--checkpoint-every SECS] [--resume] [--verify]
+//!       [--telemetry DIR] [--checkpoint-every SECS] [--verify]
 //!       [--profile] [--policy FILE] [--train-iters N] [--train-population N]
 //!       <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
 //! repro campaign-status
@@ -23,9 +23,9 @@
 //! bit-identical regardless of worker count or cache state.
 //! `--checkpoint-every SECS` makes simulating cells write a mid-run
 //! checkpoint (a snapshot of full engine state) every SECS of simulated
-//! time; `--resume` restores those checkpoints so a killed run picks up
-//! each cell where it left off, with bit-identical final output either
-//! way. `--verify` arms the engine's runtime invariant checker on every
+//! time; with the cache on, the next run restores them, so a killed run
+//! picks up each cell where it left off, with bit-identical final output
+//! either way. `--verify` arms the engine's runtime invariant checker on every
 //! cell (container conservation, clock monotonicity, task accounting,
 //! queue consistency, snapshot fidelity); violations are warned about on
 //! stderr without aborting, and tables stay byte-identical. `--profile`
@@ -70,7 +70,6 @@ struct Args {
     seed: Option<u64>,
     telemetry: Option<PathBuf>,
     checkpoint_every: Option<u64>,
-    resume: bool,
     verify: bool,
     profile: bool,
     policy: Option<PathBuf>,
@@ -88,7 +87,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut seed = None;
     let mut telemetry = None;
     let mut checkpoint_every = None;
-    let mut resume = false;
     let mut verify = false;
     let mut profile = false;
     let mut policy = None;
@@ -134,7 +132,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                         format!("--checkpoint-every needs a positive integer of seconds, got '{v}'")
                     })?);
             }
-            "--resume" => resume = true,
             "--verify" => verify = true,
             "--profile" => profile = true,
             "--policy" => {
@@ -175,7 +172,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         seed,
         telemetry,
         checkpoint_every,
-        resume,
         verify,
         profile,
         policy,
@@ -186,7 +182,7 @@ fn parse_args() -> Result<Option<Args>, String> {
 }
 
 const USAGE: &str = "usage: repro [--quick] [--out DIR] [--threads N] [--no-cache] [--seed S] \
-    [--telemetry DIR] [--checkpoint-every SECS] [--resume] [--verify] [--profile] \
+    [--telemetry DIR] [--checkpoint-every SECS] [--verify] [--profile] \
     [--policy FILE] [--train-iters N] [--train-population N] \
     <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
        repro campaign-status
@@ -195,10 +191,9 @@ const USAGE: &str = "usage: repro [--quick] [--out DIR] [--threads N] [--no-cach
 
   --checkpoint-every SECS   write a mid-run checkpoint of each simulating
                             cell every SECS simulated seconds (kept in the
-                            campaign cache, deleted once the cell finishes)
-  --resume                  restore cells from their checkpoints after an
-                            interrupted run; final results are bit-identical
-                            to an uninterrupted run
+                            campaign cache, deleted once the cell finishes);
+                            a rerun continues each unfinished cell from its
+                            checkpoint, bit-identical to an uninterrupted run
   --verify                  arm the engine's runtime invariant checker on
                             every cell; violations are reported on stderr
                             as structured warnings, tables are unchanged
@@ -265,9 +260,6 @@ fn main() -> ExitCode {
     }
     if let Some(secs) = args.checkpoint_every {
         exec = exec.checkpoint_every(SimDuration::from_secs(secs));
-    }
-    if args.resume {
-        exec = exec.resume();
     }
     if args.verify {
         exec = exec.verify();

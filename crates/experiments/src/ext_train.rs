@@ -8,9 +8,10 @@
 //! vector, trained by derivative-free search:
 //!
 //! 1. **Warm snapshot** — one donor episode (FIFO, the policy-neutral
-//!    choice) is warmed to the median job arrival and snapshotted,
-//!    exactly the `ext_warmstart` pattern. Every candidate is evaluated
-//!    as a [`fork`](lasmq_simulator::Simulation::fork) of this single
+//!    choice) is warmed to the median job arrival and snapshotted
+//!    ([`warm_fork`](crate::warm_fork), shared with `ext_warmstart`).
+//!    Every candidate is evaluated as a
+//!    [`fork`](lasmq_simulator::Simulation::fork) of this single
 //!    snapshot, so an evaluation costs only the episode tail and all
 //!    candidates face the identical backlog.
 //! 2. **Random search** — a wide uniform sweep over weight space (plus
@@ -31,9 +32,8 @@
 //! returns bit-identical scores regardless of worker count.
 
 use lasmq_campaign::{map_parallel, WorkloadSpec};
-use lasmq_env::rollout::fork_policy_returns;
-use lasmq_schedulers::{LinearPolicy, FEATURE_COUNT, FEATURE_NAMES};
-use lasmq_simulator::{SimSnapshot, SimTime};
+use lasmq_schedulers::{LearnedScheduler, LinearPolicy, FEATURE_COUNT, FEATURE_NAMES};
+use lasmq_simulator::{SimError, SimSnapshot, SimTime, Simulation};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -41,6 +41,7 @@ use crate::kind::SchedulerKind;
 use crate::scale::Scale;
 use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
+use crate::warm_fork::{donor_snapshot, post_fork_mean_response};
 
 /// Trainer knobs. The defaults trade wall clock for polish; the smoke
 /// configuration keeps CI runs in seconds.
@@ -223,19 +224,30 @@ fn puma(scale: &Scale, seed: u64) -> WorkloadSpec {
     }
 }
 
-/// Warms a FIFO donor to the median arrival of the training workload and
-/// returns the JSON-round-tripped snapshot (the exact bytes a checkpoint
-/// file would hold).
-fn training_snapshot(setup: &SimSetup, scale: &Scale) -> SimSnapshot {
-    let jobs = puma(scale, scale.seed).generate();
-    let mut arrivals: Vec<SimTime> = jobs.iter().map(|j| j.arrival()).collect();
-    arrivals.sort();
-    let fork_at = arrivals[arrivals.len() / 2];
-    let mut donor = setup.build_simulation(jobs, &SchedulerKind::Fifo);
-    let snapshot = donor
-        .snapshot_at(fork_at)
-        .expect("workload extends past its median arrival");
-    SimSnapshot::from_json(&snapshot.to_json()).expect("snapshot JSON round-trips")
+/// Evaluates candidate policies as forks of one warm `snapshot`, in
+/// parallel on up to `threads` workers.
+///
+/// Each candidate runs as a fresh [`LearnedScheduler`] over the donor's
+/// engine state to completion. Its score is the negative
+/// [post-fork mean response](post_fork_mean_response), so higher is
+/// better. Returns one score per policy, in input order, bit-identical
+/// across thread counts: a [`SimSnapshot`] is plain data, so each worker
+/// rebuilds its own engine.
+///
+/// # Errors
+///
+/// Returns the first fork error (schema mismatch, corrupt snapshot).
+fn fork_policy_returns(
+    snapshot: &SimSnapshot,
+    policies: &[LinearPolicy],
+    threads: usize,
+) -> Result<Vec<f64>, SimError> {
+    let fork_at = snapshot.now();
+    let outcomes = map_parallel(threads, policies.len(), |i| {
+        let sim = Simulation::fork(snapshot, LearnedScheduler::new(policies[i].clone()))?;
+        Ok(-post_fork_mean_response(&sim.run(), fork_at).unwrap_or(0.0))
+    });
+    outcomes.into_iter().collect()
 }
 
 /// Runs the trainer end to end: warm snapshot, random-search warmup,
@@ -252,7 +264,7 @@ pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
     );
 
     let setup = SimSetup::testbed();
-    let snapshot = training_snapshot(&setup, scale);
+    let snapshot = donor_snapshot(&setup, &puma(scale, scale.seed));
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x7452_4149_4e45_5221);
 
     // Round 0: random search. Uniform weights in [-1, 1] cover the
@@ -457,6 +469,43 @@ mod tests {
         let r = smoke();
         let parsed = LinearPolicy::from_json(&r.policy_json()).unwrap();
         assert_eq!(parsed, r.policy);
+    }
+
+    /// A warm snapshot of a small PUMA workload.
+    fn warm_snapshot(jobs: usize) -> SimSnapshot {
+        let workload = WorkloadSpec::Puma {
+            jobs,
+            mean_interval_secs: 50.0,
+            seed: 9,
+            geo_bandwidth_mb_per_s: None,
+        };
+        donor_snapshot(&SimSetup::testbed(), &workload)
+    }
+
+    #[test]
+    fn fork_returns_are_identical_across_thread_counts() {
+        let snapshot = warm_snapshot(12);
+        let policies: Vec<LinearPolicy> = (0..6)
+            .map(|i| {
+                let mut w = LinearPolicy::las_like().weights;
+                w[5] = i as f64 * 0.1; // vary the wait-time weight
+                LinearPolicy::new(w)
+            })
+            .collect();
+        let serial = fork_policy_returns(&snapshot, &policies, 1).unwrap();
+        let parallel = fork_policy_returns(&snapshot, &policies, 8).unwrap();
+        let serial_bits: Vec<u64> = serial.iter().map(|r| r.to_bits()).collect();
+        let parallel_bits: Vec<u64> = parallel.iter().map(|r| r.to_bits()).collect();
+        assert_eq!(serial_bits, parallel_bits);
+        assert!(serial.iter().all(|&r| r < 0.0), "tails have completions");
+    }
+
+    #[test]
+    fn identical_policies_fork_to_identical_returns() {
+        let snapshot = warm_snapshot(10);
+        let twice = vec![LinearPolicy::las_like(), LinearPolicy::las_like()];
+        let returns = fork_policy_returns(&snapshot, &twice, 2).unwrap();
+        assert_eq!(returns[0].to_bits(), returns[1].to_bits());
     }
 
     #[test]

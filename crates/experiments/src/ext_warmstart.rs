@@ -5,10 +5,11 @@
 //! shows. This experiment uses the snapshot subsystem instead: it warms a
 //! PUMA cluster under one donor policy to a fork point (the median job
 //! arrival, when the cluster is saturated and a backlog exists), takes
-//! **one** [`SimSnapshot`] — round-tripped
+//! **one** [`SimSnapshot`](lasmq_simulator::SimSnapshot) — round-tripped
 //! through JSON, exactly as a checkpoint file would be — and
 //! [`fork`](lasmq_simulator::Simulation::fork)s it across all four lineup
-//! schedulers. Every arm inherits the identical warm state: same running
+//! schedulers ([`warm_fork`](crate::warm_fork) builds that snapshot).
+//! Every arm inherits the identical warm state: same running
 //! tasks, same occupancy, same admission backlog, same pending events.
 //! Whatever differs afterwards is attributable to the policy switch alone
 //! (the paired-comparison variance-reduction classic, here with *state*
@@ -18,12 +19,13 @@
 //! shows the fork overhead is a re-plan, not a perturbation.
 
 use lasmq_campaign::WorkloadSpec;
-use lasmq_simulator::{SimSnapshot, SimTime, Simulation};
+use lasmq_simulator::{SimTime, Simulation};
 
 use crate::kind::SchedulerKind;
 use crate::scale::Scale;
 use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
+use crate::warm_fork::{donor_snapshot, post_fork_mean_response, DONOR};
 
 /// One forked scheduler arm's post-fork outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,26 +101,8 @@ pub fn run(scale: &Scale) -> WarmstartResult {
         seed: scale.seed,
         geo_bandwidth_mb_per_s: None,
     };
-    let setup = SimSetup::testbed();
-    let donor = SchedulerKind::Fifo;
-
-    // Fork at the median arrival: half the workload is in (warm cluster,
-    // real backlog), half is still to come (the arms have work to differ
-    // on). Arrival times are workload data, so the fork point is
-    // deterministic and costs no probe run.
-    let jobs = workload.generate();
-    let mut arrivals: Vec<SimTime> = jobs.iter().map(|j| j.arrival()).collect();
-    arrivals.sort();
-    let fork_at = arrivals[arrivals.len() / 2];
-
-    let mut warmup = setup.build_simulation(jobs, &donor);
-    let snapshot = warmup
-        .snapshot_at(fork_at)
-        .expect("workload extends past its median arrival");
-    // Round-trip through JSON: the experiment exercises the exact bytes a
-    // checkpoint file would hold.
-    let snapshot = SimSnapshot::from_json(&snapshot.to_json()).expect("snapshot JSON round-trips");
-
+    let snapshot = donor_snapshot(&SimSetup::testbed(), &workload);
+    let fork_at = snapshot.now();
     let active_at_fork = snapshot.total_jobs() - snapshot.finished_jobs();
     let finished_at_fork = snapshot.finished_jobs();
 
@@ -130,8 +114,7 @@ pub fn run(scale: &Scale) -> WarmstartResult {
                 .run();
             ArmRow {
                 scheduler: report.scheduler().to_string(),
-                post_fork_mean_response: report
-                    .mean_response_secs_where(|o| o.finish.is_some_and(|f| f > fork_at))
+                post_fork_mean_response: post_fork_mean_response(&report, fork_at)
                     .unwrap_or(f64::NAN),
                 completed: report.completed_count(),
                 makespan_secs: report.stats().makespan.as_secs_f64(),
@@ -140,8 +123,8 @@ pub fn run(scale: &Scale) -> WarmstartResult {
         .collect();
 
     WarmstartResult {
-        warmup_scheduler: donor.to_string(),
-        fork_at: snapshot.now(),
+        warmup_scheduler: DONOR.to_string(),
+        fork_at,
         active_at_fork,
         finished_at_fork,
         arms,

@@ -19,7 +19,8 @@
 //! direction: inter-datacenter shuffle transfers), [`ext_load`] (load
 //! and admission-cap sweeps), [`ext_warmstart`] (warm-state what-if
 //! forking: one snapshot, every lineup scheduler) and [`ext_train`] (the
-//! cross-entropy policy trainer — `repro train`).
+//! cross-entropy policy trainer — `repro train`). The last two fork from
+//! the same [`warm_fork`] snapshot.
 //!
 //! Each module exposes `run(&Scale) -> …Result` returning plain data plus
 //! paper-style [`table::TextTable`]s; the `repro` binary drives them all
@@ -55,6 +56,7 @@ pub mod scale;
 pub mod stats;
 pub mod table;
 pub mod table1;
+pub mod warm_fork;
 
 // The scheduler/setup layer moved to `lasmq-campaign` (the campaign
 // subsystem needs it without depending on the experiment definitions);

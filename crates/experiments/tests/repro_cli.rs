@@ -1,5 +1,5 @@
 //! CLI surface checks for the `repro` binary: the help text must exit
-//! cleanly and advertise the checkpoint/resume/fork-compare surface, flag
+//! cleanly and advertise the checkpoint/fork-compare surface, flag
 //! misuse must fail with a pointer to the usage, and the trace subcommands
 //! must turn malformed numbers, unusable clusters and unfit jobs into a
 //! one-line error with exit status 1.
@@ -20,7 +20,6 @@ fn help_exits_zero_and_documents_checkpointing() {
     let text = String::from_utf8(out.stdout).expect("usage is utf-8");
     for needle in [
         "--checkpoint-every",
-        "--resume",
         "fork-compare",
         "robustness",
         "train",
@@ -65,6 +64,15 @@ fn bad_checkpoint_interval_is_rejected() {
         let text = String::from_utf8(out.stderr).expect("error is utf-8");
         assert!(text.contains("--checkpoint-every"), "got:\n{text}");
     }
+}
+
+#[test]
+fn resume_is_not_a_flag() {
+    // Restoring checkpoints is automatic with the cache on.
+    let out = repro(&["--resume", "fig3"]);
+    assert!(!out.status.success());
+    let text = String::from_utf8(out.stderr).expect("error is utf-8");
+    assert!(text.contains("unknown flag '--resume'"), "got:\n{text}");
 }
 
 #[test]

@@ -10,10 +10,10 @@
 //! ranks jobs by policy score each pass and grants greedily in rank order
 //! (the same ordered-grant shape as LAS).
 //!
-//! The `lasmq-env` crate extracts the *same* features for its
-//! observations, and the `ext_train` experiment in `lasmq-experiments`
-//! searches the weight space — so the three layers agree on one feature
-//! definition by construction.
+//! The `ext_train` experiment in `lasmq-experiments` searches the weight
+//! space by running this very scheduler on forks of one warm snapshot, so
+//! training and deployment agree on one feature definition by
+//! construction.
 
 use lasmq_simulator::{AllocationPlan, JobView, SchedContext, Scheduler, SimTime};
 use serde::{Deserialize, Serialize};

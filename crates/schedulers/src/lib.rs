@@ -31,9 +31,9 @@
 //! so the robustness campaign compares them on identical noisy traces.
 //!
 //! Every policy that is "key each job, sort, grant in that order" — LAS,
-//! SJF, SRTF, SJF-est, WFP3, UNICEF, LEARNED and `lasmq-env`'s action
-//! scheduler — is one closure handed to [`rank_and_grant`]; a policy file
-//! holds its key and tie-break and nothing else.
+//! SJF, SRTF, SJF-est, WFP3, UNICEF and LEARNED — is one closure handed to
+//! [`rank_and_grant`]; a policy file holds its key and tie-break and
+//! nothing else.
 //!
 //! Two further information-agnostic entries extend the lineup beyond the
 //! paper's legend:

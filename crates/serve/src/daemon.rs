@@ -199,7 +199,7 @@ struct Envelope {
 }
 
 enum PacingDrive {
-    Wall(Driver<CompressedWallClock>),
+    Wall(Driver),
     Manual,
 }
 

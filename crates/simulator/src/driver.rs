@@ -1,24 +1,22 @@
-//! Clock abstractions driving a [`Simulation`] batch-by-batch.
+//! Wall-clock pacing for a [`Simulation`] driven batch-by-batch.
 //!
 //! [`Simulation::run`] fast-forwards through simulated time as quickly as
-//! the host CPU allows — the right thing for repro campaigns, and the only
-//! mode the repo had before the `lasmq-serve` daemon. A *live* scheduler
-//! service instead has to pace the engine against the wall clock: a batch
-//! stamped `t=80s` must not run until the (possibly time-compressed) wall
-//! clock reaches 80 simulated seconds, because new jobs may still stream
-//! in before then.
+//! the host CPU allows — the right thing for repro campaigns. A *live*
+//! scheduler service instead has to pace the engine against the wall
+//! clock: a batch stamped `t=80s` must not run until the (possibly
+//! time-compressed) wall clock reaches 80 simulated seconds, because new
+//! jobs may still stream in before then.
 //!
-//! Both modes share one core loop. A [`Driver`] repeatedly asks its
-//! [`Clock`] how far simulated time is allowed to advance and funnels every
-//! due batch through [`Simulation::step_batch`] — the same
-//! `advance_inner` path `run`/`run_until` use — so a driver-paced run
-//! processes byte-identical batches in byte-identical order to a sim-time
-//! run of the same workload. The only difference is *when* (in wall time)
-//! each batch executes.
+//! A [`Driver`] repeatedly asks its [`CompressedWallClock`] how far
+//! simulated time may advance and funnels every due batch through
+//! [`Simulation::step_batch`] — the same `advance_inner` path
+//! `run`/`run_until` use — so a driver-paced run processes byte-identical
+//! batches in byte-identical order to a sim-time run of the same workload.
+//! The only difference is *when* (in wall time) each batch executes.
 //!
 //! ```
 //! use lasmq_simulator::{
-//!     driver::{Driver, DriverStep, VirtualClock},
+//!     driver::{CompressedWallClock, Driver},
 //!     AllocationPlan, ClusterConfig, JobSpec, SchedContext, Scheduler, SimDuration,
 //!     Simulation, StageKind, StageSpec, TaskSpec,
 //! };
@@ -41,8 +39,10 @@
 //!     .cluster(ClusterConfig::single_node(4))
 //!     .job(job)
 //!     .build(Greedy)?;
-//! let mut driver = Driver::new(VirtualClock);
-//! while !matches!(driver.step(&mut sim), DriverStep::Drained) {}
+//! // 10,000 simulated seconds per wall second: the 5 s job is due after
+//! // half a wall millisecond.
+//! let mut driver = Driver::new(CompressedWallClock::new(10_000.0));
+//! driver.run_to_completion(&mut sim);
 //! assert!(sim.is_drained());
 //! # Ok(())
 //! # }
@@ -53,34 +53,6 @@ use std::time::{Duration, Instant};
 use crate::engine::Simulation;
 use crate::sched::Scheduler;
 use crate::time::SimTime;
-
-/// A pacing policy: decides how far simulated time may advance right now,
-/// and how long to wait (in wall time) for a future sim timestamp.
-pub trait Clock {
-    /// The latest simulated time the engine is allowed to reach at this
-    /// instant. `None` means unbounded — fast-forward through everything
-    /// pending (virtual time).
-    fn horizon(&mut self) -> Option<SimTime>;
-
-    /// How long (wall time) until simulated time `t` comes due, or `None`
-    /// if it is already due. Virtual clocks never wait.
-    fn wait_for(&mut self, t: SimTime) -> Option<Duration>;
-}
-
-/// Virtual time: every pending batch is always due. Driving a simulation
-/// with this clock reproduces [`Simulation::run`] batch-for-batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualClock;
-
-impl Clock for VirtualClock {
-    fn horizon(&mut self) -> Option<SimTime> {
-        None
-    }
-
-    fn wait_for(&mut self, _t: SimTime) -> Option<Duration> {
-        None
-    }
-}
 
 /// Wall-clock pacing with time compression: `compression` simulated
 /// seconds elapse per wall second. `compression = 1.0` is real time;
@@ -137,14 +109,10 @@ impl CompressedWallClock {
         let sim_ms = (wall * self.compression * 1000.0).floor() as u64;
         SimTime::from_millis(self.base.as_millis().saturating_add(sim_ms))
     }
-}
 
-impl Clock for CompressedWallClock {
-    fn horizon(&mut self) -> Option<SimTime> {
-        Some(self.now_sim())
-    }
-
-    fn wait_for(&mut self, t: SimTime) -> Option<Duration> {
+    /// How long (wall time) until simulated time `t` comes due, or `None`
+    /// if it is already due.
+    pub fn wait_for(&self, t: SimTime) -> Option<Duration> {
         let now = self.now_sim();
         if t <= now {
             return None;
@@ -172,20 +140,21 @@ pub enum DriverStep {
     Drained,
 }
 
-/// Drives a [`Simulation`] batch-by-batch under a [`Clock`]'s pacing.
+/// Drives a [`Simulation`] batch-by-batch under a
+/// [`CompressedWallClock`]'s pacing.
 #[derive(Debug, Clone)]
-pub struct Driver<C: Clock> {
-    clock: C,
+pub struct Driver {
+    clock: CompressedWallClock,
 }
 
-impl<C: Clock> Driver<C> {
+impl Driver {
     /// A driver pacing against `clock`.
-    pub fn new(clock: C) -> Self {
+    pub fn new(clock: CompressedWallClock) -> Self {
         Driver { clock }
     }
 
     /// The underlying clock.
-    pub fn clock(&self) -> &C {
+    pub fn clock(&self) -> &CompressedWallClock {
         &self.clock
     }
 
@@ -197,18 +166,11 @@ impl<C: Clock> Driver<C> {
         let Some(next) = sim.next_event_time() else {
             return DriverStep::Drained;
         };
-        let target = match self.clock.horizon() {
-            None => next,
-            Some(h) if next <= h => next,
-            Some(_) => {
-                return match self.clock.wait_for(next) {
-                    Some(d) => DriverStep::Wait(d),
-                    None => DriverStep::Wait(Duration::ZERO),
-                };
-            }
-        };
+        if let Some(wait) = self.clock.wait_for(next) {
+            return DriverStep::Wait(wait);
+        }
         let before = sim.stats().scheduling_passes;
-        if sim.step_batch(target) {
+        if sim.step_batch(next) {
             DriverStep::Worked {
                 passes: sim.stats().scheduling_passes - before,
             }
@@ -227,11 +189,7 @@ impl<C: Clock> Driver<C> {
         loop {
             match self.step(sim) {
                 DriverStep::Worked { .. } => {}
-                DriverStep::Wait(d) => {
-                    if !d.is_zero() {
-                        std::thread::sleep(d);
-                    }
-                }
+                DriverStep::Wait(d) => std::thread::sleep(d),
                 DriverStep::Drained => return,
             }
         }
@@ -288,23 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_driver_matches_run_byte_for_byte() {
-        let baseline = sim().run();
-        let mut stepped = sim();
-        let mut driver = Driver::new(VirtualClock);
-        let mut worked = 0u64;
-        while !matches!(driver.step(&mut stepped), DriverStep::Drained) {
-            worked += 1;
-        }
-        assert!(worked > 0);
-        let report = stepped.into_report();
-        assert_eq!(
-            serde_json::to_string(&baseline).unwrap(),
-            serde_json::to_string(&report).unwrap()
-        );
-    }
-
-    #[test]
     fn compressed_wall_driver_matches_run_byte_for_byte() {
         let baseline = sim().run();
         let mut stepped = sim();
@@ -331,8 +272,7 @@ mod tests {
         for spec in workload() {
             live.submit(spec).unwrap();
         }
-        let mut driver = Driver::new(VirtualClock);
-        while !matches!(driver.step(&mut live), DriverStep::Drained) {}
+        Driver::new(CompressedWallClock::new(1e9)).run_to_completion(&mut live);
         assert_eq!(
             serde_json::to_string(&baseline).unwrap(),
             serde_json::to_string(&live.into_report()).unwrap()
@@ -355,8 +295,7 @@ mod tests {
             .build();
         let id = sim.submit(late).unwrap();
         assert_eq!(id.index(), 6);
-        let mut driver = Driver::new(VirtualClock);
-        while !matches!(driver.step(&mut sim), DriverStep::Drained) {}
+        Driver::new(CompressedWallClock::new(1e9)).run_to_completion(&mut sim);
         let outcome = sim.job_outcome(id).unwrap();
         assert_eq!(outcome.arrival, sim.now().min(SimTime::from_secs(4)));
         assert!(outcome.finish.is_some());
@@ -366,7 +305,7 @@ mod tests {
 
     #[test]
     fn wall_clock_waits_then_comes_due() {
-        let mut clock = CompressedWallClock::new(1000.0);
+        let clock = CompressedWallClock::new(1000.0);
         // 10 sim-seconds out at 1000x is 10ms of wall time: a wait now...
         let far = SimTime::from_secs(10);
         let wait = clock.wait_for(far).expect("not due yet");

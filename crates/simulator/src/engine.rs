@@ -1431,21 +1431,6 @@ impl<S: Scheduler> Simulation<S> {
         self.cluster.config().total_containers()
     }
 
-    /// Fresh [`JobView`]s of every admitted, unfinished job in admission
-    /// order — the same window a [`Scheduler`] gets during a pass, rebuilt
-    /// at the current clock so attained service and stage progress are
-    /// exact even between scheduling passes. This is the observation
-    /// surface for external policy layers (the `lasmq-env` environment);
-    /// oracle fields obey the builder's `expose_oracle` setting as usual,
-    /// and `stage_progress` is always computed, whatever the scheduler
-    /// declares in [`Scheduler::reads_stage_progress`].
-    pub fn active_views(&self) -> Vec<JobView> {
-        self.active_views
-            .iter()
-            .map(|v| self.build_view_with(v.id, true))
-            .collect()
-    }
-
     /// Timestamp of the next pending event batch, or `None` when drained.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
@@ -1464,11 +1449,17 @@ impl<S: Scheduler> Simulation<S> {
     /// The outcome recorded for `id` so far (arrival/admission/finish
     /// timestamps and derived metrics). `None` for an out-of-range id.
     pub fn job_outcome(&self, id: JobId) -> Option<JobOutcome> {
-        let total = self.cluster.config().total_containers();
-        let spec = self.jobs.specs.get(id.index())?;
-        let core = &self.jobs.core[id.index()];
-        Some(JobOutcome {
-            id,
+        (id.index() < self.jobs.len()).then(|| self.outcome(id.index()))
+    }
+
+    /// The outcome of the job at store index `i`: the one place a
+    /// [`JobOutcome`] is assembled, for [`job_outcome`](Self::job_outcome)
+    /// and the final report alike.
+    fn outcome(&self, i: usize) -> JobOutcome {
+        let spec = &self.jobs.specs[i];
+        let core = &self.jobs.core[i];
+        JobOutcome {
+            id: JobId::new(i as u32),
             label: spec.label().to_string(),
             bin: spec.bin(),
             priority: spec.priority(),
@@ -1477,8 +1468,8 @@ impl<S: Scheduler> Simulation<S> {
             first_allocation: core.first_alloc,
             finish: core.finished_at,
             true_size: spec.total_service(),
-            isolated: isolated_runtime(spec, total),
-        })
+            isolated: isolated_runtime(spec, self.cluster.config().total_containers()),
+        }
     }
 
     /// Consumes the (typically drained) simulation and reports per-job
@@ -2062,10 +2053,6 @@ impl<S: Scheduler> Simulation<S> {
     /// The view of `id` at the current clock, as its scheduler sees it:
     /// `stage_progress` is computed only for a scheduler that reads it.
     fn build_view(&self, id: JobId) -> JobView {
-        self.build_view_with(id, self.fills_stage_progress)
-    }
-
-    fn build_view_with(&self, id: JobId, fill_stage_progress: bool) -> JobView {
         let i = id.index();
         let spec = &self.jobs.specs[i];
         let core = &self.jobs.core[i];
@@ -2094,7 +2081,7 @@ impl<S: Scheduler> Simulation<S> {
             attained_stage: core.attained_stage,
             stage_index: core.stage_index,
             stage_count: spec.stage_count(),
-            stage_progress: if fill_stage_progress {
+            stage_progress: if self.fills_stage_progress {
                 st.progress(now)
             } else {
                 0.0
@@ -2457,25 +2444,7 @@ impl<S: Scheduler> Simulation<S> {
             0.0
         };
 
-        let total = self.cluster.config().total_containers();
-        let outcomes: Vec<JobOutcome> = (0..self.jobs.len())
-            .map(|i| {
-                let spec = &self.jobs.specs[i];
-                let core = &self.jobs.core[i];
-                JobOutcome {
-                    id: JobId::new(i as u32),
-                    label: spec.label().to_string(),
-                    bin: spec.bin(),
-                    priority: spec.priority(),
-                    arrival: spec.arrival(),
-                    admitted_at: core.admitted_at,
-                    first_allocation: core.first_alloc,
-                    finish: core.finished_at,
-                    true_size: spec.total_service(),
-                    isolated: isolated_runtime(spec, total),
-                }
-            })
-            .collect();
+        let outcomes: Vec<JobOutcome> = (0..self.jobs.len()).map(|i| self.outcome(i)).collect();
         let mut report =
             SimulationReport::new(self.scheduler.name().to_string(), outcomes, self.stats);
         if let Some(journal) = self.journal {

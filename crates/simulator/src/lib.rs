@@ -94,7 +94,7 @@ pub mod testkit;
 pub mod time;
 
 pub use cluster::{ClusterConfig, ClusterState};
-pub use driver::{Clock, CompressedWallClock, Driver, DriverStep, VirtualClock};
+pub use driver::{CompressedWallClock, Driver, DriverStep};
 pub use engine::{
     FailureConfig, PreemptionPolicy, Simulation, SimulationBuilder, SpeculationConfig,
 };

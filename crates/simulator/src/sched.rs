@@ -63,8 +63,7 @@ pub struct JobView {
     ///
     /// Computed on demand: the views the engine hands a scheduler that
     /// declares [`Scheduler::reads_stage_progress`] `false` carry `0.0`
-    /// here instead. [`Simulation::active_views`](crate::Simulation::active_views)
-    /// always fills it in.
+    /// here instead.
     pub stage_progress: f64,
     /// Tasks of the current stage not yet finished (running + unstarted) —
     /// the "remaining tasks including running tasks" of §III-C.

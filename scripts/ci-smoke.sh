@@ -79,8 +79,9 @@ EOF
 }
 
 checkpoint_resume() {
-    # Kill a campaign mid-run, resume it from its on-disk checkpoints,
-    # and require the final artifacts to be byte-identical to an
+    # Kill a campaign mid-run, rerun it (with the cache on, each
+    # unfinished cell continues from its on-disk checkpoint), and
+    # require the final artifacts to be byte-identical to an
     # uninterrupted, uncached reference run.
     rm -rf target/campaign-cache target/smoke-resume target/smoke-reference
     timeout -s KILL 7 ./target/release/repro fig8 --threads 2 \
@@ -88,7 +89,7 @@ checkpoint_resume() {
         echo "run finished before the kill (fast machine); determinism check still applies" || true
     echo "after interrupt: $(ls target/campaign-cache/*.ckpt.json 2>/dev/null | wc -l) checkpoint(s), \
         $(ls target/campaign-cache/ | grep -c 'manifest' || true) manifest(s)"
-    ./target/release/repro fig8 --threads 2 --checkpoint-every 1800 --resume \
+    ./target/release/repro fig8 --threads 2 --checkpoint-every 1800 \
         --out target/smoke-resume
     # Finished cells must clean their checkpoints up.
     if ls target/campaign-cache/*.ckpt.json >/dev/null 2>&1; then
@@ -127,30 +128,38 @@ robustness() {
     head -3 target/robustness-smoke/robustness_1.csv
 }
 
-env_training() {
-    # The policy-training stack end to end at smoke scale: a tiny
-    # cross-entropy run (2 rounds, population 8, downscaled PUMA via
-    # --quick) whose trained policy must beat FIFO's mean response on
-    # a held-out seed, the committed artifact re-evaluated through
-    # --policy (exercising the artifact loader), and a trace replayed
-    # under the committed policy. The env's determinism and
-    # invariant/differential gates run in the test suite
-    # (lasmq-env, ext_train and lasmq-verify tests).
-    ./target/release/repro train --quick --threads 2 --out target/env-smoke
+training() {
+    # The policy trainer end to end at smoke scale: a tiny cross-entropy
+    # run (2 rounds, population 8, downscaled PUMA via --quick) whose
+    # trained policy must beat FIFO's mean response on a held-out seed,
+    # the committed artifact re-evaluated through --policy (exercising
+    # the artifact loader), and a trace replayed under the committed
+    # policy. The training run and the warm-state fork comparison must
+    # also hash to what commit 9b008a3 wrote. Fork-evaluation
+    # determinism runs in the test suite (ext_train tests).
+    rm -rf target/train-smoke
+    ./target/release/repro train --quick --threads 2 --out target/train-smoke
+    ./target/release/repro fork-compare --quick --threads 2 --out target/train-smoke
+    (cd target/train-smoke && sha256sum --check) <<'EOF'
+e0cc02e559854baa76fd5b4693e0f1b56aa1c0425241ca2c1e09e3a514361d62  ext_train_0.csv
+b46f7195b3f860a64dbe46576eec6373f7674db84cc188daac41d205cc29186f  ext_train_1.csv
+5032cc7ad80fc926d94e8ac41bb22020a63d42206c03a5ad8c2174ced25d72e8  ext_train_2.csv
+6c8b2a56f2e05ecbdd26cc1354a697e21f65e9260a2b687ad886140822ef8595  learned-linear.v1.json
+9792cfd5ea08b5b747229234ddf35f851e364d9c249841bc415074252752060d  ext_warmstart_0.csv
+EOF
     python3 - <<'EOF'
 import csv, sys
 
-with open("target/env-smoke/ext_train_1.csv", newline="") as f:
+with open("target/train-smoke/ext_train_1.csv", newline="") as f:
     rows = {r[0]: float(r[-1]) for r in list(csv.reader(f))[1:]}
 if not rows["LEARNED"] < rows["FIFO"]:
     sys.exit(f"trained policy ({rows['LEARNED']}) must beat FIFO ({rows['FIFO']})")
 print(f"smoke-trained policy beats FIFO on held-out seed: {rows['LEARNED']} < {rows['FIFO']}")
 EOF
-    test -s target/env-smoke/learned-linear.v1.json
     ./target/release/repro train --quick --threads 2 \
-        --policy policies/learned-linear.v1.json --out target/env-smoke-artifact
-    ./target/release/repro trace-gen puma --jobs 30 --out target/env-smoke.trace.json
-    ./target/release/repro trace-run target/env-smoke.trace.json \
+        --policy policies/learned-linear.v1.json --out target/train-smoke-artifact
+    ./target/release/repro trace-gen puma --jobs 30 --out target/train-smoke.trace.json
+    ./target/release/repro trace-run target/train-smoke.trace.json \
         --policy policies/learned-linear.v1.json
 }
 
@@ -200,7 +209,7 @@ EOF
 
 # In the order ci.yml ran them.
 steps=(perf_smoke benchmark_harness engine_bit_identity million_job_perf
-    reproduction trace_bytes checkpoint_resume verify robustness env_training serve
+    reproduction trace_bytes checkpoint_resume verify robustness training serve
     telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)

@@ -22,11 +22,10 @@
 //!   capacity scheduler driven by LAS_MQ as a capacity-updating
 //!   controller.
 //! * [`experiments`] — runners regenerating every table and figure of the
-//!   paper's evaluation (also available as the `repro` binary).
-//! * [`mod@env`] — a gym-style policy-training environment over the
-//!   simulator: deterministic reset/observe/step episodes, per-job
-//!   feature-vector observations, response-time rewards, and fork-based
-//!   N-way rollouts (trained by `repro train`).
+//!   paper's evaluation (also available as the `repro` binary), plus the
+//!   extensions, among them the cross-entropy trainer of the learned
+//!   policy (`repro train`), which scores candidates as forks of one warm
+//!   snapshot.
 //! * [`serve`] — a real-time scheduler daemon (`lasmq-serve`): streaming
 //!   job admission over newline-delimited JSON TCP, wall-clock pacing at
 //!   configurable time compression, admission backpressure, and
@@ -78,7 +77,6 @@
 pub use lasmq_analysis as analysis;
 pub use lasmq_campaign as campaign;
 pub use lasmq_core as core;
-pub use lasmq_env as env;
 pub use lasmq_experiments as experiments;
 pub use lasmq_schedulers as schedulers;
 pub use lasmq_serve as serve;
