@@ -39,6 +39,7 @@ use crate::sched::{AllocationPlan, JobView, OracleInfo, SchedContext, Scheduler}
 use crate::snapshot::{SimSnapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::telemetry::{Telemetry, TelemetrySample};
 use crate::time::{Service, SimDuration, SimTime};
+use crate::views::ViewCache;
 
 /// How the engine reclaims containers from jobs whose allocation target
 /// dropped.
@@ -903,16 +904,13 @@ impl SimulationBuilder {
             } else {
                 None
             },
-            view_slot: vec![usize::MAX; jobs.len()],
             dirty: vec![false; jobs.len()],
             jobs,
             events,
             admitted: Vec::new(),
             finished_in_admitted: 0,
-            active_views: Vec::new(),
+            views: ViewCache::default(),
             dirty_list: Vec::new(),
-            changed_slots: Vec::new(),
-            views_need_compact: false,
             plan_buf: AllocationPlan::new(),
             event_scratch: Vec::new(),
             scratch: JobScratch::default(),
@@ -974,24 +972,18 @@ pub struct Simulation<S: Scheduler> {
     events: EventQueue,
     admitted: Vec<JobId>,
     finished_in_admitted: usize,
-    /// Persistent [`JobView`] buffer, one entry per active admitted job in
-    /// admission order. Between passes only *dirty* jobs (whose progress,
-    /// holdings or stage changed) are re-derived; the rest are reused
-    /// verbatim — a clean job's view is a pure function of its unchanged
-    /// state, so the cached copy is bit-identical to a fresh rebuild.
-    active_views: Vec<JobView>,
-    /// Job index → slot in `active_views` (`usize::MAX` when absent).
-    view_slot: Vec<usize>,
+    /// One [`JobView`] per active admitted job, in admission order. Between
+    /// passes only *dirty* jobs (whose progress, holdings or stage changed)
+    /// are re-derived; the rest are reused verbatim — a clean job's view is
+    /// a pure function of its unchanged state, so the cached copy is
+    /// bit-identical to a fresh rebuild.
+    views: ViewCache,
     /// Job index → whether the job is on `dirty_list`.
     dirty: Vec<bool>,
     /// Jobs whose views must be re-derived at the next pass. Jobs with
     /// running tasks (or a pending stage-readiness deadline) stay listed:
     /// their views vary with time even without discrete events.
     dirty_list: Vec<JobId>,
-    /// Slots refreshed this pass, ascending — the scheduler's change hint.
-    changed_slots: Vec<usize>,
-    /// Set when a job finished, so the next pass drops its view slot.
-    views_need_compact: bool,
     /// Recycled allocation-plan buffer handed to the scheduler each pass.
     plan_buf: AllocationPlan,
     /// Recycled buffer for the sampled snapshot-fidelity check.
@@ -1052,6 +1044,11 @@ impl<S: Scheduler> Simulation<S> {
     /// event batch).
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    #[cfg(test)]
+    pub(crate) fn view_cache(&self) -> &ViewCache {
+        &self.views
     }
 
     /// Runs the simulation to completion (or to the deadline) and reports
@@ -1391,7 +1388,6 @@ impl<S: Scheduler> Simulation<S> {
         self.events
             .push(spec.arrival(), Event::JobArrival { job: id });
         self.jobs.push_spec(spec);
-        self.view_slot.push(usize::MAX);
         self.dirty.push(false);
         Ok(id)
     }
@@ -1666,7 +1662,6 @@ impl<S: Scheduler> Simulation<S> {
             journal: snapshot.journal,
             telemetry: snapshot.telemetry,
             invariants: snapshot.invariants,
-            view_slot: vec![usize::MAX; snapshot.jobs.len()],
             dirty: vec![false; snapshot.jobs.len()],
             jobs: JobStore::from_jobs(
                 snapshot.jobs,
@@ -1676,10 +1671,8 @@ impl<S: Scheduler> Simulation<S> {
             events: EventQueue::from_snapshot(snapshot.events, snapshot.events_next_seq),
             admitted: snapshot.admitted,
             finished_in_admitted: snapshot.finished_in_admitted,
-            active_views: Vec::new(),
+            views: ViewCache::default(),
             dirty_list: Vec::new(),
-            changed_slots: Vec::new(),
-            views_need_compact: false,
             plan_buf: AllocationPlan::new(),
             event_scratch: Vec::new(),
             scratch: JobScratch::default(),
@@ -1701,9 +1694,8 @@ impl<S: Scheduler> Simulation<S> {
         for i in 0..sim.admitted.len() {
             let id = sim.admitted[i];
             if sim.jobs.core[id.index()].active() {
-                sim.view_slot[id.index()] = sim.active_views.len();
                 let view = sim.build_view(id);
-                sim.active_views.push(view);
+                sim.views.admit(view);
                 sim.mark_dirty(id);
             }
         }
@@ -1765,8 +1757,7 @@ impl<S: Scheduler> Simulation<S> {
         self.scheduler.on_job_admitted(&view, now);
         // Enter the view cache dirty: the view is re-derived at pass time,
         // when accruals and stage readiness may differ from admission time.
-        self.view_slot[id.index()] = self.active_views.len();
-        self.active_views.push(view);
+        self.views.admit(view);
         self.mark_dirty(id);
         self.ensure_tick();
         self.needs_pass = true;
@@ -1885,7 +1876,7 @@ impl<S: Scheduler> Simulation<S> {
             self.scratch.harvest(st);
             self.finished_count += 1;
             self.finished_in_admitted += 1;
-            self.views_need_compact = true;
+            self.views.retire(id);
             self.record(SimEvent::JobCompleted { job: id, at: now });
             self.scheduler.on_job_completed(id, now);
             if let Some(next) = self.admission.on_completion(id) {
@@ -2102,26 +2093,6 @@ impl<S: Scheduler> Simulation<S> {
         }
     }
 
-    /// Drops the view slots of finished jobs, preserving admission order
-    /// (the scheduler contract) and patching the job→slot index.
-    fn compact_views(&mut self) {
-        self.views_need_compact = false;
-        let mut write = 0;
-        for read in 0..self.active_views.len() {
-            let id = self.active_views[read].id;
-            if self.jobs.core[id.index()].finished() {
-                self.view_slot[id.index()] = usize::MAX;
-                continue;
-            }
-            if write != read {
-                self.active_views.swap(read, write);
-            }
-            self.view_slot[id.index()] = write;
-            write += 1;
-        }
-        self.active_views.truncate(write);
-    }
-
     /// Re-derives the views of dirty jobs in place and records which slots
     /// changed. Jobs whose views vary with time even without discrete
     /// events — running tasks accrue service and progress; a stage-transfer
@@ -2134,7 +2105,7 @@ impl<S: Scheduler> Simulation<S> {
     /// which is what makes restored and uninterrupted runs snapshot
     /// identically.
     fn refresh_dirty_views(&mut self) {
-        self.changed_slots.clear();
+        self.views.begin_refresh();
         let now = self.now;
         let mut i = 0;
         while i < self.dirty_list.len() {
@@ -2148,10 +2119,7 @@ impl<S: Scheduler> Simulation<S> {
                 self.accrue_job(id);
             }
             let view = self.build_view(id);
-            let slot = self.view_slot[id.index()];
-            debug_assert_ne!(slot, usize::MAX, "dirty active {id} missing a view slot");
-            self.active_views[slot] = view;
-            self.changed_slots.push(slot);
+            self.views.refresh(view);
             let st = &self.jobs.stage[id.index()];
             if !st.running.is_empty() || now < st.ready_at {
                 i += 1;
@@ -2160,7 +2128,7 @@ impl<S: Scheduler> Simulation<S> {
                 self.dirty_list.swap_remove(i);
             }
         }
-        self.changed_slots.sort_unstable();
+        self.views.finish_refresh();
     }
 
     /// Safety net for the incremental path: every cached view a pass is
@@ -2168,29 +2136,27 @@ impl<S: Scheduler> Simulation<S> {
     /// the cache must mirror the active jobs in admission order.
     #[cfg(debug_assertions)]
     fn assert_view_cache_fresh(&self) {
+        let live = self.views.live();
         let mut expect = 0;
         for &id in &self.admitted {
             if self.jobs.core[id.index()].finished() {
+                assert_eq!(self.views.slot(id), None, "finished {id} kept a view");
                 continue;
             }
-            let slot = self.view_slot[id.index()];
-            assert_eq!(slot, expect, "view cache out of admission order");
             assert_eq!(
-                self.active_views[slot].id, id,
-                "view slot holds the wrong job"
+                self.views.slot(id),
+                Some(expect),
+                "view cache out of admission order"
             );
+            assert_eq!(live[expect].id, id, "view slot holds the wrong job");
             assert_eq!(
-                self.active_views[slot],
+                live[expect],
                 self.build_view(id),
                 "stale cached view for {id} — a mutation path missed mark_dirty"
             );
             expect += 1;
         }
-        assert_eq!(
-            self.active_views.len(),
-            expect,
-            "view cache has extra slots"
-        );
+        assert_eq!(live.len(), expect, "view cache has extra slots");
     }
 
     /// The container target the plan currently assigns `job` — zero unless
@@ -2208,10 +2174,6 @@ impl<S: Scheduler> Simulation<S> {
     fn full_pass(&mut self) {
         self.stats.scheduling_passes += 1;
         self.compact_admitted();
-
-        if self.views_need_compact {
-            self.compact_views();
-        }
         self.refresh_dirty_views();
         #[cfg(debug_assertions)]
         self.assert_view_cache_fresh();
@@ -2219,20 +2181,20 @@ impl<S: Scheduler> Simulation<S> {
         let ctx = SchedContext::new(
             self.now,
             self.cluster.config().total_containers(),
-            &self.active_views,
+            self.views.live(),
         )
-        .with_changed(&self.changed_slots);
+        .with_changed(self.views.changed());
         let mut plan = std::mem::take(&mut self.plan_buf);
         self.scheduler.allocate_into(&ctx, &mut plan);
         if let Some(report) = &mut self.invariants {
             report.audit_pass(
                 &ctx,
                 &plan,
-                &self.view_slot,
+                |id| self.views.slot(id),
                 &mut self.scratch.final_targets,
             );
         }
-        let active_jobs = self.active_views.len() as u32;
+        let active_jobs = ctx.jobs().len() as u32;
 
         // Always drain so schedulers that buffer demotions never accumulate
         // them unboundedly; recording them is the cheap part.
@@ -3515,10 +3477,32 @@ mod tests {
         assert_eq!(index_violations(&sim), 1);
     }
 
+    /// `sim`'s live views audited as a pass audits them: after `corrupt`,
+    /// answered with `plan`, each job at the slot `slot_of` gives. Returns
+    /// the view-sanity, plan-discipline and work-conservation violations.
+    fn audit_live_views(
+        sim: &Simulation<Greedy>,
+        corrupt: impl Fn(&mut [JobView]),
+        plan: &[(u32, u32)],
+        slot_of: impl Fn(JobId) -> Option<usize>,
+    ) -> [usize; 3] {
+        let mut views = sim.views.live().to_vec();
+        corrupt(&mut views);
+        let ctx = SchedContext::new(sim.now, sim.cluster.config().total_containers(), &views);
+        let plan = plan.iter().map(|&(job, n)| (JobId::new(job), n)).collect();
+        let mut report = InvariantReport::default();
+        report.audit_pass(&ctx, &plan, slot_of, &mut Vec::new());
+        [
+            InvariantKind::ViewSanity,
+            InvariantKind::PlanDiscipline,
+            InvariantKind::WorkConservation,
+        ]
+        .map(|kind| report.violations.iter().filter(|v| v.kind == kind).count())
+    }
+
     /// Two jobs five seconds into a four-container run — job 0 holds the
-    /// cluster, job 1 could use eight containers — audited as a pass audits
-    /// them: the views after `corrupt`, answered with `plan`. Returns the
-    /// view-sanity, plan-discipline and work-conservation violations.
+    /// cluster, job 1 could use eight containers — audited by
+    /// [`audit_live_views`] with the cache's own slots.
     fn audit_mid_run(corrupt: impl Fn(&mut [JobView]), plan: &[(u32, u32)]) -> [usize; 3] {
         let mut sim = Simulation::builder()
             .cluster(ClusterConfig::single_node(4))
@@ -3526,18 +3510,26 @@ mod tests {
             .build(Greedy)
             .unwrap();
         assert!(sim.run_until(SimTime::from_secs(5)), "run must be mid-way");
-        let mut views = sim.active_views.clone();
-        corrupt(&mut views);
-        let ctx = SchedContext::new(sim.now, 4, &views);
-        let plan = plan.iter().map(|&(job, n)| (JobId::new(job), n)).collect();
-        let mut report = InvariantReport::default();
-        report.audit_pass(&ctx, &plan, &sim.view_slot, &mut Vec::new());
-        [
-            InvariantKind::ViewSanity,
-            InvariantKind::PlanDiscipline,
-            InvariantKind::WorkConservation,
-        ]
-        .map(|kind| report.violations.iter().filter(|v| v.kind == kind).count())
+        audit_live_views(&sim, corrupt, plan, |id| sim.views.slot(id))
+    }
+
+    #[test]
+    fn mutation_slot_map_off_by_the_head_is_caught() {
+        // Job 0 finishes at 10 s, first of three, so its view retires from
+        // the front and leaves a dead prefix; job 1 then holds the cluster.
+        let mut sim = Simulation::builder()
+            .cluster(ClusterConfig::single_node(4))
+            .jobs([2, 8, 8].map(|tasks| map_job(0, tasks, 10)))
+            .build(Greedy)
+            .unwrap();
+        assert!(sim.run_until(SimTime::from_secs(15)), "run must be mid-way");
+        assert!(sim.views.has_dead_prefix(), "job 0 retired from the front");
+        let plan = [(1, 4)];
+        let live_slots = audit_live_views(&sim, |_| {}, &plan, |id| sim.views.slot(id));
+        assert_eq!(live_slots, [0, 0, 0]);
+        // Positions in the whole buffer put both live jobs one slot late.
+        let off_by_head = audit_live_views(&sim, |_| {}, &plan, |id| sim.views.buffer_position(id));
+        assert_eq!(off_by_head, [2, 0, 0]);
     }
 
     #[test]

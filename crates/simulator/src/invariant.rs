@@ -44,6 +44,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::ids::JobId;
 use crate::sched::{AllocationPlan, SchedContext};
 
 /// At most this many violations are stored verbatim; further breaches only
@@ -143,14 +144,14 @@ impl InvariantReport {
 
     /// Audits one scheduling pass: the views `ctx` showed the scheduler and
     /// the `plan` it answered with, before the engine clamps and applies
-    /// it. `slot_of` maps a job index to its slot in `ctx.jobs()`
-    /// (anything else for a job without a view); `finals` is scratch for
-    /// the final target per slot, so a pass costs O(views + plan entries).
+    /// it. `slot_of` maps a job to its slot in `ctx.jobs()` (`None` for a
+    /// job without a view); `finals` is scratch for the final target per
+    /// slot, so a pass costs O(views + plan entries).
     pub(crate) fn audit_pass(
         &mut self,
         ctx: &SchedContext<'_>,
         plan: &AllocationPlan,
-        slot_of: &[usize],
+        slot_of: impl Fn(JobId) -> Option<usize>,
         finals: &mut Vec<u32>,
     ) {
         use InvariantKind::{PlanDiscipline, ViewSanity, WorkConservation};
@@ -164,10 +165,7 @@ impl InvariantReport {
         finals.clear();
         finals.resize(views.len(), 0);
         for &(id, target) in plan.entries() {
-            match slot_of
-                .get(id.index())
-                .and_then(|&slot| finals.get_mut(slot))
-            {
+            match slot_of(id).and_then(|slot| finals.get_mut(slot)) {
                 Some(last) => *last = target,
                 None => breach(PlanDiscipline, format!("plan references unknown {id}")),
             }
@@ -176,7 +174,7 @@ impl InvariantReport {
         let (mut held, mut demand, mut planned) = (0u64, 0u64, 0u64);
         for (slot, (view, &target)) in views.iter().zip(finals.iter()).enumerate() {
             let id = view.id;
-            if slot_of.get(id.index()) != Some(&slot) {
+            if slot_of(id) != Some(slot) {
                 breach(
                     ViewSanity,
                     format!("{id}: a second view, or one at the wrong slot"),

@@ -92,6 +92,7 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod testkit;
 pub mod time;
+mod views;
 
 pub use cluster::{ClusterConfig, ClusterState};
 pub use driver::{CompressedWallClock, Driver, DriverStep};

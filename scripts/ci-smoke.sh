@@ -44,6 +44,15 @@ engine_bit_identity() {
     done
 }
 
+ab_pairs() {
+    # scripts/ab-pairs.sh, the alternating parent/change pairs every perf
+    # change is measured with, kept from rotting: one quick uniform_batch
+    # pair of HEAD against the working tree. Both sides are the same
+    # code here, so the script's check that their exact lines (events,
+    # passes, digest) agree must pass.
+    scripts/ab-pairs.sh HEAD uniform_batch --pairs 1 --quick
+}
+
 million_job_perf() {
     # BENCH_7: one million heavy-tailed jobs on the 1,000-node x
     # 8-container cluster (scripts/record-bench.sh re-records it).
@@ -208,9 +217,9 @@ EOF
 }
 
 # In the order ci.yml ran them.
-steps=(perf_smoke benchmark_harness engine_bit_identity million_job_perf
-    reproduction trace_bytes checkpoint_resume verify robustness training serve
-    telemetry)
+steps=(perf_smoke benchmark_harness engine_bit_identity ab_pairs
+    million_job_perf reproduction trace_bytes checkpoint_resume verify robustness
+    training serve telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)
 failed=0
