@@ -4,14 +4,13 @@
 //! Four costs matter operationally:
 //!
 //! * `snapshot_midrun` — running a fresh simulation to the pause point and
-//!   capturing full engine state (what `run_with_checkpoints` pays per
-//!   checkpoint, plus the run-up);
-//! * `serialize_json` — snapshot → checkpoint-file bytes;
-//! * `deserialize_json` — checkpoint-file bytes → snapshot (includes the
+//!   capturing full engine state (the run-up plus one `snapshot`);
+//! * `serialize_json` — snapshot → snapshot-file bytes;
+//! * `deserialize_json` — snapshot-file bytes → snapshot (includes the
 //!   schema check);
 //! * `restore_and_finish` — rebuilding a paused simulation from the
-//!   snapshot and running it to completion (what a resumed campaign cell
-//!   pays instead of a from-scratch run).
+//!   snapshot and running it to completion (what a resumed daemon pays
+//!   instead of a from-scratch run).
 //!
 //! Two more are the policy trainer's per-candidate cost (`ext_train`
 //! forks every candidate from the same `warm_fork` snapshot), which

@@ -30,13 +30,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use lasmq_simulator::{Scheduler, SimDuration, Simulation, SimulationReport};
+use lasmq_simulator::SimulationReport;
 
-use crate::cache::{CheckpointError, ResultCache, DEFAULT_CACHE_DIR};
+use crate::cache::{ResultCache, DEFAULT_CACHE_DIR};
 use crate::manifest::Manifest;
 use crate::pool::map_parallel;
 use crate::run::RunCell;
-use crate::setup::SimSetup;
 
 /// How a campaign executes: worker count, caching, progress, telemetry.
 #[derive(Debug, Clone)]
@@ -52,16 +51,6 @@ pub struct ExecOptions {
     /// When set, every cell runs with simulator telemetry enabled and
     /// writes per-cell artifacts under this directory.
     pub telemetry_dir: Option<PathBuf>,
-    /// When set, every simulating cell writes a mid-run checkpoint to the
-    /// cache each `interval` of *simulated* time. Requires the cache;
-    /// ignored when caching is off.
-    ///
-    /// Restoring needs no setting: with the cache on, a cell without a
-    /// result but with a checkpoint under its fingerprint always continues
-    /// from it, since a restored run reports the same bits as a fresh
-    /// one. Unusable checkpoints (older schema, different scheduler)
-    /// degrade to a warning and a fresh run.
-    pub checkpoint_every: Option<SimDuration>,
     /// When set, every cell runs with the engine's runtime invariant
     /// checker armed; reports carry an
     /// [`InvariantReport`](lasmq_simulator::InvariantReport) and any
@@ -80,7 +69,6 @@ impl Default for ExecOptions {
             cache_dir: None,
             progress: false,
             telemetry_dir: None,
-            checkpoint_every: None,
             verify: false,
         }
     }
@@ -117,13 +105,6 @@ impl ExecOptions {
     /// (`samples.csv`, `decisions.csv`, `summary.json`) under `dir`.
     pub fn telemetry_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.telemetry_dir = Some(dir.into());
-        self
-    }
-
-    /// Checkpoints every simulating cell each `interval` of simulated
-    /// time (see [`ExecOptions::checkpoint_every`]).
-    pub fn checkpoint_every(mut self, interval: SimDuration) -> Self {
-        self.checkpoint_every = Some(interval);
         self
     }
 
@@ -386,9 +367,8 @@ impl Campaign {
         }
     }
 
-    /// Runs one cell: cache hit, checkpoint resume, or fresh simulation —
-    /// checkpointing along the way when configured. Stores the final
-    /// report and clears any stale checkpoint.
+    /// Runs one cell: a cache hit, or a fresh simulation whose report is
+    /// then stored.
     fn execute_cell(
         &self,
         cell: &RunCell,
@@ -400,17 +380,15 @@ impl Campaign {
         let report = match cache.and_then(|c| c.load(key)) {
             Some(cached) => {
                 hits.fetch_add(1, Ordering::Relaxed);
-                crate::profile::record_cell(&cached, true, Duration::ZERO);
+                crate::profile::record_cell(&cell.label, &cached, true, Duration::ZERO);
                 cached
             }
             None => {
                 let sim_start = Instant::now();
-                let report = self.simulate_cell(cell, key, cache, opts);
-                crate::profile::record_cell(&report, false, sim_start.elapsed());
+                let report = cell.setup.run(cell.workload.generate(), &cell.scheduler);
+                crate::profile::record_cell(&cell.label, &report, false, sim_start.elapsed());
                 if let Some(cache) = cache {
                     let _ = cache.store(key, &report);
-                    // The result supersedes any mid-run checkpoint.
-                    let _ = cache.remove_checkpoint(key);
                 }
                 report
             }
@@ -445,60 +423,6 @@ impl Campaign {
             }
         }
         report
-    }
-
-    /// Simulates a cell from its last checkpoint in the cache, if it has
-    /// one, or from scratch, writing periodic checkpoints when configured.
-    fn simulate_cell(
-        &self,
-        cell: &RunCell,
-        key: &str,
-        cache: Option<&ResultCache>,
-        opts: &ExecOptions,
-    ) -> SimulationReport {
-        match cache.map(|c| c.try_load_checkpoint(key)) {
-            Some(Ok(snapshot)) => match SimSetup::resume_simulation(snapshot, &cell.scheduler) {
-                Ok(sim) => return self.drive_cell(sim, key, cache, opts),
-                Err(err) => eprintln!(
-                    "[campaign {}] warning: checkpoint for {} unusable ({err}); \
-                     restarting the cell",
-                    self.name, cell.label
-                ),
-            },
-            // Nothing to resume: the normal case, not worth a warning.
-            Some(Err(CheckpointError::Missing)) | None => {}
-            // Truncated, corrupt or schema-mismatched checkpoint:
-            // degrade to a fresh run, but say why.
-            Some(Err(err)) => eprintln!(
-                "[campaign {}] warning: checkpoint for {} unusable ({err}); \
-                 restarting the cell",
-                self.name, cell.label
-            ),
-        }
-        let sim = cell
-            .setup
-            .build_simulation(cell.workload.generate(), &cell.scheduler);
-        self.drive_cell(sim, key, cache, opts)
-    }
-
-    fn drive_cell(
-        &self,
-        sim: Simulation<Box<dyn Scheduler>>,
-        key: &str,
-        cache: Option<&ResultCache>,
-        opts: &ExecOptions,
-    ) -> SimulationReport {
-        match (opts.checkpoint_every, cache) {
-            (Some(interval), Some(cache)) => sim.run_with_checkpoints(interval, |snapshot| {
-                if let Err(err) = cache.store_checkpoint(key, snapshot) {
-                    eprintln!(
-                        "[campaign {}] warning: checkpoint write for {key}: {err}",
-                        self.name
-                    );
-                }
-            }),
-            _ => sim.run(),
-        }
     }
 }
 
@@ -597,17 +521,6 @@ mod tests {
             .iter()
             .map(|r| serde_json::to_string(r).unwrap())
             .collect()
-    }
-
-    /// Half the report's makespan: a cut guaranteed to land mid-run.
-    fn half_makespan(report: &SimulationReport) -> lasmq_simulator::SimTime {
-        let last = report
-            .outcomes()
-            .iter()
-            .filter_map(|o| o.finish)
-            .max()
-            .expect("at least one job finished");
-        lasmq_simulator::SimTime::from_millis(last.as_millis() / 2)
     }
 
     #[test]
@@ -813,56 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn damaged_checkpoints_degrade_to_fresh_runs() {
-        let dir = temp_cache("ckpt-damaged");
-        let campaign = small_campaign("ckpt-damaged");
-        let baseline = campaign.run(&ExecOptions::with_threads(2).no_cache());
-
-        // Plant three flavors of damage: corrupt JSON at cell 0, a
-        // truncated snapshot at cell 1, and a foreign schema version at
-        // cell 2. All must degrade to fresh, bit-identical runs.
-        let cache = ResultCache::new(&dir);
-        let donor = &campaign.cells()[3];
-        let mut sim = donor
-            .setup
-            .build_simulation(donor.workload.generate(), &donor.scheduler);
-        let json = sim
-            .snapshot_at(half_makespan(&baseline.reports[3]))
-            .expect("mid-run")
-            .to_json();
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        std::fs::write(
-            cache.checkpoint_path(&campaign.cells()[0].fingerprint()),
-            "{definitely not a snapshot",
-        )
-        .unwrap();
-        std::fs::write(
-            cache.checkpoint_path(&campaign.cells()[1].fingerprint()),
-            &json[..json.len() / 2],
-        )
-        .unwrap();
-        let foreign = json.replacen(
-            &format!("\"schema\":{}", lasmq_simulator::SNAPSHOT_SCHEMA_VERSION),
-            "\"schema\":999",
-            1,
-        );
-        assert_ne!(foreign, json);
-        std::fs::write(
-            cache.checkpoint_path(&campaign.cells()[2].fingerprint()),
-            foreign,
-        )
-        .unwrap();
-
-        let resumed = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir));
-        assert_eq!(
-            fingerprint_reports(&baseline),
-            fingerprint_reports(&resumed),
-            "damaged checkpoints must not leak into results"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn failed_cell_reports_as_failed_without_killing_the_campaign() {
         use lasmq_simulator::{JobSpec, SimDuration, StageKind, StageSpec, TaskSpec};
 
@@ -942,134 +805,6 @@ mod tests {
         for cell in &campaign.cells()[..4] {
             assert!(cache.contains(&cell.fingerprint()));
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resumed_cells_finish_bit_identically_and_clean_up_their_checkpoint() {
-        let dir = temp_cache("ckpt-resume");
-        let campaign = small_campaign("ckpt-resume");
-        let baseline = campaign.run(&ExecOptions::with_threads(2).no_cache());
-
-        // Fabricate an interrupted campaign: cell 0 got partway through
-        // and checkpointed, then the process died before storing any
-        // final result. Cut at half the cell's makespan so the pause is
-        // genuinely mid-run.
-        let cache = ResultCache::new(&dir);
-        let cell = &campaign.cells()[0];
-        let key = cell.fingerprint();
-        let cut = half_makespan(&baseline.reports[0]);
-        let mut sim = cell
-            .setup
-            .build_simulation(cell.workload.generate(), &cell.scheduler);
-        let snapshot = sim
-            .snapshot_at(cut)
-            .expect("workload must still be running at the checkpoint time");
-        cache.store_checkpoint(&key, &snapshot).unwrap();
-        assert!(cache.has_checkpoint(&key));
-
-        let resumed = campaign.run(
-            &ExecOptions::with_threads(2)
-                .cache_dir(&dir)
-                .checkpoint_every(SimDuration::from_secs(120)),
-        );
-        assert_eq!(resumed.stats.cache_hits, 0);
-        assert_eq!(
-            fingerprint_reports(&baseline),
-            fingerprint_reports(&resumed),
-            "a resumed cell must reproduce the uninterrupted run byte-for-byte"
-        );
-        // Final results supersede mid-run checkpoints.
-        for cell in campaign.cells() {
-            assert!(!cache.has_checkpoint(&cell.fingerprint()));
-            assert!(cache.contains(&cell.fingerprint()));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mismatched_checkpoint_degrades_to_a_fresh_run() {
-        let dir = temp_cache("ckpt-mismatch");
-        let campaign = small_campaign("ckpt-mismatch");
-        let baseline = campaign.run(&ExecOptions::with_threads(2).no_cache());
-
-        // Plant a FIFO snapshot at the LAS_MQ cell's key: restore rejects
-        // the scheduler-name mismatch and the executor restarts the cell.
-        let cache = ResultCache::new(&dir);
-        let donor = &campaign.cells()[3]; // FIFO
-        let victim_key = campaign.cells()[0].fingerprint(); // LAS_MQ
-        let mut sim = donor
-            .setup
-            .build_simulation(donor.workload.generate(), &donor.scheduler);
-        let snapshot = sim
-            .snapshot_at(half_makespan(&baseline.reports[3]))
-            .expect("mid-run");
-        cache.store_checkpoint(&victim_key, &snapshot).unwrap();
-
-        let resumed = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir));
-        assert_eq!(
-            fingerprint_reports(&baseline),
-            fingerprint_reports(&resumed)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn default_options_restore_a_planted_checkpoint() {
-        let dir = temp_cache("ckpt-default");
-        let campaign = small_campaign("ckpt-default");
-        let baseline = campaign.run(&ExecOptions::with_threads(2).no_cache());
-
-        // Plant a checkpoint from a deadline-truncated build of cell 3's
-        // workload and scheduler. The deadline travels in the snapshot, so
-        // a run that restored it stops there and leaves jobs unfinished;
-        // a fresh run would complete them all.
-        let cache = ResultCache::new(&dir);
-        let cell = &campaign.cells()[3];
-        let deadline = half_makespan(&baseline.reports[3]);
-        let mut truncated = Simulation::builder()
-            .cluster(cell.setup.cluster_config())
-            .deadline(deadline)
-            .jobs(cell.workload.generate())
-            .build(cell.scheduler.build())
-            .unwrap();
-        let pause = lasmq_simulator::SimTime::from_millis(deadline.as_millis() / 2);
-        let snapshot = truncated.snapshot_at(pause).expect("mid-run");
-        cache
-            .store_checkpoint(&cell.fingerprint(), &snapshot)
-            .unwrap();
-
-        let result = campaign.run(&ExecOptions::with_threads(1).cache_dir(&dir));
-        assert!(baseline.reports[3].all_completed());
-        let restored = &result.reports[3];
-        assert!(
-            !restored.all_completed(),
-            "the cell must continue from the planted, truncated checkpoint"
-        );
-        assert!(restored.stats().makespan <= deadline);
-        // The other cells had no checkpoint and ran fresh.
-        assert_eq!(
-            fingerprint_reports(&baseline)[..3],
-            fingerprint_reports(&result)[..3]
-        );
-        assert!(!cache.has_checkpoint(&cell.fingerprint()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointing_does_not_perturb_results() {
-        let dir = temp_cache("ckpt-noop");
-        let campaign = small_campaign("ckpt-noop");
-        let baseline = campaign.run(&ExecOptions::with_threads(2).no_cache());
-        let checkpointed = campaign.run(
-            &ExecOptions::with_threads(2)
-                .cache_dir(&dir)
-                .checkpoint_every(SimDuration::from_secs(30)),
-        );
-        assert_eq!(
-            fingerprint_reports(&baseline),
-            fingerprint_reports(&checkpointed)
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,15 +10,10 @@
 //!   [`SimulationReport`](lasmq_simulator::SimulationReport) as JSON
 //!   under `target/campaign-cache/`, so repeated and overlapping
 //!   campaigns re-simulate nothing;
-//! * a **resumable manifest/journal** ([`Manifest`]) — interrupted
-//!   campaigns pick up where they left off on the next run, and
-//!   `repro campaign-status` shows per-campaign completion;
-//! * **mid-cell checkpoints** — with [`ExecOptions::checkpoint_every`],
-//!   simulating cells periodically write a
-//!   [`SimSnapshot`](lasmq_simulator::SimSnapshot) next to their cache
-//!   entry, and the next run of the cell restores it, so a killed
-//!   campaign restarts cells from their last checkpoint instead of from
-//!   scratch — with bit-identical final reports either way;
+//! * a **resumable manifest/journal** ([`Manifest`]) — an interrupted
+//!   campaign resumes cell by cell on the next run, reusing every cell
+//!   that finished, and `repro campaign-status` shows per-campaign
+//!   completion;
 //! * **progress reporting** on stderr (cells done/total, cache hits,
 //!   per-worker throughput, ETA), keeping stdout byte-stable;
 //! * optional **telemetry artifacts** — with
@@ -77,7 +72,7 @@ pub mod setup;
 pub mod workload;
 
 pub use artifacts::{write_cell_artifacts, write_invariant_artifact};
-pub use cache::{CheckpointError, ResultCache, DEFAULT_CACHE_DIR};
+pub use cache::{ResultCache, DEFAULT_CACHE_DIR};
 pub use exec::{Campaign, CampaignError, CampaignResult, CampaignStats, CellFailure, ExecOptions};
 pub use kind::{ParseSchedulerError, SchedulerKind, VARIANT_COUNT};
 pub use latency::{LatencyHistogram, LatencySummary};

@@ -29,13 +29,19 @@ static EVENTS: AtomicU64 = AtomicU64::new(0);
 static PASSES: AtomicU64 = AtomicU64::new(0);
 static SIM_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Distribution of per-cell simulating wall-clock — the same samples
-/// `SIM_NANOS` sums, kept as a histogram so `repro --profile` can report
-/// cell-cost percentiles, not just totals. Lives outside
-/// [`ProfileSnapshot`] (which stays a `Copy` counter block).
-fn cell_wall_hist() -> &'static Mutex<LatencyHistogram> {
-    static HIST: OnceLock<Mutex<LatencyHistogram>> = OnceLock::new();
-    HIST.get_or_init(|| Mutex::new(LatencyHistogram::new()))
+/// Per-cell simulating wall-clock — the same samples `SIM_NANOS` sums,
+/// kept as a histogram so `repro --profile` can report cell-cost
+/// percentiles, not just totals, plus the slowest cell by label. Lives
+/// outside [`ProfileSnapshot`] (which stays a `Copy` counter block).
+#[derive(Default)]
+struct CellWalls {
+    hist: LatencyHistogram,
+    slowest: Option<(String, Duration)>,
+}
+
+fn cell_walls() -> &'static Mutex<CellWalls> {
+    static WALLS: OnceLock<Mutex<CellWalls>> = OnceLock::new();
+    WALLS.get_or_init(Mutex::default)
 }
 
 /// Turns cell profiling on or off for the whole process.
@@ -48,9 +54,15 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Called by the executor for every finished cell. `sim_wall` is the
-/// wall-clock the cell spent simulating — zero for cache hits.
-pub(crate) fn record_cell(report: &SimulationReport, cache_hit: bool, sim_wall: Duration) {
+/// Called by the executor for every finished cell, labelled `label`.
+/// `sim_wall` is the wall-clock the cell spent simulating — zero for
+/// cache hits.
+pub(crate) fn record_cell(
+    label: &str,
+    report: &SimulationReport,
+    cache_hit: bool,
+    sim_wall: Duration,
+) {
     if !enabled() {
         return;
     }
@@ -65,8 +77,15 @@ pub(crate) fn record_cell(report: &SimulationReport, cache_hit: bool, sim_wall: 
         EVENTS.fetch_add(report.stats().events_processed, Ordering::Relaxed);
         PASSES.fetch_add(report.stats().scheduling_passes, Ordering::Relaxed);
         SIM_NANOS.fetch_add(sim_wall.as_nanos() as u64, Ordering::Relaxed);
-        if let Ok(mut hist) = cell_wall_hist().lock() {
-            hist.record(sim_wall);
+        if let Ok(mut walls) = cell_walls().lock() {
+            walls.hist.record(sim_wall);
+            if walls
+                .slowest
+                .as_ref()
+                .is_none_or(|(_, max)| sim_wall > *max)
+            {
+                walls.slowest = Some((label.to_string(), sim_wall));
+            }
         }
     }
 }
@@ -76,10 +95,17 @@ pub(crate) fn record_cell(report: &SimulationReport, cache_hit: bool, sim_wall: 
 /// file read, not a simulation, and are excluded). Empty unless profiling
 /// was enabled while cells ran.
 pub fn cell_wall_summary() -> LatencySummary {
-    cell_wall_hist()
+    cell_walls()
         .lock()
-        .map(|h| h.summary())
+        .map(|w| w.hist.summary())
         .unwrap_or_else(|_| LatencyHistogram::new().summary())
+}
+
+/// The freshly simulated cell with the largest simulating wall-clock
+/// since the process started, with that wall. `None` unless profiling
+/// was enabled while at least one cell simulated.
+pub fn slowest_cell() -> Option<(String, Duration)> {
+    cell_walls().lock().ok()?.slowest.clone()
 }
 
 /// A point-in-time reading of the process-wide profile counters.
@@ -172,6 +198,8 @@ mod tests {
         assert!(delta.passes >= result.reports[0].stats().scheduling_passes);
         assert!(delta.sim_wall > Duration::ZERO);
         assert!(delta.events_per_sec().is_some());
+        let (_, slowest) = slowest_cell().expect("a fresh cell simulated while enabled");
+        assert!(slowest > Duration::ZERO);
 
         // Profiling observes, never steers.
         assert_eq!(

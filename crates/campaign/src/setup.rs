@@ -157,9 +157,7 @@ impl SimSetup {
 
     /// Builds the simulation without running it, so the caller can drive
     /// it incrementally — pause it with
-    /// [`run_until`](Simulation::run_until), checkpoint it with
-    /// [`run_with_checkpoints`](Simulation::run_with_checkpoints), or
-    /// snapshot and fork it.
+    /// [`run_until`](Simulation::run_until), or snapshot and fork it.
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--quick] [--out DIR] [--threads N] [--no-cache] [--seed S]
-//!       [--telemetry DIR] [--checkpoint-every SECS] [--verify]
+//!       [--telemetry DIR] [--verify]
 //!       [--profile] [--policy FILE] [--train-iters N] [--train-population N]
 //!       <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
 //! repro campaign-status
@@ -20,18 +20,16 @@
 //! `campaign-status` summarizes it). `--telemetry DIR` records scheduler
 //! telemetry on every cell and writes per-cell `samples.csv`,
 //! `decisions.csv` and `summary.json` artifacts under `DIR`. Results are
-//! bit-identical regardless of worker count or cache state.
-//! `--checkpoint-every SECS` makes simulating cells write a mid-run
-//! checkpoint (a snapshot of full engine state) every SECS of simulated
-//! time; with the cache on, the next run restores them, so a killed run
-//! picks up each cell where it left off, with bit-identical final output
-//! either way. `--verify` arms the engine's runtime invariant checker on every
+//! bit-identical regardless of worker count or cache state, so a killed
+//! run resumes by rerunning it: every finished cell comes from the cache.
+//! `--verify` arms the engine's runtime invariant checker on every
 //! cell (container conservation, clock monotonicity, task accounting,
 //! queue consistency, snapshot fidelity); violations are warned about on
 //! stderr without aborting, and tables stay byte-identical. `--profile`
 //! prints a per-figure cost line after each figure — cells run, cache
 //! hits, engine events, scheduling passes, wall-clock spent simulating,
-//! and events/sec — without changing a byte of the tables or CSVs.
+//! and events/sec — and, at the end, the slowest freshly simulated cell
+//! on stderr, without changing a byte of the tables or CSVs.
 //! `fork-compare` runs the warm-state fork experiment: one snapshot
 //! of a warmed cluster forked into every lineup scheduler. `robustness`
 //! (not part of `all` — it is by far the largest grid) runs the
@@ -59,7 +57,7 @@ use lasmq_experiments::{
     fig7, fig8, table1, Scale, SchedulerKind, SimSetup,
 };
 use lasmq_schedulers::LinearPolicy;
-use lasmq_simulator::{ClusterConfig, SimDuration};
+use lasmq_simulator::ClusterConfig;
 use lasmq_workload::{FacebookTrace, PumaWorkload, Trace, UniformWorkload};
 
 struct Args {
@@ -69,7 +67,6 @@ struct Args {
     no_cache: bool,
     seed: Option<u64>,
     telemetry: Option<PathBuf>,
-    checkpoint_every: Option<u64>,
     verify: bool,
     profile: bool,
     policy: Option<PathBuf>,
@@ -86,7 +83,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut no_cache = false;
     let mut seed = None;
     let mut telemetry = None;
-    let mut checkpoint_every = None;
     let mut verify = false;
     let mut profile = false;
     let mut policy = None;
@@ -122,15 +118,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     argv.next()
                         .ok_or("--telemetry needs a directory argument")?,
                 ));
-            }
-            "--checkpoint-every" => {
-                let v = argv
-                    .next()
-                    .ok_or("--checkpoint-every needs an interval in simulated seconds")?;
-                checkpoint_every =
-                    Some(v.parse::<u64>().ok().filter(|&s| s > 0).ok_or_else(|| {
-                        format!("--checkpoint-every needs a positive integer of seconds, got '{v}'")
-                    })?);
             }
             "--verify" => verify = true,
             "--profile" => profile = true,
@@ -171,7 +158,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         no_cache,
         seed,
         telemetry,
-        checkpoint_every,
         verify,
         profile,
         policy,
@@ -182,24 +168,20 @@ fn parse_args() -> Result<Option<Args>, String> {
 }
 
 const USAGE: &str = "usage: repro [--quick] [--out DIR] [--threads N] [--no-cache] [--seed S] \
-    [--telemetry DIR] [--checkpoint-every SECS] [--verify] [--profile] \
+    [--telemetry DIR] [--verify] [--profile] \
     [--policy FILE] [--train-iters N] [--train-population N] \
     <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
        repro campaign-status
        repro trace-gen <facebook|uniform|puma> [--jobs N] [--seed S] [--out FILE]
        repro trace-run <FILE> [--scheduler NAME] [--containers N] [--policy FILE]
 
-  --checkpoint-every SECS   write a mid-run checkpoint of each simulating
-                            cell every SECS simulated seconds (kept in the
-                            campaign cache, deleted once the cell finishes);
-                            a rerun continues each unfinished cell from its
-                            checkpoint, bit-identical to an uninterrupted run
   --verify                  arm the engine's runtime invariant checker on
                             every cell; violations are reported on stderr
                             as structured warnings, tables are unchanged
   --profile                 print a per-figure cost line (cells, cache
                             hits, engine events, scheduling passes,
-                            simulating wall-clock, events/sec); tables
+                            simulating wall-clock, events/sec) and, at
+                            the end, the slowest cell on stderr; tables
                             and CSVs are unchanged
   fork-compare              snapshot one warmed-up cluster and fork it into
                             every lineup scheduler (also part of extensions)
@@ -257,9 +239,6 @@ fn main() -> ExitCode {
     }
     if let Some(dir) = &args.telemetry {
         exec = exec.telemetry_dir(dir);
-    }
-    if let Some(secs) = args.checkpoint_every {
-        exec = exec.checkpoint_every(SimDuration::from_secs(secs));
     }
     if args.verify {
         exec = exec.verify();
@@ -457,6 +436,15 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
+        }
+    }
+    if profile {
+        // The evidence behind "split a cell that would run past a minute".
+        if let Some((label, wall)) = lasmq_campaign::profile::slowest_cell() {
+            eprintln!(
+                "[profile] slowest cell: {label} {:.2} s",
+                wall.as_secs_f64()
+            );
         }
     }
     ExitCode::SUCCESS

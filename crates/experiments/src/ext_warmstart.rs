@@ -6,7 +6,7 @@
 //! PUMA cluster under one donor policy to a fork point (the median job
 //! arrival, when the cluster is saturated and a backlog exists), takes
 //! **one** [`SimSnapshot`](lasmq_simulator::SimSnapshot) — round-tripped
-//! through JSON, exactly as a checkpoint file would be — and
+//! through JSON, exactly as a snapshot file would be — and
 //! [`fork`](lasmq_simulator::Simulation::fork)s it across all four lineup
 //! schedulers ([`warm_fork`](crate::warm_fork) builds that snapshot).
 //! Every arm inherits the identical warm state: same running

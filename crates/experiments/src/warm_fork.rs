@@ -6,7 +6,7 @@
 //! come, so every scheduler forked from the snapshot has work to differ
 //! on. Arrival times are workload data, so the fork point is
 //! deterministic and costs no probe run. The snapshot is round-tripped
-//! through JSON, so forks start from the exact bytes a checkpoint file
+//! through JSON, so forks start from the exact bytes a snapshot file
 //! would hold.
 
 use lasmq_campaign::WorkloadSpec;

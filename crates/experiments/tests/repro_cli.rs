@@ -1,6 +1,7 @@
 //! CLI surface checks for the `repro` binary: the help text must exit
-//! cleanly and advertise the checkpoint/fork-compare surface, flag
-//! misuse must fail with a pointer to the usage, and the trace subcommands
+//! cleanly and advertise the fork-compare, robustness and training
+//! surface, flag misuse and retired flags must fail with a pointer to the
+//! usage, and the trace subcommands
 //! must turn malformed numbers, unusable clusters and unfit jobs into a
 //! one-line error with exit status 1.
 
@@ -14,12 +15,11 @@ fn repro(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn help_exits_zero_and_documents_checkpointing() {
+fn help_exits_zero_and_documents_the_experiment_surface() {
     let out = repro(&["--help"]);
     assert!(out.status.success(), "--help must exit 0");
     let text = String::from_utf8(out.stdout).expect("usage is utf-8");
     for needle in [
-        "--checkpoint-every",
         "fork-compare",
         "robustness",
         "train",
@@ -57,22 +57,21 @@ fn unreadable_policy_file_fails_fast() {
 }
 
 #[test]
-fn bad_checkpoint_interval_is_rejected() {
-    for bad in ["0", "soon"] {
-        let out = repro(&["--checkpoint-every", bad, "fig3"]);
-        assert!(!out.status.success(), "interval '{bad}' must be rejected");
-        let text = String::from_utf8(out.stderr).expect("error is utf-8");
-        assert!(text.contains("--checkpoint-every"), "got:\n{text}");
-    }
-}
-
-#[test]
 fn resume_is_not_a_flag() {
-    // Restoring checkpoints is automatic with the cache on.
-    let out = repro(&["--resume", "fig3"]);
-    assert!(!out.status.success());
-    let text = String::from_utf8(out.stderr).expect("error is utf-8");
-    assert!(text.contains("unknown flag '--resume'"), "got:\n{text}");
+    // A killed campaign resumes by rerunning it: the result cache answers
+    // every finished cell, so there is no resume or checkpoint flag.
+    for args in [
+        &["--resume", "fig3"][..],
+        &["--checkpoint-every", "1800", "fig3"],
+    ] {
+        let out = repro(args);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        let text = String::from_utf8(out.stderr).expect("error is utf-8");
+        assert!(
+            text.contains(&format!("unknown flag '{}'", args[0])),
+            "got:\n{text}"
+        );
+    }
 }
 
 #[test]

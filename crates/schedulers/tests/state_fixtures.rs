@@ -4,13 +4,12 @@
 //!
 //! `SimSnapshot` carries a scheduler's state as an opaque string, so the
 //! snapshot schema version did not move with that change; what protects an
-//! old checkpoint is each scheduler's own `restore_state`. Every literal
+//! old snapshot is each scheduler's own `restore_state`. Every literal
 //! below is a verbatim `snapshot_state()` of the old code after the history
 //! in [`run_to_snapshot`], together with the plan the instance that wrote
 //! it produced next. For each, restore either succeeds and reproduces
 //! that plan, or returns `Err` — which `Simulation::restore` surfaces as
-//! `SimError::Snapshot` and the campaign's checkpoint loader degrades to a
-//! fresh run. Never a silent mis-parse.
+//! a structured `SimError::Snapshot`. Never a silent mis-parse.
 
 use lasmq_schedulers::{Backfill, EstimatedSjf, Fsp, LearnedScheduler, LinearPolicy};
 use lasmq_simulator::testkit;

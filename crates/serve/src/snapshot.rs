@@ -1,13 +1,13 @@
 //! Durable daemon state: a [`SimSnapshot`] plus the daemon's own
 //! counters, written atomically and reloaded on `--resume`.
 //!
-//! The write path mirrors the campaign cache's checkpoint discipline:
-//! serialize to a unique temp file in the destination directory, then
-//! `rename` into place — a crash mid-write leaves either the old
-//! snapshot or the new one, never a torn file. The load path mirrors
-//! `try_load_checkpoint`'s damage taxonomy: a missing file is a normal
-//! fresh start, an unreadable or invalid file is *reported* and degrades
-//! to a fresh start rather than refusing to serve.
+//! The write path serializes to a unique temp file in the destination
+//! directory, then `rename`s it into place — a crash mid-write leaves
+//! either the old snapshot or the new one, never a torn file. The load
+//! path sorts damage into [`SnapshotLoadError`]'s three cases: a missing
+//! file is a normal fresh start, an unreadable or invalid file is
+//! *reported* and degrades to a fresh start rather than refusing to
+//! serve.
 
 use std::fmt;
 use std::fs;
@@ -47,9 +47,8 @@ impl ServeSnapshot {
     }
 }
 
-/// Why a snapshot could not be loaded. Mirrors the campaign cache's
-/// `CheckpointError` taxonomy so callers can degrade the same way:
-/// `Missing` is a silent fresh start, the others warn first.
+/// Why a snapshot could not be loaded, sorted so the daemon can degrade
+/// by case: `Missing` is a silent fresh start, the others warn first.
 #[derive(Debug)]
 pub enum SnapshotLoadError {
     /// No snapshot file exists at the path — a normal fresh start.
@@ -212,8 +211,7 @@ mod tests {
         ));
     }
 
-    // The damage-mode taxonomy, mirroring the campaign cache's
-    // try_load_checkpoint tests: every corruption shape must surface as
+    // The damage-mode taxonomy: every corruption shape must surface as
     // Invalid (never a panic, never a silent half-load).
     #[test]
     fn damage_modes_all_surface_as_invalid() {

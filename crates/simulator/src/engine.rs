@@ -1335,8 +1335,9 @@ impl<S: Scheduler> Simulation<S> {
     /// Runs forward until simulated time `until` (inclusive), pausing at a
     /// batch boundary. Returns `true` if the simulation still has events to
     /// process (i.e. it paused rather than finished). Pair with
-    /// [`snapshot`](Simulation::snapshot) to checkpoint, then keep calling
-    /// `run_until` / [`run`](Simulation::run) to continue.
+    /// [`snapshot`](Simulation::snapshot) to capture the paused state,
+    /// then keep calling `run_until` / [`run`](Simulation::run) to
+    /// continue.
     pub fn run_until(&mut self, until: SimTime) -> bool {
         self.advance(Some(until))
     }
@@ -1484,33 +1485,6 @@ impl<S: Scheduler> Simulation<S> {
         } else {
             None
         }
-    }
-
-    /// Runs to completion, handing a fresh [`SimSnapshot`] to `sink` every
-    /// `interval` of simulated time (measured from the current clock; quiet
-    /// stretches with no events produce no redundant checkpoints).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn run_with_checkpoints(
-        mut self,
-        interval: SimDuration,
-        mut sink: impl FnMut(&SimSnapshot),
-    ) -> SimulationReport {
-        assert!(!interval.is_zero(), "checkpoint interval must be positive");
-        let mut next = self.now + interval;
-        while self.advance(Some(next)) {
-            sink(&self.snapshot());
-            let upcoming = self
-                .events
-                .peek_time()
-                .expect("advance reported pending events");
-            while next < upcoming {
-                next += interval;
-            }
-        }
-        self.finalize()
     }
 
     /// Captures the complete engine state — clock, event queue, cluster

@@ -15,14 +15,14 @@
 //!
 //! Three consumers:
 //!
-//! * **Checkpointing** —
-//!   [`Simulation::run_with_checkpoints`](crate::Simulation::run_with_checkpoints)
-//!   emits a snapshot every interval of simulated time;
+//! * **Pause and resume** —
+//!   [`Simulation::run_until`](crate::Simulation::run_until) pauses a run
+//!   at a batch boundary and
+//!   [`Simulation::snapshot`](crate::Simulation::snapshot) captures it;
 //!   [`Simulation::restore`](crate::Simulation::restore) continues one
 //!   under the same policy, producing a byte-identical report.
-//! * **Crash-resumable campaigns** — `lasmq-campaign` persists the latest
-//!   snapshot per cell next to the result cache and resumes interrupted
-//!   cells from it.
+//! * **Daemon persistence** — `lasmq-serve` writes the live engine's
+//!   snapshot on shutdown and continues from it on `--resume`.
 //! * **Warm-state forking** —
 //!   [`Simulation::fork`](crate::Simulation::fork) hands the warmed-up
 //!   cluster to a *different* scheduler for variance-reduced paired

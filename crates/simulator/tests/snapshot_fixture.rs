@@ -1,4 +1,4 @@
-//! The committed schema-v2 `SimSnapshot` fixture: an engine checkpoint
+//! The committed schema-v2 `SimSnapshot` fixture: an engine snapshot
 //! written by the commit *before* the job store gained its two derived
 //! members (the running-attempt index and the per-job oracle size),
 //! together with the report that commit went on to produce from it.

@@ -129,21 +129,29 @@ fn restore_after_json_roundtrip_is_byte_identical() {
 }
 
 #[test]
-fn every_checkpoint_resumes_to_the_same_report() {
+fn every_pause_point_resumes_to_the_same_report() {
     let baseline = fingerprint(&build(Rotor::new()).run());
 
-    let mut checkpoints = Vec::new();
-    let direct = build(Rotor::new()).run_with_checkpoints(SimDuration::from_secs(10), |snap| {
-        checkpoints.push(snap.to_json())
-    });
+    // Pause every 10 s of simulated time, snapshotting each pause point,
+    // then let the same simulation finish.
+    let mut sim = build(Rotor::new());
+    let mut pauses = Vec::new();
+    let mut until = SimTime::ZERO;
+    loop {
+        until += SimDuration::from_secs(10);
+        if !sim.run_until(until) {
+            break;
+        }
+        pauses.push(sim.snapshot().to_json());
+    }
     assert_eq!(
-        fingerprint(&direct),
+        fingerprint(&sim.run()),
         baseline,
-        "checkpointing perturbed the run"
+        "pausing perturbed the run"
     );
-    assert!(!checkpoints.is_empty(), "no checkpoints were taken");
+    assert!(!pauses.is_empty(), "the run never paused");
 
-    for json in &checkpoints {
+    for json in &pauses {
         let snap = lasmq_simulator::SimSnapshot::from_json(json).expect("parses");
         let resumed = Simulation::restore(snap, Rotor::new()).expect("restores");
         assert_eq!(fingerprint(&resumed.run()), baseline);
@@ -191,21 +199,26 @@ fn restore_rejects_wrong_scheduler_name() {
 
 #[test]
 fn from_json_rejects_garbage_and_future_schemas() {
-    assert!(matches!(
-        lasmq_simulator::SimSnapshot::from_json("not json"),
-        Err(SimError::Snapshot(_))
-    ));
+    let snapshot_error = |json: &str| match lasmq_simulator::SimSnapshot::from_json(json) {
+        Err(SimError::Snapshot(detail)) => detail,
+        other => panic!("expected SimError::Snapshot, got {other:?}"),
+    };
+    assert!(snapshot_error("not json").contains("malformed"));
+    assert!(snapshot_error("{not json").contains("malformed"));
 
     let mut sim = build(Rotor::new());
     let json = sim
         .snapshot_at(SimTime::from_secs(15))
         .expect("mid-run")
         .to_json();
+    // A torn write: half a genuine snapshot.
+    assert!(snapshot_error(&json[..json.len() / 2]).contains("malformed"));
+
     let current = format!("\"schema\":{}", lasmq_simulator::SNAPSHOT_SCHEMA_VERSION);
     let bumped = json.replacen(&current, "\"schema\":999", 1);
     assert_ne!(json, bumped, "schema field not found to corrupt");
-    let err = lasmq_simulator::SimSnapshot::from_json(&bumped).unwrap_err();
-    assert!(err.to_string().contains("schema"), "got {err}");
+    let detail = snapshot_error(&bumped);
+    assert!(detail.contains("schema v999"), "got {detail}");
 }
 
 /// Schema v2 snapshots written before telemetry's decision log became a

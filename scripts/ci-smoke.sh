@@ -87,26 +87,29 @@ puma fbbf341fb0a7f8c01548ec0ef52fa3a6c34f12094897928abfd8644ecdd084db
 EOF
 }
 
-checkpoint_resume() {
-    # Kill a campaign mid-run, rerun it (with the cache on, each
-    # unfinished cell continues from its on-disk checkpoint), and
-    # require the final artifacts to be byte-identical to an
-    # uninterrupted, uncached reference run.
+interrupt_resume() {
+    # Kill a campaign mid-run, rerun it with the cache on (every cell
+    # that finished before the kill is a cache hit, the rest simulate
+    # from scratch), and require the final artifacts to be
+    # byte-identical to an uninterrupted, uncached reference run. The
+    # cache must hold result entries and manifests only.
     rm -rf target/campaign-cache target/smoke-resume target/smoke-reference
     timeout -s KILL 7 ./target/release/repro fig8 --threads 2 \
-        --checkpoint-every 1800 --out target/smoke-resume && \
+        --out target/smoke-resume && \
         echo "run finished before the kill (fast machine); determinism check still applies" || true
-    echo "after interrupt: $(ls target/campaign-cache/*.ckpt.json 2>/dev/null | wc -l) checkpoint(s), \
-        $(ls target/campaign-cache/ | grep -c 'manifest' || true) manifest(s)"
-    ./target/release/repro fig8 --threads 2 --checkpoint-every 1800 \
-        --out target/smoke-resume
-    # Finished cells must clean their checkpoints up.
-    if ls target/campaign-cache/*.ckpt.json >/dev/null 2>&1; then
-        echo "stale checkpoint files survived the resumed run" >&2; exit 1
+    ./target/release/repro campaign-status
+    ./target/release/repro fig8 --threads 2 --out target/smoke-resume
+    # Anything else, e.g. a mid-cell snapshot, fails the step; a temp
+    # file the kill stranded mid-write is the one allowed leftover.
+    local stray
+    stray=$(find target/campaign-cache -type f -regextype posix-extended \
+        ! -regex '.*/[0-9a-f]{32}\.json' ! -name 'manifest-*.json' ! -name 'tmp.*.tmp')
+    if [ -n "$stray" ]; then
+        echo "unexpected files in the campaign cache:" >&2; echo "$stray" >&2; exit 1
     fi
     ./target/release/repro fig8 --threads 2 --no-cache --out target/smoke-reference
     diff -r target/smoke-resume target/smoke-reference
-    echo "resumed artifacts are byte-identical to the uninterrupted reference"
+    echo "rerun artifacts are byte-identical to the uninterrupted reference"
 }
 
 verify() {
@@ -218,7 +221,7 @@ EOF
 
 # In the order ci.yml ran them.
 steps=(perf_smoke benchmark_harness engine_bit_identity ab_pairs
-    million_job_perf reproduction trace_bytes checkpoint_resume verify robustness
+    million_job_perf reproduction trace_bytes interrupt_resume verify robustness
     training serve telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)
