@@ -119,18 +119,10 @@ impl SchedulerKind {
         }
     }
 
-    /// Whether the scheduler needs ground-truth job sizes.
+    /// Whether the scheduler needs ground-truth job sizes: the built
+    /// scheduler's own [`Scheduler::requires_oracle`].
     pub fn requires_oracle(&self) -> bool {
-        matches!(
-            self,
-            SchedulerKind::Sjf
-                | SchedulerKind::Srtf
-                | SchedulerKind::SjfEstimated { .. }
-                | SchedulerKind::Fsp { .. }
-                | SchedulerKind::Hfsp { .. }
-                | SchedulerKind::Wfp3 { .. }
-                | SchedulerKind::Unicef { .. }
-        )
+        self.build().requires_oracle()
     }
 
     /// A stable index per enum variant, ignoring payloads.
@@ -449,27 +441,15 @@ mod tests {
 
     #[test]
     fn oracle_flags() {
-        assert!(SchedulerKind::Sjf.requires_oracle());
-        assert!(!SchedulerKind::Fair.requires_oracle());
-        assert!(SchedulerKind::Fsp {
-            sigma: 0.0,
-            seed: 0
-        }
-        .requires_oracle());
-        assert!(SchedulerKind::Hfsp {
-            sigma: 0.0,
-            seed: 0
-        }
-        .requires_oracle());
-        assert!(SchedulerKind::Wfp3 {
-            sigma: 0.0,
-            seed: 0
-        }
-        .requires_oracle());
-        assert!(SchedulerKind::Unicef {
-            sigma: 0.0,
-            seed: 0
-        }
-        .requires_oracle());
+        // The seven oracle kinds, and only they, declare the oracle.
+        let oracle: Vec<String> = SchedulerKind::zoo()
+            .iter()
+            .filter(|kind| kind.requires_oracle())
+            .map(SchedulerKind::to_string)
+            .collect();
+        assert_eq!(
+            oracle,
+            ["SJF", "SRTF", "SJF-est", "FSP", "HFSP", "WFP3", "UNICEF"]
+        );
     }
 }

@@ -107,16 +107,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Folds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -309,23 +299,6 @@ mod tests {
         assert_eq!(h.percentile(-3.0), h.percentile(0.0));
         assert_eq!(h.percentile(250.0), h.percentile(100.0));
         assert_eq!(h.percentile(f64::NAN), h.percentile(100.0));
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        for i in 1..=100u64 {
-            a.record_nanos(i * 1_000);
-            b.record_nanos(i * 2_000);
-        }
-        let b_max = b.max();
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        assert_eq!(a.max(), b_max);
-        // Merged median sits between the two input medians.
-        let p50 = a.percentile(50.0).unwrap();
-        assert!(p50 >= Duration::from_nanos(50_000) && p50 <= Duration::from_nanos(160_000));
     }
 
     #[test]

@@ -122,21 +122,11 @@ impl SimSetup {
         self
     }
 
-    /// Whether runs of this setup record telemetry.
-    pub fn records_telemetry(&self) -> bool {
-        self.record_telemetry
-    }
-
     /// Arms or disarms the engine's runtime invariant checker for runs of
     /// this setup (see `lasmq_simulator::SimulationBuilder::check_invariants`).
     pub fn check_invariants(mut self, check: bool) -> Self {
         self.check_invariants = check;
         self
-    }
-
-    /// Whether runs of this setup arm the invariant checker.
-    pub fn checks_invariants(&self) -> bool {
-        self.check_invariants
     }
 
     /// The configured cluster.
@@ -148,9 +138,8 @@ impl SimSetup {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation cannot be built (malformed jobs or an
-    /// oracle scheduler without oracle exposure are programming errors in
-    /// an experiment definition).
+    /// Panics if the simulation cannot be built (malformed jobs are a
+    /// programming error in an experiment definition).
     pub fn run(&self, jobs: Vec<JobSpec>, kind: &SchedulerKind) -> SimulationReport {
         self.build_simulation(jobs, kind).run()
     }
@@ -167,31 +156,41 @@ impl SimSetup {
         jobs: Vec<JobSpec>,
         kind: &SchedulerKind,
     ) -> Simulation<Box<dyn Scheduler>> {
-        self.build_simulation_with(jobs, kind.build(), kind.requires_oracle())
+        let scheduler = kind.build();
+        let requires_oracle = scheduler.requires_oracle();
+        self.build_simulation_with(jobs, scheduler, requires_oracle)
     }
 
     /// Like [`build_simulation`](Self::build_simulation) but for a
     /// caller-constructed scheduler instance outside the
     /// [`SchedulerKind`] registry (wrapped or instrumented schedulers,
-    /// ad-hoc policy instances). The caller states whether the instance needs
-    /// the size oracle, since an arbitrary `S` cannot be asked.
+    /// ad-hoc policy instances). The engine hands sizes to the instance
+    /// exactly when it [`requires_oracle`](Scheduler::requires_oracle);
+    /// `requires_oracle` here is only a checked statement of that answer.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`run`](Self::run).
+    /// Panics under the same conditions as [`run`](Self::run), and if
+    /// `requires_oracle` contradicts the scheduler's own declaration.
     pub fn build_simulation_with<S: Scheduler>(
         &self,
         jobs: Vec<JobSpec>,
         scheduler: S,
         requires_oracle: bool,
     ) -> Simulation<S> {
+        assert_eq!(
+            requires_oracle,
+            scheduler.requires_oracle(),
+            "scheduler '{}' declares requires_oracle() = {}",
+            scheduler.name(),
+            scheduler.requires_oracle()
+        );
         let mut builder = Simulation::builder()
             .cluster(self.cluster)
             .quantum(self.quantum)
             .preemption(self.preemption)
             .speculation(self.speculation)
             .failures(self.failures)
-            .expose_oracle(requires_oracle)
             .record_telemetry(self.record_telemetry)
             .check_invariants(self.check_invariants)
             .jobs(jobs);
@@ -237,6 +236,13 @@ mod tests {
         let report = SimSetup::trace_sim().run(jobs, &SchedulerKind::las_mq_simulations());
         assert!(report.all_completed());
         assert_eq!(report.scheduler(), "LAS_MQ");
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler 'SJF' declares requires_oracle() = true")]
+    fn a_requires_oracle_flag_that_contradicts_the_scheduler_panics() {
+        let jobs = FacebookTrace::new().jobs(5).seed(2).generate();
+        SimSetup::trace_sim().build_simulation_with(jobs, SchedulerKind::Sjf.build(), false);
     }
 
     #[test]

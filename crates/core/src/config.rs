@@ -209,21 +209,6 @@ impl LasMqConfig {
         self
     }
 
-    /// Minimum stage progress before the stage-awareness estimate is
-    /// trusted (guards against wild division by near-zero progress).
-    ///
-    /// # Panics
-    ///
-    /// Panics if outside `(0, 1]`.
-    pub fn with_min_progress_for_estimate(mut self, min_progress: f64) -> Self {
-        assert!(
-            min_progress > 0.0 && min_progress <= 1.0,
-            "minimum progress must be in (0, 1]"
-        );
-        self.min_progress_for_estimate = min_progress;
-        self
-    }
-
     /// Number of queues `k`.
     pub fn num_queues(&self) -> usize {
         self.num_queues

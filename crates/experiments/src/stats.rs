@@ -34,18 +34,6 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// The paper's normalized metric:
-/// `Fair's mean response time / this scheduler's mean response time`
-/// (> 1 means the scheduler beats Fair). Returns `None` on empty inputs or
-/// a zero denominator.
-pub fn normalized_over_fair(fair_mean: f64, this_mean: f64) -> Option<f64> {
-    if this_mean > 0.0 && fair_mean.is_finite() && this_mean.is_finite() {
-        Some(fair_mean / this_mean)
-    } else {
-        None
-    }
-}
-
 /// Percentage reduction of `ours` relative to `baseline`
 /// ("reduce the average job response time … by up to 45%").
 pub fn reduction_pct(baseline: f64, ours: f64) -> f64 {
@@ -53,14 +41,6 @@ pub fn reduction_pct(baseline: f64, ours: f64) -> f64 {
         return 0.0;
     }
     (1.0 - ours / baseline) * 100.0
-}
-
-/// Fraction of values at or below `x` — a single CDF evaluation.
-pub fn cdf_at(values: &[f64], x: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().filter(|&&v| v <= x).count() as f64 / values.len() as f64
 }
 
 #[cfg(test)]
@@ -86,20 +66,8 @@ mod tests {
 
     #[test]
     fn normalization_and_reduction() {
-        // Fair at 100 s, ours at 55 s: normalized 1.82, reduction 45%.
-        let n = normalized_over_fair(100.0, 55.0).unwrap();
-        assert!((n - 1.818).abs() < 0.01);
+        // Fair at 100 s, ours at 55 s: a 45% reduction.
         assert!((reduction_pct(100.0, 55.0) - 45.0).abs() < 1e-9);
-        assert_eq!(normalized_over_fair(100.0, 0.0), None);
-    }
-
-    #[test]
-    fn cdf_at_counts_inclusive() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(cdf_at(&v, 2.0), 0.5);
-        assert_eq!(cdf_at(&v, 0.5), 0.0);
-        assert_eq!(cdf_at(&v, 10.0), 1.0);
-        assert_eq!(cdf_at(&[], 1.0), 0.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::noise::{EstimateMemo, SizeNoise};
 use crate::rank_and_grant;
 
 /// SJF with noisy size estimates (an oracle-family scheduler: it reads the
-/// true size, then corrupts it — so it requires `expose_oracle(true)`).
+/// true size, then corrupts it — so it declares `requires_oracle`).
 ///
 /// # Examples
 ///

@@ -12,7 +12,8 @@
 //!   to processor sharing when job sizes are similar.
 //!
 //! The *oracle / estimate* family quantifies the value of the information
-//! LAS_MQ does without — all require the engine's `expose_oracle(true)`:
+//! LAS_MQ does without — all declare `requires_oracle`, which is what
+//! makes the engine hand them true sizes:
 //!
 //! * [`ShortestJobFirst`] (SJF) and [`ShortestRemainingFirst`] (SRTF),
 //! * [`EstimatedSjf`] — SJF over *corrupted* estimates, quantifying the

@@ -4,8 +4,8 @@
 //! shortest-remaining-time-first are excellent *if* job sizes are known —
 //! which they usually are not. These schedulers quantify the "price of no
 //! information": they read the true sizes from [`JobView::oracle`], which
-//! the engine only populates when built with `expose_oracle(true)` (it
-//! refuses to run them otherwise).
+//! the engine populates because they declare `requires_oracle` (and for no
+//! scheduler that does not).
 //!
 //! [`JobView::oracle`]: lasmq_simulator::JobView
 

@@ -29,6 +29,8 @@ use crate::ids::NodeId;
 pub struct ClusterConfig {
     nodes: u32,
     containers_per_node: u32,
+    // The container shape is descriptive only, and every serialized cluster
+    // carries it.
     vcores_per_container: u32,
     memory_mb_per_container: u32,
     slow_nodes: u32,
@@ -53,14 +55,6 @@ impl ClusterConfig {
     /// trace-driven simulations where node topology is irrelevant.
     pub fn single_node(containers: u32) -> Self {
         ClusterConfig::new(1, containers)
-    }
-
-    /// Overrides the container shape (purely descriptive; the engine
-    /// schedules whole containers).
-    pub fn with_container_shape(mut self, vcores: u32, memory_mb: u32) -> Self {
-        self.vcores_per_container = vcores;
-        self.memory_mb_per_container = memory_mb;
-        self
     }
 
     /// Makes the last `slow_nodes` nodes run tasks `slowdown` times slower
@@ -109,11 +103,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Whether any node is configured slower than nominal.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.slow_nodes > 0 && self.slowdown > 1.0
-    }
-
     /// Number of nodes.
     pub fn nodes(&self) -> u32 {
         self.nodes
@@ -128,16 +117,6 @@ impl ClusterConfig {
     /// divides up.
     pub fn total_containers(&self) -> u32 {
         self.nodes * self.containers_per_node
-    }
-
-    /// Vcores per container (descriptive).
-    pub fn vcores_per_container(&self) -> u32 {
-        self.vcores_per_container
-    }
-
-    /// Memory per container in MiB (descriptive).
-    pub fn memory_mb_per_container(&self) -> u32 {
-        self.memory_mb_per_container
     }
 
     /// Validates the configuration.
@@ -230,15 +209,6 @@ impl ClusterState {
     /// Cluster utilization in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         self.used_containers() as f64 / self.config.total_containers() as f64
-    }
-
-    /// Containers free on one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn free_on(&self, node: NodeId) -> u32 {
-        self.free_per_node[node.index()]
     }
 
     /// Allocates `containers` containers on the least-loaded node able to
@@ -345,8 +315,6 @@ mod tests {
         let c = ClusterConfig::default();
         assert_eq!(c.total_containers(), 120);
         assert_eq!(c.nodes(), 4);
-        assert_eq!(c.vcores_per_container(), 1);
-        assert_eq!(c.memory_mb_per_container(), 2_048);
     }
 
     #[test]
@@ -396,12 +364,10 @@ mod tests {
     #[test]
     fn heterogeneity_marks_trailing_nodes_slow() {
         let c = ClusterConfig::new(4, 30).with_heterogeneity(2, 3.0);
-        assert!(c.is_heterogeneous());
         assert_eq!(c.speed_factor(NodeId::new(0)), 1.0);
         assert_eq!(c.speed_factor(NodeId::new(1)), 1.0);
         assert_eq!(c.speed_factor(NodeId::new(2)), 3.0);
         assert_eq!(c.speed_factor(NodeId::new(3)), 3.0);
-        assert!(!ClusterConfig::new(4, 30).is_heterogeneous());
     }
 
     #[test]

@@ -135,8 +135,7 @@ pub enum DriverStep {
     /// The next batch is not due yet; wait this long (wall time) before
     /// stepping again — or sooner, if new work (a submission) arrives.
     Wait(Duration),
-    /// Nothing left to do: the event queue is drained, or a deadline
-    /// stopped the run.
+    /// Nothing left to do: the event queue is drained.
     Drained,
 }
 
@@ -170,14 +169,10 @@ impl Driver {
             return DriverStep::Wait(wait);
         }
         let before = sim.stats().scheduling_passes;
-        if sim.step_batch(next) {
-            DriverStep::Worked {
-                passes: sim.stats().scheduling_passes - before,
-            }
-        } else {
-            // The batch was due under the clock but the engine refused it:
-            // a deadline truncated the run.
-            DriverStep::Drained
+        let stepped = sim.step_batch(next);
+        debug_assert!(stepped, "a due batch at the head of the queue always runs");
+        DriverStep::Worked {
+            passes: sim.stats().scheduling_passes - before,
         }
     }
 

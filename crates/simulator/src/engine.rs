@@ -453,8 +453,8 @@ pub(crate) struct JobStore {
     running_at: HashMap<u64, u32, BuildHasherDefault<AttemptKeyHasher>>,
     /// [`JobSpec::total_service`] per job — a sum over every task of every
     /// stage, so it is taken once, not once per refreshed view. `Some`
-    /// exactly when the size oracle is exposed (this is where the engine
-    /// keeps that setting); runs that hide it pay nothing.
+    /// exactly when the scheduler [`requires_oracle`](Scheduler::requires_oracle)
+    /// (this is where the engine keeps that answer); blind runs pay nothing.
     oracle_size: Option<Vec<Service>>,
     /// Speculation's straggler threshold per job, so a pass re-selects a
     /// median only for jobs that finished a task since the last one. Only
@@ -466,7 +466,7 @@ pub(crate) struct JobStore {
 }
 
 impl JobStore {
-    fn with_capacity(jobs: usize, total_containers: u32, expose_oracle: bool) -> Self {
+    fn with_capacity(jobs: usize, total_containers: u32, oracle: bool) -> Self {
         JobStore {
             specs: Vec::with_capacity(jobs),
             core: Vec::with_capacity(jobs),
@@ -475,13 +475,13 @@ impl JobStore {
                 (total_containers as usize).min(ATTEMPT_INDEX_PRESIZE_CAP),
                 BuildHasherDefault::default(),
             ),
-            oracle_size: expose_oracle.then(|| Vec::with_capacity(jobs)),
+            oracle_size: oracle.then(|| Vec::with_capacity(jobs)),
             median_memo: Vec::new(),
         }
     }
 
-    fn from_specs(specs: Vec<JobSpec>, total_containers: u32, expose_oracle: bool) -> Self {
-        let mut store = JobStore::with_capacity(specs.len(), total_containers, expose_oracle);
+    fn from_specs(specs: Vec<JobSpec>, total_containers: u32, oracle: bool) -> Self {
+        let mut store = JobStore::with_capacity(specs.len(), total_containers, oracle);
         for spec in specs {
             store.push_spec(spec);
         }
@@ -612,8 +612,8 @@ impl JobStore {
             .collect()
     }
 
-    fn from_jobs(jobs: Vec<Job>, total_containers: u32, expose_oracle: bool) -> Self {
-        let mut store = JobStore::with_capacity(jobs.len(), total_containers, expose_oracle);
+    fn from_jobs(jobs: Vec<Job>, total_containers: u32, oracle: bool) -> Self {
+        let mut store = JobStore::with_capacity(jobs.len(), total_containers, oracle);
         for (i, job) in jobs.into_iter().enumerate() {
             store.core.push(JobCore {
                 stage_index: job.stage_index,
@@ -697,8 +697,9 @@ impl JobScratch {
 /// Builder for a [`Simulation`] (see the crate-level quickstart).
 ///
 /// Defaults: the paper's 4×30-container cluster, a 1 s scheduling quantum,
-/// unlimited admission, graceful preemption, speculation off, oracle hidden,
-/// no deadline.
+/// unlimited admission, graceful preemption, speculation and failures off,
+/// no journal, telemetry or invariant checks. Views carry true sizes
+/// exactly when the scheduler [`requires_oracle`](Scheduler::requires_oracle).
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     cluster: ClusterConfig,
@@ -707,11 +708,9 @@ pub struct SimulationBuilder {
     preemption: PreemptionPolicy,
     speculation: SpeculationConfig,
     failures: FailureConfig,
-    expose_oracle: bool,
     record_journal: bool,
     record_telemetry: bool,
     check_invariants: bool,
-    deadline: Option<SimTime>,
     jobs: Vec<JobSpec>,
 }
 
@@ -724,11 +723,9 @@ impl Default for SimulationBuilder {
             preemption: PreemptionPolicy::Graceful,
             speculation: SpeculationConfig::disabled(),
             failures: FailureConfig::disabled(),
-            expose_oracle: false,
             record_journal: false,
             record_telemetry: false,
             check_invariants: false,
-            deadline: None,
             jobs: Vec::new(),
         }
     }
@@ -777,13 +774,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Exposes ground-truth job sizes to the scheduler via
-    /// [`JobView::oracle`]. Required by SJF/SRTF-style oracle baselines.
-    pub fn expose_oracle(mut self, expose: bool) -> Self {
-        self.expose_oracle = expose;
-        self
-    }
-
     /// Records a [`Journal`] of every lifecycle event for the report.
     /// Off by default — long traces produce millions of events.
     pub fn record_journal(mut self, record: bool) -> Self {
@@ -812,13 +802,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Hard stop: events after `deadline` are not processed and unfinished
-    /// jobs are reported with `finish = None`.
-    pub fn deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Adds one job.
     pub fn job(mut self, spec: JobSpec) -> Self {
         self.jobs.push(spec);
@@ -837,20 +820,13 @@ impl SimulationBuilder {
     ///
     /// * [`SimError::InvalidCluster`] / [`SimError::InvalidConfig`] for
     ///   degenerate cluster or quantum settings,
-    /// * [`SimError::InvalidJob`] for the first malformed job spec,
-    /// * [`SimError::OracleNotExposed`] if `scheduler` requires the size
-    ///   oracle and `expose_oracle(true)` was not set.
+    /// * [`SimError::InvalidJob`] for the first malformed job spec.
     pub fn build<S: Scheduler>(self, scheduler: S) -> Result<Simulation<S>, SimError> {
         self.cluster.validate()?;
         if self.quantum.is_zero() {
             return Err(SimError::InvalidConfig(
                 "scheduling quantum must be positive".into(),
             ));
-        }
-        if scheduler.requires_oracle() && !self.expose_oracle {
-            return Err(SimError::OracleNotExposed {
-                scheduler: scheduler.name().to_string(),
-            });
         }
         let total = self.cluster.total_containers();
         for (i, spec) in self.jobs.iter().enumerate() {
@@ -873,7 +849,7 @@ impl SimulationBuilder {
                 },
             );
         }
-        let jobs = JobStore::from_specs(specs, total, self.expose_oracle);
+        let jobs = JobStore::from_specs(specs, total, scheduler.requires_oracle());
         let admission = match self.admission_limit {
             Some(cap) => AdmissionController::with_limit(cap),
             None => AdmissionController::unlimited(),
@@ -888,7 +864,6 @@ impl SimulationBuilder {
             preemption: self.preemption,
             speculation: self.speculation,
             failures: self.failures,
-            deadline: self.deadline,
             journal: if self.record_journal {
                 Some(Journal::new())
             } else {
@@ -964,7 +939,6 @@ pub struct Simulation<S: Scheduler> {
     preemption: PreemptionPolicy,
     speculation: SpeculationConfig,
     failures: FailureConfig,
-    deadline: Option<SimTime>,
     journal: Option<Journal>,
     telemetry: Option<Telemetry>,
     invariants: Option<InvariantReport>,
@@ -1051,8 +1025,9 @@ impl<S: Scheduler> Simulation<S> {
         &self.views
     }
 
-    /// Runs the simulation to completion (or to the deadline) and reports
-    /// per-job outcomes.
+    /// Runs the simulation to completion and reports per-job outcomes. To
+    /// stop early, [`run_until`](Simulation::run_until) a time and then
+    /// [`into_report`](Simulation::into_report).
     pub fn run(mut self) -> SimulationReport {
         self.advance(None);
         self.finalize()
@@ -1061,7 +1036,7 @@ impl<S: Scheduler> Simulation<S> {
     /// Advances the simulation by whole timestamp batches. With
     /// `until = Some(t)`, stops before the first batch later than `t` and
     /// returns `true` if such a batch is pending; with `None`, runs to
-    /// completion (or the deadline) and returns `false`.
+    /// completion and returns `false`.
     ///
     /// Stopping only *between* batches keeps the paused state canonical:
     /// every event at the current timestamp has been handled and the
@@ -1081,11 +1056,6 @@ impl<S: Scheduler> Simulation<S> {
     fn advance_inner(&mut self, until: Option<SimTime>, max_batches: u64) -> (u64, bool) {
         let mut batches = 0u64;
         while let Some(t) = self.events.peek_time() {
-            if let Some(deadline) = self.deadline {
-                if t > deadline {
-                    return (batches, false);
-                }
-            }
             if let Some(limit) = until {
                 if t > limit {
                     return (batches, true);
@@ -1346,7 +1316,7 @@ impl<S: Scheduler> Simulation<S> {
     /// next timestamp plus the coalesced scheduling pass, if one is due),
     /// provided that batch is at or before `limit`. Returns `true` if a
     /// batch was processed, `false` if the next batch lies beyond `limit`
-    /// (or the deadline), or the queue is drained.
+    /// or the queue is drained.
     ///
     /// This is the wall-clock driver's entry point (see
     /// [`driver`](crate::driver)): it funnels into the same core loop as
@@ -1469,9 +1439,11 @@ impl<S: Scheduler> Simulation<S> {
         }
     }
 
-    /// Consumes the (typically drained) simulation and reports per-job
-    /// outcomes — the live-driver equivalent of [`run`](Simulation::run),
-    /// which is `advance-to-completion` + `into_report`.
+    /// Consumes the simulation, drained or paused, and reports per-job
+    /// outcomes — [`run`](Simulation::run) is `advance-to-completion` +
+    /// `into_report`, and [`run_until`](Simulation::run_until) +
+    /// `into_report` is the one way to stop a run early (jobs unfinished
+    /// at the pause report `finish = None`).
     pub fn into_report(self) -> SimulationReport {
         self.finalize()
     }
@@ -1520,7 +1492,7 @@ impl<S: Scheduler> Simulation<S> {
             speculation: self.speculation,
             failures: self.failures,
             expose_oracle: self.jobs.oracle_size.is_some(),
-            deadline: self.deadline,
+            deadline: None,
             journal: self.journal.clone(),
             telemetry: self.telemetry.clone(),
             invariants: self.invariants.clone(),
@@ -1549,17 +1521,11 @@ impl<S: Scheduler> Simulation<S> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::Snapshot`] if the schema version or scheduler name
-    ///   does not match, or the scheduler rejects its serialized state,
-    /// * [`SimError::OracleNotExposed`] if `scheduler` needs the size
-    ///   oracle but the snapshotted run did not expose it.
+    /// [`SimError::Snapshot`] if the schema version or scheduler name does
+    /// not match, the snapshot carries a deadline, or the scheduler rejects
+    /// its serialized state.
     pub fn restore(snapshot: SimSnapshot, mut scheduler: S) -> Result<Self, SimError> {
-        if snapshot.schema != SNAPSHOT_SCHEMA_VERSION {
-            return Err(SimError::Snapshot(format!(
-                "snapshot schema v{} does not match engine schema v{SNAPSHOT_SCHEMA_VERSION}",
-                snapshot.schema
-            )));
-        }
+        snapshot.check_loadable()?;
         if scheduler.name() != snapshot.scheduler_name {
             return Err(SimError::Snapshot(format!(
                 "snapshot was taken under scheduler '{}', cannot restore into '{}' \
@@ -1573,7 +1539,7 @@ impl<S: Scheduler> Simulation<S> {
                 .restore_state(state)
                 .map_err(|e| SimError::Snapshot(format!("scheduler state rejected: {e}")))?;
         }
-        Self::rebuild(snapshot, scheduler)
+        Ok(Self::rebuild(snapshot, scheduler))
     }
 
     /// Forks a snapshot into a *different* scheduling policy: the cluster,
@@ -1584,21 +1550,17 @@ impl<S: Scheduler> Simulation<S> {
     ///
     /// This is the warm-start primitive: snapshot one warmed-up run, then
     /// fork it across scheduler arms for variance-reduced paired
-    /// comparisons that share identical warm-up history.
+    /// comparisons that share identical warm-up history. A scheduler that
+    /// [`requires_oracle`](Scheduler::requires_oracle) sees true sizes
+    /// (taken from the snapshot's job specs) whatever the donor policy was.
     ///
     /// # Errors
     ///
-    /// * [`SimError::OracleNotExposed`] if `scheduler` needs the size
-    ///   oracle but the snapshotted run did not expose it,
-    /// * [`SimError::Snapshot`] if the schema version does not match.
+    /// [`SimError::Snapshot`] if the schema version does not match or the
+    /// snapshot carries a deadline.
     pub fn fork(snapshot: &SimSnapshot, scheduler: S) -> Result<Self, SimError> {
-        if snapshot.schema != SNAPSHOT_SCHEMA_VERSION {
-            return Err(SimError::Snapshot(format!(
-                "snapshot schema v{} does not match engine schema v{SNAPSHOT_SCHEMA_VERSION}",
-                snapshot.schema
-            )));
-        }
-        let mut sim = Self::rebuild(snapshot.clone(), scheduler)?;
+        snapshot.check_loadable()?;
+        let mut sim = Self::rebuild(snapshot.clone(), scheduler);
         for i in 0..sim.admitted.len() {
             let id = sim.admitted[i];
             if sim.jobs.core[id.index()].active() {
@@ -1613,12 +1575,8 @@ impl<S: Scheduler> Simulation<S> {
         Ok(sim)
     }
 
-    fn rebuild(snapshot: SimSnapshot, scheduler: S) -> Result<Self, SimError> {
-        if scheduler.requires_oracle() && !snapshot.expose_oracle {
-            return Err(SimError::OracleNotExposed {
-                scheduler: scheduler.name().to_string(),
-            });
-        }
+    fn rebuild(snapshot: SimSnapshot, scheduler: S) -> Self {
+        let oracle = scheduler.requires_oracle();
         let mut sim = Simulation {
             fills_stage_progress: scheduler.reads_stage_progress(),
             scheduler,
@@ -1632,16 +1590,11 @@ impl<S: Scheduler> Simulation<S> {
             preemption: snapshot.preemption,
             speculation: snapshot.speculation,
             failures: snapshot.failures,
-            deadline: snapshot.deadline,
             journal: snapshot.journal,
             telemetry: snapshot.telemetry,
             invariants: snapshot.invariants,
             dirty: vec![false; snapshot.jobs.len()],
-            jobs: JobStore::from_jobs(
-                snapshot.jobs,
-                snapshot.cluster.total_containers(),
-                snapshot.expose_oracle,
-            ),
+            jobs: JobStore::from_jobs(snapshot.jobs, snapshot.cluster.total_containers(), oracle),
             events: EventQueue::from_snapshot(snapshot.events, snapshot.events_next_seq),
             admitted: snapshot.admitted,
             finished_in_admitted: snapshot.finished_in_admitted,
@@ -1673,7 +1626,7 @@ impl<S: Scheduler> Simulation<S> {
                 sim.mark_dirty(id);
             }
         }
-        Ok(sim)
+        sim
     }
 
     fn handle(&mut self, event: Event) {
@@ -2515,7 +2468,7 @@ mod tests {
 
         fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
             for j in ctx.jobs() {
-                assert!(j.oracle.is_some(), "oracle missing despite expose_oracle");
+                assert!(j.oracle.is_some(), "oracle missing despite requires_oracle");
             }
             ctx.jobs()
                 .iter()
@@ -2668,36 +2621,25 @@ mod tests {
 
     #[test]
     fn deadline_truncates_run() {
-        let report = Simulation::builder()
+        let mut sim = Simulation::builder()
             .cluster(ClusterConfig::single_node(1))
-            .deadline(SimTime::from_secs(15))
             .jobs(vec![map_job(0, 10, 10)]) // needs 100 s alone
             .build(Greedy)
-            .unwrap()
-            .run();
+            .unwrap();
+        sim.run_until(SimTime::from_secs(15));
+        let report = sim.into_report();
         assert!(!report.all_completed());
         assert_eq!(report.completed_count(), 0);
     }
 
     #[test]
     fn oracle_gating_enforced() {
-        let build = Simulation::builder()
-            .cluster(ClusterConfig::single_node(2))
-            .job(map_job(0, 1, 1))
-            .build(NeedsOracle);
-        assert!(matches!(
-            build.unwrap_err(),
-            SimError::OracleNotExposed { .. }
-        ));
-
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::single_node(2))
-            .expose_oracle(true)
-            .job(map_job(0, 1, 1))
-            .build(NeedsOracle)
-            .unwrap()
-            .run();
-        assert!(report.all_completed());
+        // The scheduler's declaration is the only switch: `NeedsOracle`
+        // sees sizes (its `allocate` asserts so) without any option, and a
+        // scheduler that does not declare it keeps none to show.
+        let build = || Simulation::builder().job(map_job(0, 1, 1));
+        assert!(build().build(NeedsOracle).unwrap().run().all_completed());
+        assert!(build().build(Greedy).unwrap().jobs.oracle_size.is_none());
     }
 
     #[test]
@@ -2729,14 +2671,13 @@ mod tests {
             matches!(&err, SimError::InvalidJob { job_index: 0, reason } if reason.contains("limit of 65536")),
             "{err}"
         );
-        let report = Simulation::builder()
+        let mut sim = Simulation::builder()
             .cluster(ClusterConfig::single_node(1))
-            .deadline(SimTime::from_secs(3_600))
             .job(job(JobSpec::MAX_STAGES))
             .build(Greedy)
-            .unwrap()
-            .run();
-        assert!(report.all_completed());
+            .unwrap();
+        sim.run_until(SimTime::from_secs(3_600));
+        assert!(sim.into_report().all_completed());
     }
 
     #[test]
@@ -3540,7 +3481,6 @@ mod tests {
         // first: `NeedsOracle` hands every job its full demand.
         let report = Simulation::builder()
             .cluster(ClusterConfig::single_node(4))
-            .expose_oracle(true)
             .check_invariants(true)
             .jobs(vec![map_job(0, 8, 10), map_job(0, 8, 10)])
             .build(NeedsOracle)
@@ -3607,6 +3547,10 @@ mod tests {
         fn name(&self) -> &str {
             "rotating"
         }
+        /// Declared so the oracle's running-attempt accrual is covered too.
+        fn requires_oracle(&self) -> bool {
+            true
+        }
         fn snapshot_state(&self) -> Option<String> {
             Some(self.cursor.to_string())
         }
@@ -3653,7 +3597,6 @@ mod tests {
                 .preemption(PreemptionPolicy::Kill)
                 .failures(FailureConfig::with_probability(0.2, 7))
                 .speculation(SpeculationConfig::enabled(2, 1.5))
-                .expose_oracle(true)
                 .check_invariants(true)
                 .record_journal(true)
                 .jobs(vec![
@@ -3679,6 +3622,7 @@ mod tests {
             let mut sim = build();
             assert!(sim.run_until(SimTime::from_secs(cut)));
             cuts += sim.jobs.running_at.len();
+            assert!(sim.jobs.oracle_size.is_some());
             let snap = SimSnapshot::from_json(&sim.snapshot().to_json()).unwrap();
             let resumed = Simulation::restore(snap, Rotating { cursor: 0 }).unwrap();
             assert_eq!(resumed.jobs.running_at, sim.jobs.running_at);

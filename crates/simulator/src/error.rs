@@ -30,16 +30,9 @@ pub enum SimError {
     /// The engine configuration is inconsistent (e.g. a zero scheduling
     /// quantum).
     InvalidConfig(String),
-    /// The scheduler declared (via
-    /// [`Scheduler::requires_oracle`](crate::Scheduler::requires_oracle))
-    /// that it needs true job sizes, but the simulation was not built with
-    /// [`SimulationBuilder::expose_oracle`](crate::SimulationBuilder::expose_oracle).
-    OracleNotExposed {
-        /// Name of the scheduler that demanded oracle information.
-        scheduler: String,
-    },
     /// A [`SimSnapshot`](crate::SimSnapshot) could not be parsed or applied
-    /// (schema mismatch, scheduler mismatch, or corrupt payload).
+    /// (schema mismatch, scheduler mismatch, a deadline, or corrupt
+    /// payload).
     Snapshot(String),
 }
 
@@ -56,11 +49,6 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::InvalidConfig(reason) => write!(f, "invalid engine configuration: {reason}"),
-            SimError::OracleNotExposed { scheduler } => write!(
-                f,
-                "scheduler '{scheduler}' requires oracle job sizes but the simulation \
-                 was not built with expose_oracle(true)"
-            ),
             SimError::Snapshot(reason) => write!(f, "unusable snapshot: {reason}"),
         }
     }
@@ -87,9 +75,6 @@ mod tests {
                 reason: "y".into(),
             },
             SimError::InvalidConfig("z".into()),
-            SimError::OracleNotExposed {
-                scheduler: "sjf".into(),
-            },
         ];
         for err in errs {
             let msg = err.to_string();

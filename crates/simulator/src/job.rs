@@ -351,15 +351,10 @@ impl JobSpec {
     }
 
     /// The true total size of the job in container-seconds — the quantity
-    /// LAS_MQ must operate *without*. Exposed to oracle schedulers only via
-    /// [`SimulationBuilder::expose_oracle`](crate::SimulationBuilder::expose_oracle).
+    /// LAS_MQ must operate *without*. Exposed only to schedulers that
+    /// declare [`requires_oracle`](crate::Scheduler::requires_oracle).
     pub fn total_service(&self) -> Service {
         self.stages.iter().map(StageSpec::total_service).sum()
-    }
-
-    /// Total number of tasks across all stages.
-    pub fn total_tasks(&self) -> u32 {
-        self.stages.iter().map(StageSpec::task_count).sum()
     }
 
     /// Checks the spec against a cluster of `total_containers` containers.
@@ -503,7 +498,6 @@ mod tests {
         let job = two_stage_job();
         // 4 maps × 10 s × 1 + 2 reduces × 20 s × 2 = 40 + 80.
         assert_eq!(job.total_service().as_container_secs(), 120.0);
-        assert_eq!(job.total_tasks(), 6);
     }
 
     #[test]

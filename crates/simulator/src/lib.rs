@@ -67,9 +67,10 @@
 //!
 //! The paper's whole premise is scheduling *without prior information*, so
 //! the scheduler-facing [`JobView`] exposes only runtime-observable signals.
-//! Oracle baselines (SJF/SRTF) must be enabled explicitly with
-//! [`SimulationBuilder::expose_oracle`]; the engine otherwise refuses to run
-//! a scheduler whose [`Scheduler::requires_oracle`] is `true`.
+//! True sizes reach exactly the schedulers whose
+//! [`Scheduler::requires_oracle`] is `true` (the SJF/SRTF-style oracle
+//! baselines); the engine asks at build, restore and fork, and no option
+//! widens or narrows that.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

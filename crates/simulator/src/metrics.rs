@@ -31,7 +31,7 @@ pub struct JobOutcome {
     pub admitted_at: Option<SimTime>,
     /// When the job received its first container.
     pub first_allocation: Option<SimTime>,
-    /// When the job completed (`None` if the run hit its deadline first).
+    /// When the job completed (`None` if the run was paused first).
     pub finish: Option<SimTime>,
     /// The job's true size in container-seconds (ground truth, for
     /// reporting only).

@@ -14,9 +14,8 @@
 //! * current container holdings and demand.
 //!
 //! True job sizes appear only in [`JobView::oracle`], which is `None` unless
-//! the simulation was explicitly built with
-//! [`SimulationBuilder::expose_oracle`](crate::SimulationBuilder::expose_oracle)
-//! — so "cheating" baselines such as SJF are visible in the type system.
+//! the scheduler declares [`Scheduler::requires_oracle`] — so "cheating"
+//! baselines such as SJF say so in their own code.
 
 use crate::ids::JobId;
 use crate::telemetry::QueueDemotion;
@@ -75,7 +74,8 @@ pub struct JobView {
     pub containers_per_task: u32,
     /// Containers the job currently holds.
     pub held: u32,
-    /// Ground truth sizes; `None` unless the engine exposes the oracle.
+    /// Ground truth sizes; `None` unless the scheduler declares
+    /// [`Scheduler::requires_oracle`].
     pub oracle: Option<OracleInfo>,
 }
 
@@ -281,8 +281,10 @@ pub trait Scheduler {
     fn name(&self) -> &str;
 
     /// Whether this scheduler needs ground-truth job sizes
-    /// ([`JobView::oracle`]). The engine refuses to run oracle schedulers
-    /// unless built with `expose_oracle(true)`.
+    /// ([`JobView::oracle`]). This is the only switch: the engine asks once,
+    /// when the simulation is built, restored or forked, and fills the
+    /// field exactly when the answer is `true`, so the answer must not
+    /// change over the scheduler's lifetime.
     fn requires_oracle(&self) -> bool {
         false
     }

@@ -72,7 +72,13 @@ pub struct SimSnapshot {
     pub(crate) preemption: PreemptionPolicy,
     pub(crate) speculation: SpeculationConfig,
     pub(crate) failures: FailureConfig,
+    /// The scheduler's [`requires_oracle`](crate::Scheduler::requires_oracle)
+    /// when written; ignored on read, where the restoring scheduler's own
+    /// declaration decides.
     pub(crate) expose_oracle: bool,
+    /// Always written as `null`. The engine stops early only at
+    /// [`run_until`](crate::Simulation::run_until), so restore and fork
+    /// refuse a snapshot that carries a deadline.
     pub(crate) deadline: Option<SimTime>,
     pub(crate) journal: Option<Journal>,
     pub(crate) telemetry: Option<Telemetry>,
@@ -147,12 +153,29 @@ impl SimSnapshot {
     pub fn from_json(json: &str) -> Result<Self, SimError> {
         let snap: SimSnapshot = serde_json::from_str(json)
             .map_err(|e| SimError::Snapshot(format!("malformed snapshot JSON: {e}")))?;
-        if snap.schema != SNAPSHOT_SCHEMA_VERSION {
+        snap.check_schema()?;
+        Ok(snap)
+    }
+
+    fn check_schema(&self) -> Result<(), SimError> {
+        if self.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SimError::Snapshot(format!(
                 "snapshot schema v{} does not match engine schema v{SNAPSHOT_SCHEMA_VERSION}",
-                snap.schema
+                self.schema
             )));
         }
-        Ok(snap)
+        Ok(())
+    }
+
+    /// What restore and fork demand first: this engine's schema, and no
+    /// deadline.
+    pub(crate) fn check_loadable(&self) -> Result<(), SimError> {
+        self.check_schema()?;
+        match self.deadline {
+            Some(t) => Err(SimError::Snapshot(format!(
+                "snapshot carries a deadline ({t}); this engine stops early only at run_until"
+            ))),
+            None => Ok(()),
+        }
     }
 }

@@ -162,8 +162,8 @@ proptest! {
         prop_assert_eq!(state.free_containers(), total);
     }
 
-    /// Deadlines only truncate: outcomes of jobs that finished before the
-    /// deadline match the unconstrained run.
+    /// Pausing at a deadline only truncates: outcomes of jobs that
+    /// finished before it match the unconstrained run.
     #[test]
     fn deadline_is_a_pure_truncation(
         jobs in prop::collection::vec(job_strategy(), 1..6),
@@ -176,13 +176,13 @@ proptest! {
             .build(Erratic { tick: 0 })
             .expect("valid setup")
             .run();
-        let cut = Simulation::builder()
+        let mut cut = Simulation::builder()
             .cluster(ClusterConfig::single_node(containers))
-            .deadline(SimTime::from_secs(deadline))
             .jobs(jobs)
             .build(Erratic { tick: 0 })
-            .expect("valid setup")
-            .run();
+            .expect("valid setup");
+        cut.run_until(SimTime::from_secs(deadline));
+        let cut = cut.into_report();
         for (a, b) in full.outcomes().iter().zip(cut.outcomes()) {
             if let Some(f) = b.finish {
                 prop_assert_eq!(a.finish, Some(f), "truncated run invented a different finish");

@@ -92,7 +92,6 @@ fn fixture_run() -> Simulation<Srtf> {
         .admission_limit(30)
         .failures(FailureConfig::with_probability(0.15, 11))
         .speculation(SpeculationConfig::enabled(3, 1.5))
-        .expose_oracle(true)
         .check_invariants(true)
         .jobs(jobs)
         .build(Srtf)

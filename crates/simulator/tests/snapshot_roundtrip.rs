@@ -245,6 +245,28 @@ fn a_v2_snapshot_with_the_old_decision_log_is_rejected() {
     assert!(with_telemetry(current).is_ok());
 }
 
+/// The engine stops early only at `run_until`, and it writes every
+/// snapshot with `"deadline":null`. A file that carries a deadline anyway
+/// (hand-edited, or from an engine that could still honour one) parses,
+/// but neither `restore` nor `fork` will continue it.
+#[test]
+fn a_snapshot_with_a_deadline_is_refused_by_restore_and_fork() {
+    let mut sim = build(Rotor::new());
+    let json = sim
+        .snapshot_at(SimTime::from_secs(15))
+        .expect("mid-run")
+        .to_json();
+    let with_deadline = json.replacen("\"deadline\":null", "\"deadline\":90000", 1);
+    assert_ne!(json, with_deadline, "deadline field not found to replace");
+    let snap = lasmq_simulator::SimSnapshot::from_json(&with_deadline).expect("parses");
+    let restored = Simulation::restore(snap.clone(), Rotor::new());
+    let forked = Simulation::fork(&snap, Rotor::new());
+    for err in [restored.unwrap_err(), forked.unwrap_err()] {
+        assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
+        assert!(err.to_string().contains("deadline"), "got {err}");
+    }
+}
+
 #[test]
 fn fork_switches_policy_and_still_completes_everything() {
     struct Greedy;

@@ -97,14 +97,12 @@ fn fmt_opt(t: Option<SimTime>) -> String {
 /// # Errors
 ///
 /// Returns the engine's build error for cells the engine itself rejects
-/// (invalid jobs, oracle not exposed, ...) — those never reach the
+/// (invalid jobs, a degenerate cluster, ...) — those never reach the
 /// reference executor.
 pub fn run_differential(cell: &DiffCell) -> Result<DiffResult, SimError> {
-    let expose_oracle = cell.scheduler.requires_oracle();
     let mut builder = Simulation::builder()
         .cluster(ClusterConfig::new(cell.nodes, cell.containers_per_node))
         .quantum(cell.quantum)
-        .expose_oracle(expose_oracle)
         .check_invariants(true)
         .jobs(cell.jobs.iter().cloned());
     if let Some(limit) = cell.admission_limit {
@@ -120,7 +118,6 @@ pub fn run_differential(cell: &DiffCell) -> Result<DiffResult, SimError> {
             containers_per_node: cell.containers_per_node,
             quantum: cell.quantum,
             admission_limit: cell.admission_limit,
-            expose_oracle,
         },
     );
 

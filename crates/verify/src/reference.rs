@@ -39,8 +39,6 @@ pub struct ReferenceConfig {
     pub quantum: SimDuration,
     /// FIFO admission cap (`None` = unlimited).
     pub admission_limit: Option<usize>,
-    /// Whether schedulers may see ground-truth sizes.
-    pub expose_oracle: bool,
 }
 
 impl Default for ReferenceConfig {
@@ -50,7 +48,6 @@ impl Default for ReferenceConfig {
             containers_per_node: 30,
             quantum: SimDuration::from_secs(1),
             admission_limit: None,
-            expose_oracle: false,
         }
     }
 }
@@ -230,7 +227,9 @@ struct ReferenceSimulation {
     admission_cap: Option<usize>,
     admission_running: usize,
     admission_waiting: VecDeque<usize>,
-    expose_oracle: bool,
+    /// The scheduler's [`Scheduler::requires_oracle`], asked once: whether
+    /// views carry true sizes.
+    oracle: bool,
     jobs: Vec<RefJob>,
     events: Vec<RefEntry>,
     next_seq: u64,
@@ -270,6 +269,7 @@ pub fn run_reference(
     let mut specs = jobs;
     specs.sort_by_key(JobSpec::arrival);
     let mut sim = ReferenceSimulation {
+        oracle: scheduler.requires_oracle(),
         scheduler,
         free_per_node: vec![config.containers_per_node; config.nodes as usize],
         total_containers: total,
@@ -277,7 +277,6 @@ pub fn run_reference(
         admission_cap: config.admission_limit,
         admission_running: 0,
         admission_waiting: VecDeque::new(),
-        expose_oracle: config.expose_oracle,
         jobs: Vec::new(),
         events: Vec::new(),
         next_seq: 0,
@@ -604,7 +603,7 @@ impl ReferenceSimulation {
         let job = &self.jobs[id];
         let now = self.now;
         let stage = job.current_stage();
-        let oracle = if self.expose_oracle {
+        let oracle = if self.oracle {
             let total_size = job.spec.total_service();
             let mut done = job.completed_service;
             for r in &job.stage.running {

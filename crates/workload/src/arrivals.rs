@@ -3,8 +3,7 @@
 //! The paper's experiments submit jobs with Poisson arrivals (mean
 //! inter-arrival 50 s or 80 s); the trace simulations use a Poisson process
 //! whose rate is derived from a target system load. Both are covered by
-//! [`PoissonArrivals`]; [`batch_arrivals`] models everything arriving at
-//! once (the uniform workload of Fig. 7(b)).
+//! [`PoissonArrivals`].
 
 use rand::RngCore;
 
@@ -75,92 +74,6 @@ impl PoissonArrivals {
     }
 }
 
-/// `count` arrivals all at time zero — a batch submission, as in the
-/// uniform-workload simulation where Fair/LAS collapse to processor
-/// sharing.
-pub fn batch_arrivals(count: usize) -> Vec<SimTime> {
-    vec![SimTime::ZERO; count]
-}
-
-/// A diurnal (non-homogeneous Poisson) arrival process: the instantaneous
-/// rate oscillates sinusoidally around its mean,
-/// `λ(t) = λ̄ · (1 + amplitude · sin(2πt / period))`, sampled by Lewis &
-/// Shedler thinning. Production clusters see exactly this day/night
-/// pattern; the paper's §II argues such dynamics are one reason job
-/// runtimes cannot be predicted from history.
-///
-/// # Examples
-///
-/// ```
-/// use lasmq_workload::arrivals::DiurnalArrivals;
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let arrivals = DiurnalArrivals::new(50.0, 0.6, 3_600.0).take(&mut rng, 500);
-/// assert_eq!(arrivals.len(), 500);
-/// assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiurnalArrivals {
-    mean_interval_secs: f64,
-    amplitude: f64,
-    period_secs: f64,
-}
-
-impl DiurnalArrivals {
-    /// Arrivals with a long-run mean inter-arrival time of
-    /// `mean_interval_secs`, oscillating by `amplitude` (0 = homogeneous,
-    /// 1 = rate touches zero at the trough) with the given period.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the interval and period are positive and the
-    /// amplitude lies in `[0, 1]`.
-    pub fn new(mean_interval_secs: f64, amplitude: f64, period_secs: f64) -> Self {
-        assert!(
-            mean_interval_secs.is_finite() && mean_interval_secs > 0.0,
-            "mean interval must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&amplitude),
-            "amplitude must be in [0, 1]"
-        );
-        assert!(
-            period_secs.is_finite() && period_secs > 0.0,
-            "period must be positive"
-        );
-        DiurnalArrivals {
-            mean_interval_secs,
-            amplitude,
-            period_secs,
-        }
-    }
-
-    /// The instantaneous rate at time `t` seconds.
-    pub fn rate_at(&self, t_secs: f64) -> f64 {
-        let base = 1.0 / self.mean_interval_secs;
-        base * (1.0 + self.amplitude * (std::f64::consts::TAU * t_secs / self.period_secs).sin())
-    }
-
-    /// Draws `count` arrival instants by thinning a homogeneous process at
-    /// the peak rate.
-    pub fn take(&self, rng: &mut dyn RngCore, count: usize) -> Vec<SimTime> {
-        let peak_rate = (1.0 + self.amplitude) / self.mean_interval_secs;
-        let candidate_gap = Exponential::with_mean(1.0 / peak_rate);
-        let mut clock = 0.0_f64;
-        let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            clock += candidate_gap.sample(rng);
-            let accept = self.rate_at(clock) / peak_rate;
-            if crate::dist::uniform01(rng) < accept {
-                out.push(SimTime::from_secs_f64(clock));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,61 +105,5 @@ mod tests {
         assert!(a.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(a, gen(3));
         assert_ne!(a, gen(4));
-    }
-
-    #[test]
-    fn diurnal_long_run_rate_matches_the_mean() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let d = DiurnalArrivals::new(10.0, 0.8, 500.0);
-        let times = d.take(&mut rng, 40_000);
-        // Many whole periods: the thinned process must average back to
-        // the configured mean interval.
-        let span = times.last().unwrap().as_secs_f64();
-        let mean_gap = span / times.len() as f64;
-        assert!((mean_gap - 10.0).abs() < 0.5, "mean gap {mean_gap}");
-    }
-
-    #[test]
-    fn diurnal_peaks_and_troughs_differ() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let period = 1_000.0;
-        let d = DiurnalArrivals::new(5.0, 0.9, period);
-        let times = d.take(&mut rng, 50_000);
-        // Count arrivals in the rising half vs the falling half of each
-        // period: sin > 0 in the first half, < 0 in the second.
-        let (mut peak_half, mut trough_half) = (0usize, 0usize);
-        for t in &times {
-            let phase = t.as_secs_f64() % period;
-            if phase < period / 2.0 {
-                peak_half += 1;
-            } else {
-                trough_half += 1;
-            }
-        }
-        let ratio = peak_half as f64 / trough_half.max(1) as f64;
-        assert!(ratio > 2.0, "diurnal imbalance too weak: {ratio}");
-    }
-
-    #[test]
-    fn diurnal_zero_amplitude_is_plain_poisson() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let d = DiurnalArrivals::new(20.0, 0.0, 100.0);
-        let times = d.take(&mut rng, 20_000);
-        let mean_gap = times.last().unwrap().as_secs_f64() / times.len() as f64;
-        assert!((mean_gap - 20.0).abs() < 1.0, "mean gap {mean_gap}");
-        assert_eq!(d.rate_at(0.0), d.rate_at(37.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude must be in")]
-    fn diurnal_rejects_overdriven_amplitude() {
-        let _ = DiurnalArrivals::new(10.0, 1.5, 100.0);
-    }
-
-    #[test]
-    fn batch_is_all_zero() {
-        let b = batch_arrivals(5);
-        assert_eq!(b.len(), 5);
-        assert!(b.iter().all(|&t| t == SimTime::ZERO));
     }
 }

@@ -88,16 +88,32 @@ EOF
 }
 
 interrupt_resume() {
-    # Kill a campaign mid-run, rerun it with the cache on (every cell
-    # that finished before the kill is a cache hit, the rest simulate
-    # from scratch), and require the final artifacts to be
+    # Kill a campaign as soon as its first cell is cached, require
+    # campaign-status to report it [partial], rerun it with the cache on
+    # (every cell that finished before the kill is a cache hit, the rest
+    # simulate from scratch), and require the final artifacts to be
     # byte-identical to an uninterrupted, uncached reference run. The
     # cache must hold result entries and manifests only.
     rm -rf target/campaign-cache target/smoke-resume target/smoke-reference
-    timeout -s KILL 7 ./target/release/repro fig8 --threads 2 \
-        --out target/smoke-resume && \
-        echo "run finished before the kill (fast machine); determinism check still applies" || true
-    ./target/release/repro campaign-status
+    ./target/release/repro fig8 --threads 2 --out target/smoke-resume &
+    local pid=$! polls=0
+    # Poll every 20 ms, for up to 60 s, for the first result entry.
+    until ls target/campaign-cache 2>/dev/null | grep -Ex '[0-9a-f]{32}\.json' >/dev/null; do
+        if ! kill -0 "$pid" 2>/dev/null || [ "$polls" -ge 3000 ]; then
+            kill -KILL "$pid" 2>/dev/null || true
+            echo "fig8 cached no cell before it exited or 60 s passed" >&2; exit 1
+        fi
+        sleep 0.02
+        polls=$((polls + 1))
+    done
+    kill -KILL "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    local status
+    status=$(./target/release/repro campaign-status)
+    echo "$status"
+    if ! grep -Eq '^ +fig8 .*\[partial\]$' <<<"$status"; then
+        echo "the kill did not leave fig8 partial" >&2; exit 1
+    fi
     ./target/release/repro fig8 --threads 2 --out target/smoke-resume
     # Anything else, e.g. a mid-cell snapshot, fails the step; a temp
     # file the kill stranded mid-write is the one allowed leftover.

@@ -1,15 +1,19 @@
 //! Cross-crate integration tests: workload generation → trace round-trip
 //! → simulation under every scheduler → metric invariants.
 
+use lasmq::campaign::{SchedulerKind, SimSetup, WorkloadSpec};
 use lasmq::core::{LasMq, LasMqConfig};
+use lasmq::experiments::warm_fork::donor_snapshot;
 use lasmq::schedulers::{Fair, Fifo, Las, ShortestJobFirst, ShortestRemainingFirst};
-use lasmq::simulator::{ClusterConfig, JobSpec, Scheduler, Simulation, SimulationReport};
+use lasmq::simulator::{
+    AllocationPlan, ClusterConfig, JobId, JobSpec, JobView, SchedContext, Scheduler, SimTime,
+    Simulation, SimulationReport,
+};
 use lasmq::workload::{FacebookTrace, PumaWorkload, Trace, UniformWorkload};
 
-fn run_trace(jobs: Vec<JobSpec>, scheduler: impl Scheduler, oracle: bool) -> SimulationReport {
+fn run_trace(jobs: Vec<JobSpec>, scheduler: impl Scheduler) -> SimulationReport {
     Simulation::builder()
         .cluster(ClusterConfig::single_node(100))
-        .expose_oracle(oracle)
         .jobs(jobs)
         .build(scheduler)
         .expect("valid setup")
@@ -20,16 +24,12 @@ fn run_trace(jobs: Vec<JobSpec>, scheduler: impl Scheduler, oracle: bool) -> Sim
 fn every_scheduler_completes_the_trace_workload() {
     let jobs = FacebookTrace::new().jobs(300).seed(1).generate();
     let reports = vec![
-        run_trace(jobs.clone(), Fifo::new(), false),
-        run_trace(jobs.clone(), Fair::new(), false),
-        run_trace(jobs.clone(), Las::new(), false),
-        run_trace(
-            jobs.clone(),
-            LasMq::new(LasMqConfig::paper_simulations()),
-            false,
-        ),
-        run_trace(jobs.clone(), ShortestJobFirst::new(), true),
-        run_trace(jobs, ShortestRemainingFirst::new(), true),
+        run_trace(jobs.clone(), Fifo::new()),
+        run_trace(jobs.clone(), Fair::new()),
+        run_trace(jobs.clone(), Las::new()),
+        run_trace(jobs.clone(), LasMq::new(LasMqConfig::paper_simulations())),
+        run_trace(jobs.clone(), ShortestJobFirst::new()),
+        run_trace(jobs, ShortestRemainingFirst::new()),
     ];
     for report in &reports {
         assert!(
@@ -74,12 +74,8 @@ fn utilization_integral_accounts_for_all_work() {
         .map(|j| j.total_service().as_container_secs())
         .sum();
     for report in [
-        run_trace(jobs.clone(), Fifo::new(), false),
-        run_trace(
-            jobs.clone(),
-            LasMq::new(LasMqConfig::paper_simulations()),
-            false,
-        ),
+        run_trace(jobs.clone(), Fifo::new()),
+        run_trace(jobs.clone(), LasMq::new(LasMqConfig::paper_simulations())),
     ] {
         let s = report.stats();
         let integral = s.mean_utilization * s.makespan.as_secs_f64() * 100.0;
@@ -98,8 +94,8 @@ fn trace_roundtrip_preserves_simulation_results() {
     let trace = Trace::new("roundtrip", jobs.clone());
     let json = trace.to_json().expect("serializable");
     let reloaded = Trace::from_json(&json).expect("parsable");
-    let a = run_trace(jobs, Las::new(), false);
-    let b = run_trace(reloaded.into_jobs(), Las::new(), false);
+    let a = run_trace(jobs, Las::new());
+    let b = run_trace(reloaded.into_jobs(), Las::new());
     assert_eq!(a.outcomes(), b.outcomes());
 }
 
@@ -153,13 +149,67 @@ fn admission_limit_bounds_concurrency() {
 
 #[test]
 fn oracle_schedulers_refuse_to_run_blind() {
+    // Sizes follow the scheduler's own `requires_oracle`: a plainly built
+    // SJF is handed them and cannot run blind.
     let jobs = FacebookTrace::new().jobs(10).seed(6).generate();
-    let err = Simulation::builder()
+    let report = Simulation::builder()
         .cluster(ClusterConfig::single_node(10))
         .jobs(jobs)
         .build(ShortestJobFirst::new())
-        .unwrap_err();
-    assert!(err.to_string().contains("expose_oracle"));
+        .expect("valid setup")
+        .run();
+    assert!(report.all_completed());
+}
+
+#[test]
+fn a_fork_hands_sizes_to_an_oracle_policy_from_a_blind_donor() {
+    let workload = WorkloadSpec::Puma {
+        jobs: 30,
+        mean_interval_secs: 50.0,
+        seed: 3,
+        geo_bandwidth_mb_per_s: None,
+    };
+    let snapshot = donor_snapshot(&SimSetup::testbed(), &workload);
+    assert!(snapshot.to_json().contains(r#""expose_oracle":false"#));
+    // SJF ranks every view it is shown by its true size, and panics on a
+    // view without one.
+    let report = Simulation::fork(&snapshot, SchedulerKind::Sjf.build())
+        .expect("a FIFO snapshot forks into SJF")
+        .run();
+    assert!(report.all_completed());
+}
+
+/// LAS_MQ, asserting that no view it is shown carries a size.
+struct Blind(LasMq);
+
+impl Scheduler for Blind {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn requires_oracle(&self) -> bool {
+        self.0.requires_oracle()
+    }
+    fn on_job_admitted(&mut self, view: &JobView, now: SimTime) {
+        self.0.on_job_admitted(view, now);
+    }
+    fn on_job_completed(&mut self, job: JobId, now: SimTime) {
+        self.0.on_job_completed(job, now);
+    }
+    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        assert!(ctx.jobs().iter().all(|view| view.oracle.is_none()));
+        self.0.allocate(ctx)
+    }
+}
+
+#[test]
+fn las_mq_views_never_carry_sizes() {
+    let jobs = FacebookTrace::new().jobs(60).seed(4).generate();
+    let las_mq = Blind(LasMq::new(LasMqConfig::paper_simulations()));
+    let report = SimSetup::trace_sim()
+        .build_simulation_with(jobs, las_mq, false)
+        .run();
+    // Jobs only finish on containers that `allocate` granted.
+    assert!(report.all_completed());
 }
 
 #[test]
