@@ -10,7 +10,8 @@
 //! * [`try_paired_compare`] — per-seed paired differences between two
 //!   schedulers, the variance-cancelling way to claim "A beats B";
 //! * [`TelemetrySummary`] — headline numbers (peak queue depth, demotions
-//!   per level, preemption churn) reduced from a run's telemetry series.
+//!   per level, speculation and admission tallies) reduced from a run's
+//!   telemetry series.
 //!
 //! Everything is fully deterministic (the bootstrap uses an explicit seed).
 //! Each statistic returns `None` on empty or non-finite samples instead of

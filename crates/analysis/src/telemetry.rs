@@ -2,8 +2,8 @@
 //!
 //! The raw series answers "what happened when"; this module reduces it to
 //! the headline numbers a campaign table wants — peak queue depths,
-//! demotion counts per level, preemption churn, speculation and admission
-//! tallies — in one deterministic pass.
+//! demotion counts per level, speculation and admission tallies — in one
+//! deterministic pass.
 
 use std::fmt;
 
@@ -38,7 +38,8 @@ pub struct TelemetrySummary {
     pub demotions_per_level: Vec<u64>,
     /// Total job demotions.
     pub total_demotions: u64,
-    /// Tasks killed by preemption.
+    /// Always 0 since kill preemption was retired; kept for byte-stable
+    /// reports (every `summary.json` carries it).
     pub preemption_kills: u64,
     /// Speculative copies launched.
     pub speculative_launched: u64,
@@ -93,7 +94,6 @@ impl TelemetrySummary {
                     s.demotions_per_level[to] += 1;
                     s.total_demotions += 1;
                 }
-                SimEvent::TaskKilled { .. } => s.preemption_kills += 1,
                 SimEvent::SpeculativeLaunched { .. } => s.speculative_launched += 1,
                 SimEvent::SpeculativeWon { .. } => s.speculative_won += 1,
                 SimEvent::AdmissionDeferred { .. } => s.admission_deferrals += 1,
@@ -111,13 +111,12 @@ impl fmt::Display for TelemetrySummary {
         write!(
             f,
             "{} samples, {} decisions; peak queue depth {}, {} demotions, \
-             {} preemption kills, spec {}/{} won, admission {} accepted / {} deferred, \
+             spec {}/{} won, admission {} accepted / {} deferred, \
              mean sampled utilization {:.3}",
             self.samples,
             self.decisions,
             self.peak_queue_depth,
             self.total_demotions,
-            self.preemption_kills,
             self.speculative_won,
             self.speculative_launched,
             self.admission_accepts,
@@ -190,12 +189,6 @@ mod tests {
                 at,
             });
         }
-        t.record(SimEvent::TaskKilled {
-            job,
-            stage,
-            task,
-            at,
-        });
         t.record(SimEvent::SpeculativeLaunched {
             job,
             stage,
@@ -211,12 +204,12 @@ mod tests {
         let s = TelemetrySummary::from_telemetry(&t);
         assert_eq!(s.total_demotions, 3);
         assert_eq!(s.demotions_per_level, vec![0, 2, 0, 1]);
-        assert_eq!(s.preemption_kills, 1);
+        assert_eq!(s.preemption_kills, 0);
         assert_eq!(s.speculative_launched, 1);
         assert_eq!(s.speculative_won, 1);
         assert_eq!(s.admission_accepts, 1);
         assert_eq!(s.admission_deferrals, 1);
-        assert_eq!(s.decisions, 8);
+        assert_eq!(s.decisions, 7);
     }
 
     #[test]

@@ -15,6 +15,8 @@ pub struct SimSetup {
     cluster: ClusterConfig,
     quantum: SimDuration,
     admission_limit: Option<usize>,
+    /// Always [`PreemptionPolicy::Graceful`], the engine's only preemption.
+    /// Kept in the serialized setup so cache fingerprints keep their bytes.
     preemption: PreemptionPolicy,
     speculation: SpeculationConfig,
     failures: FailureConfig,
@@ -95,12 +97,6 @@ impl SimSetup {
     /// Overrides the admission cap (`None` = unlimited).
     pub fn admission(mut self, limit: Option<usize>) -> Self {
         self.admission_limit = limit;
-        self
-    }
-
-    /// Overrides the preemption policy.
-    pub fn preemption(mut self, policy: PreemptionPolicy) -> Self {
-        self.preemption = policy;
         self
     }
 
@@ -188,7 +184,6 @@ impl SimSetup {
         let mut builder = Simulation::builder()
             .cluster(self.cluster)
             .quantum(self.quantum)
-            .preemption(self.preemption)
             .speculation(self.speculation)
             .failures(self.failures)
             .record_telemetry(self.record_telemetry)
@@ -228,6 +223,15 @@ mod tests {
     fn testbed_matches_paper() {
         let setup = SimSetup::testbed();
         assert_eq!(setup.cluster_config().total_containers(), 120);
+    }
+
+    #[test]
+    fn the_serialized_setup_names_graceful_and_refuses_kill() {
+        let json = serde_json::to_string(&SimSetup::testbed()).unwrap();
+        assert!(json.contains(r#""preemption":"Graceful""#), "{json}");
+        let kill = json.replace(r#""preemption":"Graceful""#, r#""preemption":"Kill""#);
+        let err = serde_json::from_str::<SimSetup>(&kill).unwrap_err();
+        assert!(err.to_string().contains("Kill"), "{err}");
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn mutate(v: &mut JobView, kind: u8, amount: f64) {
             v.held -= width;
             v.remaining_tasks -= 1;
         }
-        // A running task is killed (preemption, failure): back to unstarted.
+        // A running task fails: back to unstarted.
         3 if v.held >= width => {
             v.held -= width;
             v.unstarted_tasks += 1;

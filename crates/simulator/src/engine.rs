@@ -13,11 +13,10 @@
 //!   then flow down the plan order (a cursor tracks the first job that may
 //!   still be under target), so the plan's priorities keep holding without
 //!   re-invoking the scheduler.
-//! * **Rebalancing is graceful by default**: running tasks are never killed;
-//!   a job over its target simply is not refilled as its tasks finish. This
+//! * **Rebalancing is graceful**: running tasks are never killed; a job
+//!   over its target simply is not refilled as its tasks finish. This
 //!   matches the paper's YARN implementation, which adjusts queue capacities
-//!   on the fly (§IV). An optional kill-based preemption policy is provided
-//!   as an extension.
+//!   on the fly (§IV) and never kills a container.
 //!
 //! Everything is deterministic: no randomness, and ties in event time are
 //! broken by insertion order.
@@ -42,17 +41,20 @@ use crate::time::{Service, SimDuration, SimTime};
 use crate::views::ViewCache;
 
 /// How the engine reclaims containers from jobs whose allocation target
-/// dropped.
+/// dropped: always [`Graceful`](Self::Graceful), the engine's only
+/// preemption.
+///
+/// The type survives only as a serialized marker: `SimSetup`'s JSON (which
+/// the campaign result cache fingerprints) and [`SimSnapshot`] carry
+/// `"preemption":"Graceful"`, so existing setups, cache entries and
+/// snapshots keep their bytes. Snapshots write it and restore does not read
+/// it; JSON naming any other policy (the retired `"Kill"`) fails to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum PreemptionPolicy {
     /// Never kill running tasks; over-target jobs shrink as their tasks
     /// finish (the paper's deployment behaviour).
     #[default]
     Graceful,
-    /// Kill the youngest running tasks of over-target jobs immediately.
-    /// Killed tasks are re-queued and re-run from scratch; the service they
-    /// consumed still counts as attained.
-    Kill,
 }
 
 /// Configuration for speculative execution (an engine extension modelling
@@ -527,8 +529,8 @@ impl JobStore {
     }
 
     /// `swap_remove`s the attempt at `pos` of job `i`: the vector order
-    /// that results is read by `progress`, the kill victim's tie-break and
-    /// speculation's candidate order, so it stays exactly `swap_remove`'s.
+    /// that results is read by `progress` and speculation's candidate
+    /// order, so it stays exactly `swap_remove`'s.
     fn swap_remove_running(&mut self, i: usize, pos: usize) -> RunningTask {
         let running = &mut self.stage[i].running;
         let removed = running.swap_remove(pos);
@@ -542,9 +544,11 @@ impl JobStore {
     }
 
     /// Where `attempt` of `task_idx` sits in job `i`'s `running`, or `None`
-    /// if that attempt no longer runs — its finish event is stale (the
-    /// attempt was killed, or superseded by a speculative copy, possibly
-    /// with the task running again under a newer attempt).
+    /// if that attempt no longer runs — its finish event is stale (a
+    /// speculative copy superseded it and the task has since completed).
+    /// The attempt filter is a fault check: a task never runs again after
+    /// a superseded attempt, so an indexed entry with another attempt
+    /// number would mean an attempt was renumbered without its event.
     fn running_position(&self, i: usize, task_idx: usize, attempt: u32) -> Option<usize> {
         let running = &self.stage[i].running;
         let found = self
@@ -697,15 +701,14 @@ impl JobScratch {
 /// Builder for a [`Simulation`] (see the crate-level quickstart).
 ///
 /// Defaults: the paper's 4×30-container cluster, a 1 s scheduling quantum,
-/// unlimited admission, graceful preemption, speculation and failures off,
-/// no journal, telemetry or invariant checks. Views carry true sizes
-/// exactly when the scheduler [`requires_oracle`](Scheduler::requires_oracle).
+/// unlimited admission, speculation and failures off, no journal,
+/// telemetry or invariant checks. Views carry true sizes exactly when the
+/// scheduler [`requires_oracle`](Scheduler::requires_oracle).
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     cluster: ClusterConfig,
     quantum: SimDuration,
     admission_limit: Option<usize>,
-    preemption: PreemptionPolicy,
     speculation: SpeculationConfig,
     failures: FailureConfig,
     record_journal: bool,
@@ -720,7 +723,6 @@ impl Default for SimulationBuilder {
             cluster: ClusterConfig::default(),
             quantum: SimDuration::from_secs(1),
             admission_limit: None,
-            preemption: PreemptionPolicy::Graceful,
             speculation: SpeculationConfig::disabled(),
             failures: FailureConfig::disabled(),
             record_journal: false,
@@ -756,12 +758,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets how over-target jobs lose containers.
-    pub fn preemption(mut self, policy: PreemptionPolicy) -> Self {
-        self.preemption = policy;
-        self
-    }
-
     /// Configures speculative execution.
     pub fn speculation(mut self, config: SpeculationConfig) -> Self {
         self.speculation = config;
@@ -782,8 +778,8 @@ impl SimulationBuilder {
     }
 
     /// Records [`Telemetry`]: one scheduler-state sample per full pass plus
-    /// a log of decision events (demotions, preemption kills, speculative
-    /// copies, admission verdicts). Off by default and zero-cost when off.
+    /// a log of decision events (demotions, speculative copies, admission
+    /// verdicts). Off by default and zero-cost when off.
     pub fn record_telemetry(mut self, record: bool) -> Self {
         self.record_telemetry = record;
         self
@@ -861,7 +857,6 @@ impl SimulationBuilder {
             cluster: ClusterState::new(self.cluster),
             admission,
             quantum: self.quantum,
-            preemption: self.preemption,
             speculation: self.speculation,
             failures: self.failures,
             journal: if self.record_journal {
@@ -936,7 +931,6 @@ pub struct Simulation<S: Scheduler> {
     cluster: ClusterState,
     admission: AdmissionController,
     quantum: SimDuration,
-    preemption: PreemptionPolicy,
     speculation: SpeculationConfig,
     failures: FailureConfig,
     journal: Option<Journal>,
@@ -1488,7 +1482,7 @@ impl<S: Scheduler> Simulation<S> {
             admission_limit: self.admission.limit(),
             admission_running: self.admission.running(),
             admission_waiting: self.admission.waiting_jobs(),
-            preemption: self.preemption,
+            preemption: PreemptionPolicy::Graceful,
             speculation: self.speculation,
             failures: self.failures,
             expose_oracle: self.jobs.oracle_size.is_some(),
@@ -1587,7 +1581,6 @@ impl<S: Scheduler> Simulation<S> {
                 snapshot.admission_waiting,
             ),
             quantum: snapshot.quantum,
-            preemption: snapshot.preemption,
             speculation: snapshot.speculation,
             failures: snapshot.failures,
             journal: snapshot.journal,
@@ -1708,10 +1701,10 @@ impl<S: Scheduler> Simulation<S> {
         let i = id.index();
         let core = &self.jobs.core[i];
         if core.finished() || core.stage_index != stage.index() {
-            return; // stale: the job moved on (kill or completion races)
+            return; // stale: the job moved on to a later stage or finished
         }
         let Some(pos) = self.jobs.running_position(i, task.index(), attempt) else {
-            return; // stale: killed or superseded by a speculative copy
+            return; // stale: superseded by a speculative copy
         };
 
         self.accrue_job(id);
@@ -2160,10 +2153,6 @@ impl<S: Scheduler> Simulation<S> {
         }
         self.plan_buf = plan;
 
-        if self.preemption == PreemptionPolicy::Kill {
-            self.kill_over_target();
-        }
-
         self.refill_cursor = 0;
         self.advance_refill_cursor();
 
@@ -2183,52 +2172,6 @@ impl<S: Scheduler> Simulation<S> {
             };
             if let Some(tel) = &mut self.telemetry {
                 tel.push_sample(sample);
-            }
-        }
-    }
-
-    fn kill_over_target(&mut self) {
-        for i in 0..self.admitted.len() {
-            let id = self.admitted[i];
-            let ji = id.index();
-            loop {
-                let core = &self.jobs.core[ji];
-                let st = &self.jobs.stage[ji];
-                if core.finished()
-                    || core.held <= self.effective_target(core)
-                    || st.running.is_empty()
-                {
-                    break;
-                }
-                // Kill the youngest attempt (least wasted work).
-                let victim = st
-                    .running
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, r)| (r.started, r.attempt))
-                    .map(|(idx, _)| idx)
-                    .expect("nonempty running set");
-                self.accrue_job(id);
-                self.update_util();
-                self.mark_dirty(id);
-                let killed = self.jobs.swap_remove_running(ji, victim);
-                let (_, core, st) = self.jobs.split_mut(ji);
-                core.held -= killed.containers;
-                self.cluster.release(killed.node, killed.containers);
-                if let Some(copy) = killed.spec_copy {
-                    core.held -= copy.containers;
-                    self.cluster.release(copy.node, copy.containers);
-                }
-                let killed_task = TaskId::new(killed.task_idx as u32);
-                let killed_stage = StageId::new(core.stage_index as u16);
-                st.requeued.push(killed.task_idx);
-                self.stats.tasks_killed += 1;
-                self.record(SimEvent::TaskKilled {
-                    job: id,
-                    stage: killed_stage,
-                    task: killed_task,
-                    at: self.now,
-                });
             }
         }
     }
@@ -2418,8 +2361,8 @@ mod tests {
     use crate::job::{StageKind, TaskSpec};
     use crate::sched::AllocationPlan;
     // Jobs served in admission order, within the cluster's capacity: the
-    // one helper here whose plans need no clamping (`EvenSplit`,
-    // `NewestFirst` and `NeedsOracle` are merely tolerated).
+    // one helper here whose plans need no clamping (`EvenSplit` and
+    // `NeedsOracle` are merely tolerated).
     use crate::testkit::BudgetedGreedy as Greedy;
 
     /// Splits capacity evenly among jobs every pass (a crude fair share).
@@ -2434,24 +2377,6 @@ mod tests {
             let n = ctx.jobs().len().max(1) as u32;
             let share = ctx.total_containers() / n;
             ctx.jobs().iter().map(|j| (j.id, share)).collect()
-        }
-    }
-
-    /// Gives everything to the newest job, starving older ones — with
-    /// `PreemptionPolicy::Kill`, every arrival kills what was running.
-    struct NewestFirst;
-
-    impl Scheduler for NewestFirst {
-        fn name(&self) -> &str {
-            "newest-first"
-        }
-
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-            let mut plan = AllocationPlan::new();
-            if let Some(j) = ctx.jobs().iter().max_by_key(|j| j.arrival) {
-                plan.push(j.id, j.max_useful_allocation());
-            }
-            plan
         }
     }
 
@@ -2687,21 +2612,6 @@ mod tests {
             .build(Greedy)
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn kill_preemption_reclaims_containers() {
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::single_node(2))
-            .preemption(PreemptionPolicy::Kill)
-            .jobs(vec![map_job(0, 2, 100), map_job(10, 2, 10)])
-            .build(NewestFirst)
-            .unwrap()
-            .run();
-        assert!(report.stats().tasks_killed >= 1);
-        // The late job preempts the early one and finishes promptly.
-        assert_eq!(report.outcomes()[1].finish.unwrap(), SimTime::from_secs(20));
-        assert!(report.all_completed());
     }
 
     #[test]
@@ -3078,25 +2988,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_preemption_kills() {
-        use crate::journal::SimEvent as E;
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::single_node(2))
-            .preemption(PreemptionPolicy::Kill)
-            .record_telemetry(true)
-            .jobs(vec![map_job(0, 2, 100), map_job(10, 2, 10)])
-            .build(NewestFirst)
-            .unwrap()
-            .run();
-        let tel = report.telemetry().unwrap();
-        let kills = tel
-            .decisions()
-            .count_where(|d| matches!(d, E::TaskKilled { .. }));
-        assert_eq!(kills as u64, report.stats().tasks_killed);
-        assert!(kills > 0);
-    }
-
-    #[test]
     fn telemetry_counts_speculation() {
         use crate::journal::SimEvent as E;
         let stage = StageSpec::new(
@@ -3190,15 +3081,15 @@ mod tests {
     fn telemetry_decisions_are_the_journal_filtered_by_tag() {
         use crate::journal::SimEvent as E;
         use crate::telemetry::QueueDemotion;
-        /// Newest-first (so `Kill` preempts older jobs) that demotes every
-        /// job once, the first time it sees it.
-        struct DemotingNewestFirst {
+        /// First-come first-served, demoting every job once, the first
+        /// time it sees it.
+        struct DemotingGreedy {
             seen: Vec<JobId>,
             pending: Vec<QueueDemotion>,
         }
-        impl Scheduler for DemotingNewestFirst {
+        impl Scheduler for DemotingGreedy {
             fn name(&self) -> &str {
-                "demoting-newest-first"
+                "demoting-greedy"
             }
             fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
                 for j in ctx.jobs() {
@@ -3212,14 +3103,14 @@ mod tests {
                         });
                     }
                 }
-                NewestFirst.allocate(ctx)
+                Greedy.allocate(ctx)
             }
             fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
                 std::mem::take(&mut self.pending)
             }
         }
-        // Job 0's last task straggles (speculation), job 1 preempts it
-        // (kill), job 2 waits behind the cap of two (admission).
+        // Job 0's last task straggles (speculation), job 2 waits behind
+        // the cap of two (admission).
         let straggler = JobSpec::builder()
             .stage(StageSpec::new(
                 StageKind::Map,
@@ -3231,12 +3122,11 @@ mod tests {
         let report = Simulation::builder()
             .cluster(ClusterConfig::single_node(8))
             .admission_limit(2)
-            .preemption(PreemptionPolicy::Kill)
             .speculation(SpeculationConfig::enabled(3, 1.5))
             .record_journal(true)
             .record_telemetry(true)
             .jobs(vec![straggler, map_job(20, 2, 5), map_job(21, 2, 5)])
-            .build(DemotingNewestFirst {
+            .build(DemotingGreedy {
                 seen: Vec::new(),
                 pending: Vec::new(),
             })
@@ -3260,7 +3150,6 @@ mod tests {
                 "admission_accept",
                 "admission_defer",
                 "demote",
-                "preempt_kill",
                 "spec_launch",
                 "spec_win"
             ],
@@ -3499,46 +3388,8 @@ mod tests {
         assert_eq!(audit_mid_run(|_| {}, &[(0, 3)]), [0, 0, 1]);
     }
 
-    #[test]
-    fn a_killed_attempts_finish_event_is_ignored_while_its_task_runs_again() {
-        // Job 0's two 100 s tasks start at t=0 and are killed at t=10 for
-        // job 1, which runs until t=20; both tasks then restart under new
-        // attempts due at t=120. The killed attempts' finish events still
-        // arrive at t=100 — naming tasks that are running, under attempts
-        // that are not.
-        let mut sim = Simulation::builder()
-            .cluster(ClusterConfig::single_node(2))
-            .preemption(PreemptionPolicy::Kill)
-            .check_invariants(true)
-            .jobs(vec![map_job(0, 2, 100), map_job(10, 2, 10)])
-            .build(NewestFirst)
-            .unwrap();
-        assert!(sim.run_until(SimTime::from_secs(99)));
-        assert_eq!(sim.stats.tasks_killed, 2);
-        let restarted = sim.jobs.stage[0].running.clone();
-        assert_eq!(restarted.len(), 2);
-        assert!(restarted
-            .iter()
-            .all(|r| r.attempt >= 2 && r.finish == SimTime::from_secs(120)));
-        let before = sim.stats.events_processed;
-        assert!(sim.run_until(SimTime::from_secs(100)));
-        assert!(
-            sim.stats.events_processed >= before + 2,
-            "the stale events were delivered"
-        );
-        let st = &sim.jobs.stage[0];
-        assert_eq!(st.completed, 0, "a stale finish completed a task");
-        assert_eq!(st.running.len(), 2);
-        let report = sim.run();
-        assert_eq!(
-            report.outcomes()[0].finish.unwrap(),
-            SimTime::from_secs(120)
-        );
-        assert!(report.invariants().unwrap().is_clean());
-    }
-
-    /// Hands the whole cluster to a different job each pass, so with
-    /// `PreemptionPolicy::Kill` every rotation kills running attempts.
+    /// Hands the whole cluster to a different job every few passes, so the
+    /// holdings of every job keep shrinking and regrowing.
     struct Rotating {
         cursor: usize,
     }
@@ -3575,8 +3426,8 @@ mod tests {
 
     #[test]
     fn attempt_index_survives_every_removal_path_and_a_restore() {
-        // Failures, kills, completions and speculative supersession all
-        // edit `running`; the run is also cut mid-flight, so the index is
+        // Failures, completions and speculative supersession all edit
+        // `running`; the run is also cut mid-flight, so the index is
         // rebuilt from a snapshot with attempts of every kind in it.
         let straggly = |arrival: u64, tasks: usize| {
             let mut specs = vec![TaskSpec::new(SimDuration::from_secs(4)); tasks];
@@ -3594,7 +3445,6 @@ mod tests {
         let build = || {
             Simulation::builder()
                 .cluster(ClusterConfig::new(2, 4))
-                .preemption(PreemptionPolicy::Kill)
                 .failures(FailureConfig::with_probability(0.2, 7))
                 .speculation(SpeculationConfig::enabled(2, 1.5))
                 .check_invariants(true)
@@ -3611,7 +3461,6 @@ mod tests {
         let uninterrupted = build().run();
         let stats = uninterrupted.stats();
         assert!(stats.tasks_failed > 0, "{stats:?}");
-        assert!(stats.tasks_killed > 0, "{stats:?}");
         assert!(stats.speculative_won > 0, "{stats:?}");
         assert!(uninterrupted.all_completed());
         let inv = uninterrupted.invariants().unwrap();

@@ -33,8 +33,8 @@ pub enum Event {
         job: JobId,
     },
     /// A task attempt finishes. `attempt` guards against stale events: if
-    /// the attempt was killed (preemption) or superseded (a speculative copy
-    /// finished first), the engine ignores the event.
+    /// the attempt was superseded (a speculative copy finished first), the
+    /// engine ignores the event.
     TaskFinish {
         /// The job the task belongs to.
         job: JobId,

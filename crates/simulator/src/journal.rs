@@ -4,9 +4,9 @@
 //! status such as task completion events and stage progresses" (§IV);
 //! debugging a scheduler needs the same visibility. The engine reports
 //! every transition as one [`SimEvent`] — submissions, admission verdicts,
-//! task attempts starting/finishing/failing/being killed, speculative
-//! copies, demotions, stage and job completions — through a single call
-//! that feeds two optional recorders:
+//! task attempts starting/finishing/failing, speculative copies,
+//! demotions, stage and job completions — through a single call that
+//! feeds two optional recorders:
 //!
 //! * [`SimulationBuilder::record_journal`] keeps every event in a
 //!   [`Journal`] the report carries for querying or serialization;
@@ -83,17 +83,6 @@ pub enum SimEvent {
         /// When.
         at: SimTime,
     },
-    /// A task attempt was killed by preemption and re-queued.
-    TaskKilled {
-        /// The job.
-        job: JobId,
-        /// The stage within the job.
-        stage: StageId,
-        /// The task within the stage.
-        task: TaskId,
-        /// When.
-        at: SimTime,
-    },
     /// A task attempt failed (injected failure) and was re-queued.
     TaskFailed {
         /// The job.
@@ -167,7 +156,6 @@ impl SimEvent {
             | SimEvent::JobAdmitted { at, .. }
             | SimEvent::TaskStarted { at, .. }
             | SimEvent::TaskFinished { at, .. }
-            | SimEvent::TaskKilled { at, .. }
             | SimEvent::TaskFailed { at, .. }
             | SimEvent::SpeculativeLaunched { at, .. }
             | SimEvent::SpeculativeWon { at, .. }
@@ -185,7 +173,6 @@ impl SimEvent {
             | SimEvent::JobAdmitted { job, .. }
             | SimEvent::TaskStarted { job, .. }
             | SimEvent::TaskFinished { job, .. }
-            | SimEvent::TaskKilled { job, .. }
             | SimEvent::TaskFailed { job, .. }
             | SimEvent::SpeculativeLaunched { job, .. }
             | SimEvent::SpeculativeWon { job, .. }
@@ -196,13 +183,12 @@ impl SimEvent {
     }
 
     /// The stable machine-readable tag of a scheduling decision
-    /// ("demote", "preempt_kill", ...), used as the `event` column of
+    /// ("demote", "spec_launch", ...), used as the `event` column of
     /// [`Telemetry::decisions_csv`](crate::telemetry::Telemetry::decisions_csv);
     /// `None` for pure lifecycle events.
     pub fn decision_tag(&self) -> Option<&'static str> {
         match self {
             SimEvent::JobDemoted { .. } => Some("demote"),
-            SimEvent::TaskKilled { .. } => Some("preempt_kill"),
             SimEvent::SpeculativeLaunched { .. } => Some("spec_launch"),
             SimEvent::SpeculativeWon { .. } => Some("spec_win"),
             SimEvent::AdmissionDeferred { .. } => Some("admission_defer"),
@@ -328,44 +314,38 @@ mod tests {
                 task,
                 at: at(4),
             },
-            SimEvent::TaskKilled {
+            SimEvent::SpeculativeLaunched {
                 job,
                 stage,
                 task,
                 at: at(5),
             },
-            SimEvent::SpeculativeLaunched {
-                job,
-                stage,
-                task,
-                at: at(6),
-            },
             SimEvent::SpeculativeWon {
                 job,
                 stage,
                 task,
-                at: at(7),
+                at: at(6),
             },
             SimEvent::JobDemoted {
                 job,
                 from_queue: 0,
                 to_queue: 2,
                 effective: Service::from_container_secs(150.0),
-                at: at(8),
+                at: at(7),
             },
             SimEvent::TaskFinished {
                 job,
                 stage,
                 task,
                 attempt: 1,
-                at: at(9),
+                at: at(8),
             },
             SimEvent::StageCompleted {
                 job,
                 stage,
-                at: at(10),
+                at: at(9),
             },
-            SimEvent::JobCompleted { job, at: at(11) },
+            SimEvent::JobCompleted { job, at: at(10) },
         ];
         let mut tags = Vec::new();
         for (i, e) in events.iter().enumerate() {
@@ -373,7 +353,7 @@ mod tests {
             assert_eq!(e.at(), at(i as u64));
             tags.extend(e.decision_tag());
         }
-        // Exactly the six decision kinds carry a tag, each a distinct one.
+        // Exactly the five decision kinds carry a tag, each a distinct one.
         tags.sort_unstable();
         assert_eq!(
             tags,
@@ -381,7 +361,6 @@ mod tests {
                 "admission_accept",
                 "admission_defer",
                 "demote",
-                "preempt_kill",
                 "spec_launch",
                 "spec_win"
             ]

@@ -69,7 +69,8 @@ impl JobOutcome {
 pub struct EngineStats {
     /// Full scheduling passes executed.
     pub scheduling_passes: u64,
-    /// Task attempts killed by preemption.
+    /// Always 0 since kill preemption was retired; kept for byte-stable
+    /// reports (report JSON carries it).
     pub tasks_killed: u64,
     /// Task attempts lost to injected failures.
     pub tasks_failed: u64,

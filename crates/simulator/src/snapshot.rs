@@ -69,6 +69,8 @@ pub struct SimSnapshot {
     pub(crate) admission_limit: Option<usize>,
     pub(crate) admission_running: usize,
     pub(crate) admission_waiting: Vec<JobId>,
+    /// Always `Graceful`; written so snapshots keep their bytes, never
+    /// read. A snapshot naming `"Kill"` fails to parse.
     pub(crate) preemption: PreemptionPolicy,
     pub(crate) speculation: SpeculationConfig,
     pub(crate) failures: FailureConfig,

@@ -3,11 +3,11 @@
 //! The [`Journal`] records what happened to each task; this module records
 //! what the **scheduler** saw and decided — per-queue depths, running/queued
 //! jobs, cluster occupancy over time, and the decision events of the
-//! engine's one [`SimEvent`] stream (demotions, preemption kills,
-//! speculative copies, admission verdicts) that explain *why* response
-//! times come out the way they do. The paper argues entirely from
-//! end-of-run aggregates (§V); validating the aging behaviour of LAS_MQ
-//! requires watching queue depths and demotions over time.
+//! engine's one [`SimEvent`] stream (demotions, speculative copies,
+//! admission verdicts) that explain *why* response times come out the way
+//! they do. The paper argues entirely from end-of-run aggregates (§V);
+//! validating the aging behaviour of LAS_MQ requires watching queue depths
+//! and demotions over time.
 //!
 //! Recording is off by default and then costs one branch per event: the
 //! engine samples once per full scheduling pass and keeps decisions only
@@ -221,8 +221,7 @@ impl Telemetry {
                     effective.as_container_secs().to_string(),
                     String::new(),
                 ),
-                SimEvent::TaskKilled { task, .. }
-                | SimEvent::SpeculativeLaunched { task, .. }
+                SimEvent::SpeculativeLaunched { task, .. }
                 | SimEvent::SpeculativeWon { task, .. } => (
                     task.index().to_string(),
                     String::new(),
@@ -304,7 +303,7 @@ mod tests {
             effective: Service::from_container_secs(250.5),
             at: SimTime::from_secs(4),
         });
-        t.record(SimEvent::TaskKilled {
+        t.record(SimEvent::SpeculativeLaunched {
             job: JobId::new(1),
             stage: StageId::new(1),
             task: TaskId::new(6),
@@ -318,7 +317,7 @@ mod tests {
         );
         assert_eq!(lines[1], "2000,admission_accept,0,,,,,1500");
         assert_eq!(lines[2], "4000,demote,1,,0,3,250.5,");
-        assert_eq!(lines[3], "5000,preempt_kill,1,6,,,,");
+        assert_eq!(lines[3], "5000,spec_launch,1,6,,,,");
     }
 
     #[test]

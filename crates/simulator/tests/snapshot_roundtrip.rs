@@ -236,13 +236,36 @@ fn a_v2_snapshot_with_the_old_decision_log_is_rejected() {
     let old_log = r#""telemetry":{"samples":[],"decisions":[{"TaskPreempted":{"job":0,"task":1,"at":5000}},{"AdmissionAccepted":{"job":2,"waited":0,"at":6000}}]}"#;
     let err = with_telemetry(old_log).unwrap_err();
     assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
-    // An old variant name is refused even inside the current structure.
-    let old_name = r#""telemetry":{"samples":[],"decisions":{"events":[{"TaskPreempted":{"job":0,"stage":0,"task":1,"at":5000}}]}}"#;
-    let err = with_telemetry(old_name).unwrap_err();
-    assert!(err.to_string().contains("TaskPreempted"), "got {err}");
+    // An old variant name is refused even inside the current structure:
+    // `TaskPreempted`, and `TaskKilled` since kill preemption was retired.
+    for old in ["TaskPreempted", "TaskKilled"] {
+        let old_name = format!(
+            r#""telemetry":{{"samples":[],"decisions":{{"events":[{{"{old}":{{"job":0,"stage":0,"task":1,"at":5000}}}}]}}}}"#
+        );
+        let err = with_telemetry(&old_name).unwrap_err();
+        assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
+        assert!(err.to_string().contains(old), "got {err}");
+    }
     // The same entry in the current vocabulary loads.
-    let current = r#""telemetry":{"samples":[],"decisions":{"events":[{"TaskKilled":{"job":0,"stage":0,"task":1,"at":5000}}]}}"#;
+    let current = r#""telemetry":{"samples":[],"decisions":{"events":[{"TaskFailed":{"job":0,"stage":0,"task":1,"at":5000}}]}}"#;
     assert!(with_telemetry(current).is_ok());
+}
+
+/// Kill preemption was retired: snapshots are written with
+/// `"preemption":"Graceful"`, and a file naming `"Kill"` is refused with
+/// a structured error that says why, never half-read.
+#[test]
+fn a_snapshot_naming_kill_preemption_is_rejected() {
+    let mut sim = build(Rotor::new());
+    let json = sim
+        .snapshot_at(SimTime::from_secs(15))
+        .expect("mid-run")
+        .to_json();
+    let kill = json.replacen("\"preemption\":\"Graceful\"", "\"preemption\":\"Kill\"", 1);
+    assert_ne!(json, kill, "preemption field not found to replace");
+    let err = lasmq_simulator::SimSnapshot::from_json(&kill).unwrap_err();
+    assert!(matches!(err, SimError::Snapshot(_)), "got {err:?}");
+    assert!(err.to_string().contains("Kill"), "got {err}");
 }
 
 /// The engine stops early only at `run_until`, and it writes every

@@ -201,13 +201,13 @@ serve() {
 
 telemetry() {
     # Per-cell artifacts: both CSVs carry their header, every decision
-    # row is one of the six decision tags, and summary.json counts
+    # row is one of the five decision tags, and summary.json counts
     # exactly the rows decisions.csv holds.
     ./target/release/repro fig3 --quick --threads 2 --telemetry target/telemetry-smoke
     python3 - <<'EOF'
 import csv, json, pathlib, sys
 
-TAGS = {"demote", "preempt_kill", "spec_launch", "spec_win",
+TAGS = {"demote", "spec_launch", "spec_win",
         "admission_defer", "admission_accept"}
 root = pathlib.Path("target/telemetry-smoke")
 cells = sorted(p for p in root.iterdir() if p.is_dir())

@@ -214,28 +214,28 @@ fn las_mq_views_never_carry_sizes() {
 
 #[test]
 fn las_mq_runs_under_all_engine_extensions() {
-    use lasmq::simulator::{PreemptionPolicy, SpeculationConfig};
+    use lasmq::simulator::{FailureConfig, SpeculationConfig};
     let jobs = PumaWorkload::new().jobs(20).seed(7).generate();
-    for (preemption, speculation) in [
-        (PreemptionPolicy::Graceful, SpeculationConfig::disabled()),
-        (PreemptionPolicy::Kill, SpeculationConfig::disabled()),
-        (
-            PreemptionPolicy::Graceful,
-            SpeculationConfig::enabled(3, 1.5),
-        ),
-        (PreemptionPolicy::Kill, SpeculationConfig::enabled(2, 2.0)),
+    for speculation in [
+        SpeculationConfig::disabled(),
+        SpeculationConfig::enabled(3, 1.5),
     ] {
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::new(4, 30))
-            .preemption(preemption)
-            .speculation(speculation)
-            .jobs(jobs.clone())
-            .build(LasMq::with_paper_defaults())
-            .expect("valid setup")
-            .run();
-        assert!(
-            report.all_completed(),
-            "unfinished jobs under {preemption:?}/{speculation:?}"
-        );
+        for failures in [
+            FailureConfig::disabled(),
+            FailureConfig::with_probability(0.1, 7),
+        ] {
+            let report = Simulation::builder()
+                .cluster(ClusterConfig::new(4, 30))
+                .speculation(speculation)
+                .failures(failures)
+                .jobs(jobs.clone())
+                .build(LasMq::with_paper_defaults())
+                .expect("valid setup")
+                .run();
+            assert!(
+                report.all_completed(),
+                "unfinished jobs under {speculation:?}/{failures:?}"
+            );
+        }
     }
 }
