@@ -37,11 +37,6 @@ impl ResultCache {
         ResultCache { dir: dir.into() }
     }
 
-    /// The cache at [`DEFAULT_CACHE_DIR`].
-    pub fn default_location() -> Self {
-        ResultCache::new(DEFAULT_CACHE_DIR)
-    }
-
     /// The cache's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir

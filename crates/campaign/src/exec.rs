@@ -125,7 +125,10 @@ impl ExecOptions {
         })
     }
 
-    fn resolved_threads(&self, cells: usize) -> usize {
+    /// The worker count for `cells` units of work: [`ExecOptions::threads`]
+    /// (all cores when unset), capped at `cells` and at least one. The
+    /// one thread-count rule for campaigns and warm-fork runs alike.
+    pub fn resolved_threads(&self, cells: usize) -> usize {
         let requested = match self.threads {
             Some(n) => n.get(),
             None => std::thread::available_parallelism()

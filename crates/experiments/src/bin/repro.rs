@@ -4,7 +4,7 @@
 //! ```text
 //! repro [--quick] [--out DIR] [--threads N] [--no-cache] [--seed S]
 //!       [--telemetry DIR] [--verify]
-//!       [--profile] [--policy FILE] [--train-iters N] [--train-population N]
+//!       [--profile] [--policy FILE]
 //!       <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
 //! repro campaign-status
 //! repro trace-gen <facebook|uniform|puma> [--jobs N] [--seed S] [--out FILE]
@@ -49,12 +49,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lasmq_campaign::{status_report, ExecOptions, DEFAULT_CACHE_DIR};
+use lasmq_campaign::{status_report, ExecOptions, SchedulerKind, SimSetup, DEFAULT_CACHE_DIR};
 use lasmq_experiments::ext_train::{self, TrainOptions};
 use lasmq_experiments::table::TextTable;
 use lasmq_experiments::{
     ext_estimation, ext_fairness, ext_geo, ext_load, ext_robustness, ext_warmstart, fig3, fig56,
-    fig7, fig8, table1, Scale, SchedulerKind, SimSetup,
+    fig7, fig8, table1, Scale,
 };
 use lasmq_schedulers::LinearPolicy;
 use lasmq_simulator::ClusterConfig;
@@ -70,8 +70,6 @@ struct Args {
     verify: bool,
     profile: bool,
     policy: Option<PathBuf>,
-    train_iters: Option<usize>,
-    train_population: Option<usize>,
     experiments: Vec<String>,
 }
 
@@ -86,8 +84,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut verify = false;
     let mut profile = false;
     let mut policy = None;
-    let mut train_iters = None;
-    let mut train_population = None;
     let mut experiments = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -126,23 +122,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     argv.next().ok_or("--policy needs a policy JSON file")?,
                 ));
             }
-            "--train-iters" => {
-                let v = argv
-                    .next()
-                    .ok_or("--train-iters needs an iteration count")?;
-                train_iters = Some(v.parse::<usize>().map_err(|_| {
-                    format!("--train-iters needs a non-negative integer, got '{v}'")
-                })?);
-            }
-            "--train-population" => {
-                let v = argv
-                    .next()
-                    .ok_or("--train-population needs a candidate count")?;
-                train_population =
-                    Some(v.parse::<usize>().ok().filter(|&n| n >= 2).ok_or_else(|| {
-                        format!("--train-population needs an integer ≥ 2, got '{v}'")
-                    })?);
-            }
             "--help" | "-h" => return Ok(None),
             name if !name.starts_with('-') => experiments.push(name.to_string()),
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
@@ -161,15 +140,13 @@ fn parse_args() -> Result<Option<Args>, String> {
         verify,
         profile,
         policy,
-        train_iters,
-        train_population,
         experiments,
     }))
 }
 
 const USAGE: &str = "usage: repro [--quick] [--out DIR] [--threads N] [--no-cache] [--seed S] \
     [--telemetry DIR] [--verify] [--profile] \
-    [--policy FILE] [--train-iters N] [--train-population N] \
+    [--policy FILE] \
     <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
        repro campaign-status
        repro trace-gen <facebook|uniform|puma> [--jobs N] [--seed S] [--out FILE]
@@ -198,11 +175,7 @@ const USAGE: &str = "usage: repro [--quick] [--out DIR] [--threads N] [--no-cach
   --policy FILE             with 'train': skip the search and reproduce the
                             held-out table from an existing policy artifact;
                             with trace-run: replay under the learned
-                            scheduler with weights from FILE
-  --train-iters N           cross-entropy iterations (default 10; 2 with
-                            --quick)
-  --train-population N      candidates per training round (default 24; 8
-                            with --quick)";
+                            scheduler with weights from FILE";
 
 fn main() -> ExitCode {
     // Trace and status subcommands take their own argument shapes.
@@ -299,7 +272,7 @@ fn main() -> ExitCode {
     if wants("fig3") {
         emit(
             "fig3",
-            || fig3::run_with(&scale, &exec).tables(),
+            || fig3::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
@@ -307,7 +280,7 @@ fn main() -> ExitCode {
     if wants("fig5") {
         emit(
             "fig5",
-            || fig56::run_with(&scale, 80.0, &exec).tables(),
+            || fig56::run(&scale, 80.0, &exec).tables(),
             &args.out,
             profile,
         );
@@ -315,7 +288,7 @@ fn main() -> ExitCode {
     if wants("fig6") {
         emit(
             "fig6",
-            || fig56::run_with(&scale, 50.0, &exec).tables(),
+            || fig56::run(&scale, 50.0, &exec).tables(),
             &args.out,
             profile,
         );
@@ -323,7 +296,7 @@ fn main() -> ExitCode {
     if wants("fig7") {
         emit(
             "fig7",
-            || fig7::run_with(&scale, &exec).tables(),
+            || fig7::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
@@ -331,7 +304,7 @@ fn main() -> ExitCode {
     if wants("fig8") {
         emit(
             "fig8",
-            || fig8::run_with(&scale, &exec).tables(),
+            || fig8::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
@@ -339,31 +312,31 @@ fn main() -> ExitCode {
     if wants("extensions") {
         emit(
             "ext_estimation",
-            || ext_estimation::run_with(&scale, &exec).tables(),
+            || ext_estimation::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
         emit(
             "ext_robustness",
-            || ext_robustness::run_with(&scale, &exec).tables(),
+            || ext_robustness::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
         emit(
             "ext_fairness",
-            || ext_fairness::run_with(&scale, &exec).tables(),
+            || ext_fairness::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
         emit(
             "ext_geo",
-            || ext_geo::run_with(&scale, &exec).tables(),
+            || ext_geo::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
         emit(
             "ext_load",
-            || ext_load::run_with(&scale, &exec).tables(),
+            || ext_load::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
@@ -371,7 +344,7 @@ fn main() -> ExitCode {
     if wants("extensions") || wants("fork-compare") {
         emit(
             "ext_warmstart",
-            || ext_warmstart::run(&scale).tables(),
+            || ext_warmstart::run(&scale, &exec).tables(),
             &args.out,
             profile,
         );
@@ -389,7 +362,7 @@ fn main() -> ExitCode {
         };
         emit(
             "robustness",
-            || ext_robustness::run_noise_with(&noise_scale, &exec).tables(),
+            || ext_robustness::run_noise(&noise_scale, &exec).tables(),
             &args.out,
             profile,
         );
@@ -398,33 +371,23 @@ fn main() -> ExitCode {
     // kind of run than a reproduction, and its cost scales with the
     // trainer knobs rather than the figure set.
     if args.experiments.iter().any(|e| e == "train") {
-        let mut opts = if args.quick {
+        let opts = if args.quick {
             TrainOptions::smoke(&scale)
         } else {
             TrainOptions::full(&scale)
         };
-        if let Some(n) = args.train_iters {
-            opts.iterations = n;
-        }
-        if let Some(n) = args.train_population {
-            opts.population = n;
-            opts.elite = opts.elite.min(n);
-        }
-        if let Some(n) = args.threads {
-            opts.threads = n;
-        }
         let result = match &args.policy {
             Some(path) => match std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))
                 .and_then(|json| LinearPolicy::from_json(&json))
             {
-                Ok(policy) => ext_train::evaluate(&scale, &opts, policy),
+                Ok(policy) => ext_train::evaluate(&scale, &opts, policy, &exec),
                 Err(msg) => {
                     eprintln!("{msg}");
                     return ExitCode::FAILURE;
                 }
             },
-            None => ext_train::run(&scale, &opts),
+            None => ext_train::run(&scale, &opts, &exec),
         };
         emit("ext_train", || result.tables(), &args.out, profile);
         if args.policy.is_none() {

@@ -17,12 +17,10 @@
 //! while blowing up the p99 tail (the mis-filed giants delay everything
 //! that queues behind them) — the asymmetry §III-B describes.
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 
 /// One estimator variant's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,13 +91,8 @@ pub fn lineup(seed: u64) -> Vec<(String, SchedulerKind)> {
     ]
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: &Scale) -> EstimationResult {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs the experiment as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> EstimationResult {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> EstimationResult {
     let workload = WorkloadSpec::Facebook {
         jobs: scale.facebook_jobs,
         seed: scale.seed,
@@ -138,10 +131,11 @@ mod tests {
         // Gross under-estimates only bite when a *large* job gets
         // mis-filed; at 5 % over a heavy tail that needs a few thousand
         // jobs to happen reliably, so this test runs above Scale::test.
-        let r = run(&Scale {
+        let scale = Scale {
             facebook_jobs: 8_000,
             ..Scale::test()
-        });
+        };
+        let r = run(&scale, &ExecOptions::default().no_cache());
         let mean = |label: &str| r.row(label).unwrap().mean_response;
         let p99 = |label: &str| r.row(label).unwrap().p99_response;
 

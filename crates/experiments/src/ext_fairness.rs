@@ -18,12 +18,10 @@
 //! exactly why the paper defaults to weighted sharing rather than strict
 //! priority (§III-A) — not as a free lunch.
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 use lasmq_core::{LasMqConfig, QueueSharing, QueueWeights};
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
 
 /// One knob setting's outcome.
@@ -105,13 +103,8 @@ pub fn knob_settings() -> Vec<(String, LasMqConfig)> {
     settings
 }
 
-/// Runs the sweep at the given scale.
-pub fn run(scale: &Scale) -> FairnessResult {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs the sweep as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> FairnessResult {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> FairnessResult {
     let workload = WorkloadSpec::Facebook {
         jobs: scale.facebook_jobs,
         seed: scale.seed,
@@ -176,7 +169,7 @@ mod tests {
 
     #[test]
     fn every_setting_completes_with_finite_metrics() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         assert_eq!(r.rows.len(), 6);
         for row in &r.rows {
             assert!(row.mean_response.is_finite(), "{}", row.label);

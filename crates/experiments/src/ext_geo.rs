@@ -16,11 +16,9 @@
 //! windows, and the freed containers flow to other jobs (the engine's
 //! work conservation).
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::stats::reduction_pct;
 use crate::table::{fmt_num, TextTable};
 
@@ -80,13 +78,8 @@ impl GeoResult {
     }
 }
 
-/// Runs the bandwidth sweep at the given scale.
-pub fn run(scale: &Scale) -> GeoResult {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs the bandwidth sweep as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> GeoResult {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> GeoResult {
     let setup = SimSetup::testbed();
     let lineup = [
         SchedulerKind::las_mq_experiments(),
@@ -143,7 +136,7 @@ mod tests {
 
     #[test]
     fn slow_links_stretch_responses_but_lasmq_still_wins() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         assert_eq!(r.rows.len(), 4);
         // Responses grow monotonically-ish as the link shrinks.
         let colo = r.rows[0].las_mq;

@@ -12,11 +12,9 @@
 //!   serialize the cluster (everyone converges toward FIFO), very large
 //!   caps leave LAS_MQ's scheduling to do all the work.
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
 
 /// Loads swept in the load panel.
@@ -110,13 +108,8 @@ impl LoadResult {
     }
 }
 
-/// Runs both sweeps.
-pub fn run(scale: &Scale) -> LoadResult {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs both sweeps as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> LoadResult {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> LoadResult {
     let lineup = SchedulerKind::paper_lineup_simulations();
     let mut campaign = Campaign::new("ext_load");
     for &load in &LOAD_SWEEP {
@@ -189,7 +182,7 @@ mod tests {
 
     #[test]
     fn response_grows_with_load_and_lasmq_bends_latest() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         assert_eq!(r.by_load.len(), 4);
         let lo = r.lasmq_at_load(0.5).unwrap();
         let hi = r.lasmq_at_load(0.95).unwrap();
@@ -202,7 +195,7 @@ mod tests {
 
     #[test]
     fn tiny_admission_caps_hurt_lasmq_more_than_fifo() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         assert_eq!(r.by_admission.len(), 4);
         // With only 5 running jobs LAS_MQ has little room to reorder; its
         // advantage over FIFO must widen as the cap loosens.

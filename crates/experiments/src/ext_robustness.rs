@@ -21,12 +21,10 @@
 //! which LAS_MQ's mean response beats noisy-estimate SJF and FSP — i.e.
 //! how wrong size estimates must be before "no prior information" wins.
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 use lasmq_simulator::{ClusterConfig, FailureConfig, SpeculationConfig};
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::stats::reduction_pct;
 use crate::table::{fmt_num, TextTable};
 
@@ -109,13 +107,8 @@ fn environments(seed: u64) -> Vec<(String, SimSetup)> {
     ]
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: &Scale) -> RobustnessResult {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs the experiment as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> RobustnessResult {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> RobustnessResult {
     let workload = WorkloadSpec::Puma {
         jobs: scale.puma_jobs,
         mean_interval_secs: 50.0,
@@ -347,13 +340,8 @@ pub fn smoke_scale(scale: &Scale) -> Scale {
     }
 }
 
-/// Runs the noise grid at the given scale.
-pub fn run_noise(scale: &Scale) -> NoiseRobustnessResult {
-    run_noise_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs the noise grid as one campaign under `exec`.
-pub fn run_noise_with(scale: &Scale, exec: &ExecOptions) -> NoiseRobustnessResult {
+pub fn run_noise(scale: &Scale, exec: &ExecOptions) -> NoiseRobustnessResult {
     // Declare every unique run once; the grid then references
     // σ-independent runs from each σ row. Declaration order ==
     // reports order.
@@ -436,7 +424,7 @@ mod tests {
 
     #[test]
     fn lasmq_advantage_survives_hostile_environments() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         assert_eq!(r.rows.len(), 4);
         for row in &r.rows {
             assert!(
@@ -469,7 +457,7 @@ mod tests {
             uniform_tasks_per_job: 100,
             ..Scale::test()
         };
-        let r = run_noise(&scale);
+        let r = run_noise(&scale, &ExecOptions::default().no_cache());
         let expected = NOISE_LOADS.len() * 2 * NOISE_SIGMAS.len() * (8 + 5);
         assert_eq!(r.cells.len(), expected);
         for c in &r.cells {

@@ -18,33 +18,35 @@
 //!    the LAS-imitating and all-zero seeds) picks the starting point.
 //! 3. **Cross-entropy** — iterate: sample a Gaussian population around
 //!    the current mean, evaluate all candidates fork-parallel through
-//!    [`map_parallel`], refit mean and
+//!    [`run_forks`], refit mean and
 //!    per-weight spread to the elite set. The reigning best candidate
 //!    is re-injected into every population, so the best training return
 //!    is monotone — the convergence the acceptance tests assert.
 //! 4. **Held-out comparison** — the winner joins the paper lineup on
 //!    seeds never used in training, scored by full-episode mean
 //!    response time (no forks: held-out evaluation pays the honest
-//!    cold-start cost).
+//!    cold-start cost). Each episode is a cell of the
+//!    `ext_train_holdout` [`Campaign`], so it shares the result cache,
+//!    `--verify` and `--telemetry` with every figure.
 //!
 //! Everything is deterministic: candidate sampling draws from one
 //! seeded [`StdRng`] stream on the driving thread, and fork evaluation
 //! returns bit-identical scores regardless of worker count.
 
-use lasmq_campaign::{map_parallel, WorkloadSpec};
-use lasmq_schedulers::{LearnedScheduler, LinearPolicy, FEATURE_COUNT, FEATURE_NAMES};
-use lasmq_simulator::{SimError, SimSnapshot, SimTime, Simulation};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
+use lasmq_schedulers::{LinearPolicy, FEATURE_COUNT, FEATURE_NAMES};
+use lasmq_simulator::{SimError, SimSnapshot, SimTime};
+use lasmq_workload::dist::uniform01;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
-use crate::warm_fork::{donor_snapshot, post_fork_mean_response};
+use crate::warm_fork::{donor_snapshot, post_fork_mean_response, run_forks};
 
 /// Trainer knobs. The defaults trade wall clock for polish; the smoke
-/// configuration keeps CI runs in seconds.
+/// configuration keeps CI runs in seconds. Worker threads, the cache and
+/// verification come from the run's [`ExecOptions`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainOptions {
     /// Cross-entropy iterations after the random-search warmup.
@@ -53,9 +55,6 @@ pub struct TrainOptions {
     pub population: usize,
     /// Elite candidates the next Gaussian is refit to.
     pub elite: usize,
-    /// Worker threads for fork-parallel candidate evaluation (results
-    /// are bit-identical for any value).
-    pub threads: usize,
     /// Seeds for the held-out comparison; none may equal the training
     /// seed.
     pub holdout_seeds: Vec<u64>,
@@ -68,7 +67,6 @@ impl TrainOptions {
             iterations: 10,
             population: 24,
             elite: 6,
-            threads: std::thread::available_parallelism().map_or(4, usize::from),
             holdout_seeds: vec![scale.seed + 1009, scale.seed + 2003, scale.seed + 3001],
         }
     }
@@ -79,7 +77,6 @@ impl TrainOptions {
             iterations: 2,
             population: 8,
             elite: 3,
-            threads: std::thread::available_parallelism().map_or(4, usize::from),
             holdout_seeds: vec![scale.seed + 1009],
         }
     }
@@ -202,16 +199,11 @@ impl TrainResult {
     }
 }
 
-/// A uniform draw in `[0, 1)` (53-bit mantissa, the standard ladder).
-fn uniform(rng: &mut StdRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// A standard normal draw (Box–Muller; one of the pair is discarded so
 /// every draw consumes a fixed amount of stream).
 fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1 = uniform(rng).max(f64::MIN_POSITIVE);
-    let u2 = uniform(rng);
+    let u1 = uniform01(rng).max(f64::MIN_POSITIVE);
+    let u2 = uniform01(rng);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -224,15 +216,11 @@ fn puma(scale: &Scale, seed: u64) -> WorkloadSpec {
     }
 }
 
-/// Evaluates candidate policies as forks of one warm `snapshot`, in
-/// parallel on up to `threads` workers.
-///
-/// Each candidate runs as a fresh [`LearnedScheduler`] over the donor's
-/// engine state to completion. Its score is the negative
-/// [post-fork mean response](post_fork_mean_response), so higher is
-/// better. Returns one score per policy, in input order, bit-identical
-/// across thread counts: a [`SimSnapshot`] is plain data, so each worker
-/// rebuilds its own engine.
+/// Evaluates candidate policies as [`SchedulerKind::Learned`] forks of
+/// one warm `snapshot` ([`run_forks`]). A candidate's score is the
+/// negative [post-fork mean response](post_fork_mean_response), so
+/// higher is better. Returns one score per policy, in input order,
+/// bit-identical across thread counts.
 ///
 /// # Errors
 ///
@@ -240,19 +228,23 @@ fn puma(scale: &Scale, seed: u64) -> WorkloadSpec {
 fn fork_policy_returns(
     snapshot: &SimSnapshot,
     policies: &[LinearPolicy],
-    threads: usize,
+    exec: &ExecOptions,
 ) -> Result<Vec<f64>, SimError> {
     let fork_at = snapshot.now();
-    let outcomes = map_parallel(threads, policies.len(), |i| {
-        let sim = Simulation::fork(snapshot, LearnedScheduler::new(policies[i].clone()))?;
-        Ok(-post_fork_mean_response(&sim.run(), fork_at).unwrap_or(0.0))
-    });
-    outcomes.into_iter().collect()
+    let kinds: Vec<_> = policies
+        .iter()
+        .cloned()
+        .map(SchedulerKind::Learned)
+        .collect();
+    Ok(run_forks(snapshot, &kinds, exec)?
+        .iter()
+        .map(|report| -post_fork_mean_response(report, fork_at).unwrap_or(0.0))
+        .collect())
 }
 
-/// Runs the trainer end to end: warm snapshot, random-search warmup,
-/// cross-entropy refinement, held-out comparison.
-pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
+/// Runs the trainer end to end under `exec`: warm snapshot,
+/// random-search warmup, cross-entropy refinement, held-out comparison.
+pub fn run(scale: &Scale, opts: &TrainOptions, exec: &ExecOptions) -> TrainResult {
     assert!(opts.population >= 2, "population must fit the elite set");
     assert!(
         (1..=opts.population).contains(&opts.elite),
@@ -263,8 +255,7 @@ pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
         "held-out seeds must not include the training seed"
     );
 
-    let setup = SimSetup::testbed();
-    let snapshot = donor_snapshot(&setup, &puma(scale, scale.seed));
+    let snapshot = donor_snapshot(&SimSetup::testbed(), &puma(scale, scale.seed));
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x7452_4149_4e45_5221);
 
     // Round 0: random search. Uniform weights in [-1, 1] cover the
@@ -274,12 +265,11 @@ pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
     while pop.len() < opts.population {
         pop.push(LinearPolicy::new(
             (0..FEATURE_COUNT)
-                .map(|_| uniform(&mut rng) * 2.0 - 1.0)
+                .map(|_| uniform01(&mut rng) * 2.0 - 1.0)
                 .collect(),
         ));
     }
-    let returns =
-        fork_policy_returns(&snapshot, &pop, opts.threads).expect("snapshot round-tripped clean");
+    let returns = fork_policy_returns(&snapshot, &pop, exec).expect("snapshot round-tripped clean");
     let mut ranked: Vec<usize> = (0..pop.len()).collect();
     ranked.sort_by(|&a, &b| returns[b].total_cmp(&returns[a]));
     let mut best = pop[ranked[0]].clone();
@@ -309,8 +299,8 @@ pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
                     .collect(),
             ));
         }
-        let returns = fork_policy_returns(&snapshot, &pop, opts.threads)
-            .expect("snapshot round-tripped clean");
+        let returns =
+            fork_policy_returns(&snapshot, &pop, exec).expect("snapshot round-tripped clean");
         let mut ranked: Vec<usize> = (0..pop.len()).collect();
         ranked.sort_by(|&a, &b| returns[b].total_cmp(&returns[a]));
         if returns[ranked[0]] > best_return {
@@ -338,7 +328,7 @@ pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
         });
     }
 
-    let holdout = holdout_rows(&setup, scale, opts, &best);
+    let holdout = holdout_rows(scale, opts, &best, exec);
     TrainResult {
         policy: best,
         fork_at: snapshot.now(),
@@ -348,12 +338,17 @@ pub fn run(scale: &Scale, opts: &TrainOptions) -> TrainResult {
     }
 }
 
-/// Runs only the held-out comparison for an already-trained `policy` —
-/// how `repro --policy FILE train` reproduces the committed comparison
-/// table from the committed artifact without re-searching.
-pub fn evaluate(scale: &Scale, opts: &TrainOptions, policy: LinearPolicy) -> TrainResult {
-    let setup = SimSetup::testbed();
-    let holdout = holdout_rows(&setup, scale, opts, &policy);
+/// Runs only the held-out comparison for an already-trained `policy`
+/// under `exec` — how `repro --policy FILE train` reproduces the
+/// committed comparison table from the committed artifact without
+/// re-searching.
+pub fn evaluate(
+    scale: &Scale,
+    opts: &TrainOptions,
+    policy: LinearPolicy,
+    exec: &ExecOptions,
+) -> TrainResult {
+    let holdout = holdout_rows(scale, opts, &policy, exec);
     TrainResult {
         policy,
         fork_at: SimTime::ZERO,
@@ -364,39 +359,35 @@ pub fn evaluate(scale: &Scale, opts: &TrainOptions, policy: LinearPolicy) -> Tra
 }
 
 /// Full-episode mean response on every held-out seed, trained policy
-/// first and then the paper lineup; the (scheduler × seed) grid fans out
-/// on the same worker pool as training.
+/// first and then the paper lineup: one `ext_train_holdout` campaign
+/// cell per (scheduler, seed), scheduler-major.
 fn holdout_rows(
-    setup: &SimSetup,
     scale: &Scale,
     opts: &TrainOptions,
     policy: &LinearPolicy,
+    exec: &ExecOptions,
 ) -> Vec<HoldoutRow> {
     let mut kinds = vec![SchedulerKind::Learned(policy.clone())];
     kinds.extend(SchedulerKind::paper_lineup_experiments());
-    let grid: Vec<(usize, u64)> = kinds
-        .iter()
-        .enumerate()
-        .flat_map(|(k, _)| opts.holdout_seeds.iter().map(move |&s| (k, s)))
-        .collect();
-    let scores = map_parallel(opts.threads, grid.len(), |i| {
-        let (k, seed) = grid[i];
-        let report = setup
-            .build_simulation(puma(scale, seed).generate(), &kinds[k])
-            .run();
-        report
-            .mean_response_secs()
-            .expect("held-out episodes complete")
-    });
+    let mut campaign = Campaign::new("ext_train_holdout");
+    for kind in &kinds {
+        for &seed in &opts.holdout_seeds {
+            campaign.push(RunCell::new(
+                format!("ext_train/holdout/{kind}/seed{seed}"),
+                kind.clone(),
+                puma(scale, seed),
+                SimSetup::testbed(),
+            ));
+        }
+    }
+    let result = campaign.run(exec);
     kinds
         .iter()
-        .enumerate()
-        .map(|(k, kind)| {
-            let per_seed: Vec<f64> = grid
+        .zip(result.reports.chunks(opts.holdout_seeds.len()))
+        .map(|(kind, reports)| {
+            let per_seed: Vec<f64> = reports
                 .iter()
-                .zip(&scores)
-                .filter(|((gk, _), _)| *gk == k)
-                .map(|(_, &s)| s)
+                .map(|r| r.mean_response_secs().expect("held-out episodes complete"))
                 .collect();
             HoldoutRow {
                 scheduler: kind.to_string(),
@@ -409,10 +400,16 @@ fn holdout_rows(
 
 #[cfg(test)]
 mod tests {
+    use lasmq_campaign::{Manifest, ResultCache};
+
     use super::*;
 
+    fn smoke_with(exec: &ExecOptions) -> TrainResult {
+        run(&Scale::test(), &TrainOptions::smoke(&Scale::test()), exec)
+    }
+
     fn smoke() -> TrainResult {
-        run(&Scale::test(), &TrainOptions::smoke(&Scale::test()))
+        smoke_with(&ExecOptions::default().no_cache())
     }
 
     #[test]
@@ -429,9 +426,7 @@ mod tests {
             );
         }
         // Deterministic end to end, including across thread counts.
-        let mut serial_opts = TrainOptions::smoke(&Scale::test());
-        serial_opts.threads = 1;
-        let b = run(&Scale::test(), &serial_opts);
+        let b = smoke_with(&ExecOptions::with_threads(1).no_cache());
         assert_eq!(a.policy, b.policy);
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.holdout, b.holdout);
@@ -458,6 +453,7 @@ mod tests {
             &Scale::test(),
             &TrainOptions::smoke(&Scale::test()),
             reloaded,
+            &ExecOptions::default().no_cache(),
         );
         assert_eq!(evaluated.holdout, trained.holdout);
         assert!(evaluated.iterations.is_empty());
@@ -492,8 +488,10 @@ mod tests {
                 LinearPolicy::new(w)
             })
             .collect();
-        let serial = fork_policy_returns(&snapshot, &policies, 1).unwrap();
-        let parallel = fork_policy_returns(&snapshot, &policies, 8).unwrap();
+        let returns = |threads| {
+            fork_policy_returns(&snapshot, &policies, &ExecOptions::with_threads(threads)).unwrap()
+        };
+        let (serial, parallel) = (returns(1), returns(8));
         let serial_bits: Vec<u64> = serial.iter().map(|r| r.to_bits()).collect();
         let parallel_bits: Vec<u64> = parallel.iter().map(|r| r.to_bits()).collect();
         assert_eq!(serial_bits, parallel_bits);
@@ -504,8 +502,43 @@ mod tests {
     fn identical_policies_fork_to_identical_returns() {
         let snapshot = warm_snapshot(10);
         let twice = vec![LinearPolicy::las_like(), LinearPolicy::las_like()];
-        let returns = fork_policy_returns(&snapshot, &twice, 2).unwrap();
+        let returns =
+            fork_policy_returns(&snapshot, &twice, &ExecOptions::with_threads(2)).unwrap();
         assert_eq!(returns[0].to_bits(), returns[1].to_bits());
+    }
+
+    #[test]
+    fn holdout_episodes_are_cached_campaign_cells() {
+        let cache = std::env::temp_dir().join(format!("lasmq-holdout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let exec = ExecOptions::default().cache_dir(&cache);
+        let scale = Scale::test();
+        let opts = TrainOptions::full(&scale);
+        let cold = evaluate(&scale, &opts, LinearPolicy::las_like(), &exec);
+
+        let manifest = Manifest::load_all(&cache)
+            .into_iter()
+            .find(|m| m.name == "ext_train_holdout")
+            .expect("the holdout campaign writes its manifest");
+        let labels: Vec<&str> = manifest.cells.iter().map(|c| c.label.as_str()).collect();
+        let expected: Vec<String> = ["LEARNED", "LAS_MQ", "LAS", "FAIR", "FIFO"]
+            .iter()
+            .flat_map(|kind| {
+                opts.holdout_seeds
+                    .iter()
+                    .map(move |seed| format!("ext_train/holdout/{kind}/seed{seed}"))
+            })
+            .collect();
+        assert_eq!(labels, expected, "one cell per kind × held-out seed");
+        assert_eq!(
+            manifest.cached_cells(&ResultCache::new(&cache)),
+            expected.len(),
+            "every held-out episode is cached"
+        );
+
+        let warm = evaluate(&scale, &opts, LinearPolicy::las_like(), &exec);
+        assert_eq!(warm, cold);
+        let _ = std::fs::remove_dir_all(&cache);
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //! FIFO's arm doubles as the control: forking into the donor's own policy
 //! shows the fork overhead is a re-plan, not a perturbation.
 
-use lasmq_campaign::WorkloadSpec;
-use lasmq_simulator::{SimTime, Simulation};
+use lasmq_campaign::{ExecOptions, SchedulerKind, SimSetup, WorkloadSpec};
+use lasmq_simulator::SimTime;
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
-use crate::warm_fork::{donor_snapshot, post_fork_mean_response, DONOR};
+use crate::warm_fork::{donor_snapshot, post_fork_mean_response, run_forks, DONOR};
 
 /// One forked scheduler arm's post-fork outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,8 +91,8 @@ impl WarmstartResult {
     }
 }
 
-/// Runs the warm-start fork comparison.
-pub fn run(scale: &Scale) -> WarmstartResult {
+/// Runs the warm-start fork comparison, its arms on `exec`'s workers.
+pub fn run(scale: &Scale, exec: &ExecOptions) -> WarmstartResult {
     let workload = WorkloadSpec::Puma {
         jobs: scale.puma_jobs,
         mean_interval_secs: 50.0,
@@ -106,19 +104,14 @@ pub fn run(scale: &Scale) -> WarmstartResult {
     let active_at_fork = snapshot.total_jobs() - snapshot.finished_jobs();
     let finished_at_fork = snapshot.finished_jobs();
 
-    let arms = SchedulerKind::paper_lineup_experiments()
+    let arms = run_forks(&snapshot, &SchedulerKind::paper_lineup_experiments(), exec)
+        .expect("lineup schedulers fork from a non-oracle snapshot")
         .into_iter()
-        .map(|kind| {
-            let report = Simulation::fork(&snapshot, kind.build())
-                .expect("lineup schedulers fork from a non-oracle snapshot")
-                .run();
-            ArmRow {
-                scheduler: report.scheduler().to_string(),
-                post_fork_mean_response: post_fork_mean_response(&report, fork_at)
-                    .unwrap_or(f64::NAN),
-                completed: report.completed_count(),
-                makespan_secs: report.stats().makespan.as_secs_f64(),
-            }
+        .map(|report| ArmRow {
+            scheduler: report.scheduler().to_string(),
+            post_fork_mean_response: post_fork_mean_response(&report, fork_at).unwrap_or(f64::NAN),
+            completed: report.completed_count(),
+            makespan_secs: report.stats().makespan.as_secs_f64(),
         })
         .collect();
 
@@ -135,9 +128,13 @@ pub fn run(scale: &Scale) -> WarmstartResult {
 mod tests {
     use super::*;
 
+    fn run_test_scale(threads: usize) -> WarmstartResult {
+        run(&Scale::test(), &ExecOptions::with_threads(threads))
+    }
+
     #[test]
     fn forks_all_four_arms_from_one_warm_snapshot() {
-        let r = run(&Scale::test());
+        let r = run_test_scale(2);
         let names: Vec<&str> = r.arms.iter().map(|a| a.scheduler.as_str()).collect();
         assert_eq!(names, ["LAS_MQ", "LAS", "FAIR", "FIFO"]);
         assert_eq!(r.warmup_scheduler, "FIFO");
@@ -154,18 +151,18 @@ mod tests {
     fn shared_warmup_history_is_identical_across_arms() {
         // Jobs finished before the fork are warm-up history: every arm
         // must report them with the same finish times.
-        let r = run(&Scale::test());
+        let r = run_test_scale(1);
         assert!(
             r.finished_at_fork + r.active_at_fork == Scale::test().puma_jobs,
             "fork bookkeeping must cover the workload"
         );
-        // The run is deterministic end to end.
-        assert_eq!(r, run(&Scale::test()));
+        // The run is deterministic end to end, for any worker count.
+        assert_eq!(r, run_test_scale(4));
     }
 
     #[test]
     fn tables_render_one_row_per_arm() {
-        let r = run(&Scale::test());
+        let r = run_test_scale(2);
         let tables = r.tables();
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].row_count(), 4);

@@ -10,12 +10,10 @@
 //! * **Case 3** — in-queue demand ordering only: a wide margin.
 //! * **Case 4** — both (the shipped design): best.
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 use lasmq_core::{LasMqConfig, QueueOrdering};
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::stats::mean;
 use crate::table::TextTable;
 
@@ -93,14 +91,9 @@ impl Fig3Result {
     }
 }
 
-/// Runs the ablation at the given scale (mean arrival interval 50 s, as in
-/// the paper).
-pub fn run(scale: &Scale) -> Fig3Result {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
-/// Runs the ablation as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> Fig3Result {
+/// Runs the ablation (mean arrival interval 50 s, as in the paper) as one
+/// campaign under `exec`.
+pub fn run(scale: &Scale, exec: &ExecOptions) -> Fig3Result {
     let setup = SimSetup::testbed();
     let case_list = cases();
 
@@ -188,7 +181,7 @@ mod tests {
 
     #[test]
     fn full_design_beats_fair_and_the_bare_variant() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         assert!(r.case(3) > 1.0, "Case 4 must beat Fair, got {}", r.case(3));
         assert!(
             r.case(3) >= r.case(0) * 0.95,

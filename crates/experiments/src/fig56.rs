@@ -13,12 +13,10 @@
 //! gap *widening* at higher load; FIFO is competitive only in bin 4.
 
 use lasmq_analysis::{try_paired_compare, PairedComparison};
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 use lasmq_simulator::JobOutcome;
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::stats::{mean, percentile, reduction_pct, CDF_QUANTILES};
 use crate::table::{fmt_num, TextTable};
 
@@ -175,13 +173,8 @@ impl Fig56Result {
     }
 }
 
-/// Runs the Fig. 5/6 experiment at the given arrival interval.
-pub fn run(scale: &Scale, interval_secs: f64) -> Fig56Result {
-    run_with(scale, interval_secs, &ExecOptions::default().no_cache())
-}
-
 /// Runs the Fig. 5/6 experiment as a campaign under `exec`.
-pub fn run_with(scale: &Scale, interval_secs: f64, exec: &ExecOptions) -> Fig56Result {
+pub fn run(scale: &Scale, interval_secs: f64, exec: &ExecOptions) -> Fig56Result {
     let setup = SimSetup::testbed();
     let lineup = SchedulerKind::paper_lineup_experiments();
     let name = if interval_secs >= 65.0 {
@@ -274,7 +267,7 @@ mod tests {
 
     #[test]
     fn lasmq_beats_baselines_at_test_scale() {
-        let r = run(&Scale::test(), 50.0);
+        let r = run(&Scale::test(), 50.0, &ExecOptions::default().no_cache());
         let lasmq = r.summary_for("LAS_MQ").unwrap().mean_response;
         let fair = r.summary_for("FAIR").unwrap().mean_response;
         let fifo = r.summary_for("FIFO").unwrap().mean_response;
@@ -285,14 +278,14 @@ mod tests {
 
     #[test]
     fn figure_label_follows_interval() {
-        let r = run(&Scale::test(), 80.0);
+        let r = run(&Scale::test(), 80.0, &ExecOptions::default().no_cache());
         assert_eq!(r.figure_label(), "Fig 5");
         assert_eq!(r.tables().len(), 4);
     }
 
     #[test]
     fn bins_are_populated() {
-        let r = run(&Scale::test(), 50.0);
+        let r = run(&Scale::test(), 50.0, &ExecOptions::default().no_cache());
         let s = r.summary_for("LAS_MQ").unwrap();
         // At test scale all four bins exist in the mix.
         for (i, m) in s.mean_by_bin.iter().enumerate() {

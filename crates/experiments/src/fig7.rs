@@ -9,11 +9,9 @@
 //!
 //! Both use LAS_MQ's simulation config: k = 10, p = 10, α₁ = 1 (§V-C1).
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::{fmt_num, TextTable};
 
 /// Mean response time per scheduler for one distribution.
@@ -66,13 +64,8 @@ impl Fig7Result {
     }
 }
 
-/// Runs Fig. 7 at the given scale.
-pub fn run(scale: &Scale) -> Fig7Result {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs Fig. 7 as a campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> Fig7Result {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> Fig7Result {
     let lineup = SchedulerKind::paper_lineup_simulations();
     let mut campaign = Campaign::new("fig7");
     for kind in &lineup {
@@ -126,7 +119,7 @@ mod tests {
 
     #[test]
     fn shapes_match_the_paper_at_test_scale() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
 
         // 7(a): LAS best or tied, LAS_MQ close, FIFO worst by a wide margin.
         let h = &r.heavy_tailed;
@@ -170,7 +163,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         let tables = r.tables();
         assert_eq!(tables.len(), 2);
         assert!(tables[0].to_string().contains("LAS_MQ"));

@@ -11,12 +11,10 @@
 //! Both report the paper's normalized metric: Fair's mean response over
 //! LAS_MQ's (> 1 beats Fair).
 
-use lasmq_campaign::{Campaign, ExecOptions, RunCell, WorkloadSpec};
+use lasmq_campaign::{Campaign, ExecOptions, RunCell, SchedulerKind, SimSetup, WorkloadSpec};
 use lasmq_core::LasMqConfig;
 
-use crate::kind::SchedulerKind;
 use crate::scale::Scale;
-use crate::setup::SimSetup;
 use crate::table::TextTable;
 
 /// Queue counts swept in Fig. 8(a).
@@ -76,13 +74,8 @@ impl Fig8Result {
     }
 }
 
-/// Runs both sweeps at the given scale.
-pub fn run(scale: &Scale) -> Fig8Result {
-    run_with(scale, &ExecOptions::default().no_cache())
-}
-
 /// Runs both sweeps as one campaign under `exec`.
-pub fn run_with(scale: &Scale, exec: &ExecOptions) -> Fig8Result {
+pub fn run(scale: &Scale, exec: &ExecOptions) -> Fig8Result {
     let workload = WorkloadSpec::Facebook {
         jobs: scale.facebook_jobs,
         seed: scale.seed,
@@ -144,7 +137,7 @@ mod tests {
 
     #[test]
     fn more_queues_beat_fair_eventually() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         let at_10 = r.normalized_for_queues(10).unwrap();
         assert!(at_10 > 1.0, "10 queues must beat Fair, got {at_10}");
         let at_1 = r.normalized_for_queues(1).unwrap();
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn small_thresholds_work_large_ones_degrade() {
-        let r = run(&Scale::test());
+        let r = run(&Scale::test(), &ExecOptions::default().no_cache());
         let at_1 = r.normalized_for_threshold(1.0).unwrap();
         let at_100 = r.normalized_for_threshold(100.0).unwrap();
         assert!(at_1 > 1.0, "α₁ = 1 must beat Fair, got {at_1}");

@@ -22,16 +22,23 @@
 //! cross-entropy policy trainer — `repro train`). The last two fork from
 //! the same [`warm_fork`] snapshot.
 //!
-//! Each module exposes `run(&Scale) -> …Result` returning plain data plus
-//! paper-style [`table::TextTable`]s; the `repro` binary drives them all
-//! and writes CSVs alongside the printed tables.
+//! Each module that simulates exposes one `run(&Scale, &ExecOptions) ->
+//! …Result` (plus its own knobs, such as Fig. 5/6's arrival interval)
+//! returning plain data plus paper-style [`table::TextTable`]s;
+//! [`table1`], which simulates nothing, takes only the scale. Every
+//! simulation a `run` starts runs under that
+//! [`ExecOptions`](lasmq_campaign::ExecOptions): full episodes as
+//! [`Campaign`](lasmq_campaign::Campaign) cells, warm forks through
+//! [`warm_fork::run_forks`]. The `repro` binary drives them all and writes
+//! CSVs alongside the printed tables.
 //!
 //! # Examples
 //!
 //! ```no_run
+//! use lasmq_campaign::ExecOptions;
 //! use lasmq_experiments::{fig7, Scale};
 //!
-//! let result = fig7::run(&Scale::paper());
+//! let result = fig7::run(&Scale::paper(), &ExecOptions::default());
 //! for table in result.tables() {
 //!     println!("{table}");
 //! }
@@ -58,11 +65,4 @@ pub mod table;
 pub mod table1;
 pub mod warm_fork;
 
-// The scheduler/setup layer moved to `lasmq-campaign` (the campaign
-// subsystem needs it without depending on the experiment definitions);
-// re-exported here so `lasmq_experiments::kind::…` paths keep working.
-pub use lasmq_campaign::{kind, setup};
-
-pub use kind::SchedulerKind;
 pub use scale::Scale;
-pub use setup::SimSetup;

@@ -1,8 +1,8 @@
 //! Experiment scale: paper-size runs vs quick scaled-down runs.
 //!
 //! Every figure runner takes a [`Scale`] so the same code serves the full
-//! reproduction (`repro` binary), the criterion benches (reduced scale) and
-//! the test suite (tiny scale).
+//! reproduction (`repro`), `repro --quick` (reduced scale) and the test
+//! suite (tiny scale).
 
 /// Workload sizes and repetition counts for one experiment campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,8 @@ impl Scale {
         }
     }
 
-    /// A reduced scale for benches: same shapes, minutes less wall clock.
+    /// The reduced scale `repro --quick` runs: same shapes, minutes less
+    /// wall clock.
     pub fn bench() -> Self {
         Scale {
             puma_jobs: 60,

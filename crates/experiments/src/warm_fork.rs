@@ -7,13 +7,11 @@
 //! on. Arrival times are workload data, so the fork point is
 //! deterministic and costs no probe run. The snapshot is round-tripped
 //! through JSON, so forks start from the exact bytes a snapshot file
-//! would hold.
+//! would hold. [`run_forks`] is the one way an experiment runs arms from
+//! it.
 
-use lasmq_campaign::WorkloadSpec;
-use lasmq_simulator::{SimSnapshot, SimTime, SimulationReport};
-
-use crate::kind::SchedulerKind;
-use crate::setup::SimSetup;
+use lasmq_campaign::{map_parallel, ExecOptions, SchedulerKind, SimSetup, WorkloadSpec};
+use lasmq_simulator::{SimError, SimSnapshot, SimTime, Simulation, SimulationReport};
 
 /// The policy that warms the cluster. FIFO favours no arm forked from it.
 pub const DONOR: SchedulerKind = SchedulerKind::Fifo;
@@ -42,4 +40,25 @@ pub fn donor_snapshot(setup: &SimSetup, workload: &WorkloadSpec) -> SimSnapshot 
 /// completions are the donor's doing. `None` if no job did.
 pub fn post_fork_mean_response(report: &SimulationReport, fork_at: SimTime) -> Option<f64> {
     report.mean_response_secs_where(|o| o.finish.is_some_and(|f| f > fork_at))
+}
+
+/// Forks `snapshot` into every scheduler in `kinds` and runs each arm to
+/// completion, in parallel on [`ExecOptions::resolved_threads`] workers.
+/// Reports come back in `kinds` order and are bit-identical for any
+/// worker count: a [`SimSnapshot`] is plain data, so each worker
+/// rebuilds its own engine.
+///
+/// # Errors
+///
+/// Returns the first fork error (schema mismatch, corrupt snapshot).
+pub fn run_forks(
+    snapshot: &SimSnapshot,
+    kinds: &[SchedulerKind],
+    exec: &ExecOptions,
+) -> Result<Vec<SimulationReport>, SimError> {
+    map_parallel(exec.resolved_threads(kinds.len()), kinds.len(), |i| {
+        Ok(Simulation::fork(snapshot, kinds[i].build())?.run())
+    })
+    .into_iter()
+    .collect()
 }

@@ -34,11 +34,11 @@ fn csv_output_is_identical_across_threads_and_cache_state() {
     let cache = scratch("cache");
 
     // Serial, no cache: the reference output.
-    let serial = fig3::run_with(&scale, &ExecOptions::with_threads(1).no_cache());
+    let serial = fig3::run(&scale, &ExecOptions::with_threads(1).no_cache());
     // 8 workers, cold cache (populates it).
-    let parallel = fig3::run_with(&scale, &ExecOptions::with_threads(8).cache_dir(&cache));
+    let parallel = fig3::run(&scale, &ExecOptions::with_threads(8).cache_dir(&cache));
     // 8 workers again, warm cache (every cell replayed from disk).
-    let warm = fig3::run_with(&scale, &ExecOptions::with_threads(8).cache_dir(&cache));
+    let warm = fig3::run(&scale, &ExecOptions::with_threads(8).cache_dir(&cache));
 
     let reference = csv_bytes(&serial.tables(), &scratch("serial"));
     assert_eq!(
@@ -86,21 +86,21 @@ fn telemetry_artifacts_are_identical_across_threads_and_cache_state() {
     let warm_dir = scratch("telemetry-warm");
 
     // Serial, no cache: the reference artifact tree.
-    let serial = fig3::run_with(
+    let serial = fig3::run(
         &scale,
         &ExecOptions::with_threads(1)
             .no_cache()
             .telemetry_dir(&serial_dir),
     );
     // 8 workers, cold cache (simulates and populates).
-    let parallel = fig3::run_with(
+    let parallel = fig3::run(
         &scale,
         &ExecOptions::with_threads(8)
             .cache_dir(&cache)
             .telemetry_dir(&parallel_dir),
     );
     // 8 workers, warm cache (artifacts rebuilt from cached reports).
-    let warm = fig3::run_with(
+    let warm = fig3::run(
         &scale,
         &ExecOptions::with_threads(8)
             .cache_dir(&cache)
@@ -150,8 +150,8 @@ fn trace_driven_experiment_is_identical_across_threads() {
     // fig7 covers the other workload families (Facebook trace + uniform
     // batch) and two different SimSetups in one campaign.
     let scale = Scale::test();
-    let serial = fig7::run_with(&scale, &ExecOptions::with_threads(1).no_cache());
-    let parallel = fig7::run_with(&scale, &ExecOptions::with_threads(8).no_cache());
+    let serial = fig7::run(&scale, &ExecOptions::with_threads(1).no_cache());
+    let parallel = fig7::run(&scale, &ExecOptions::with_threads(8).no_cache());
     assert_eq!(serial.tables().len(), parallel.tables().len());
     assert_eq!(
         csv_bytes(&serial.tables(), &scratch("fig7-serial")),

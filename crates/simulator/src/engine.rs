@@ -3281,6 +3281,37 @@ mod tests {
         assert_eq!(index_violations(&sim), 1);
     }
 
+    #[test]
+    fn mutation_corrupted_serialized_float_is_caught() {
+        // `util_integral` is engine state only a snapshot carries: no
+        // per-check invariant reads it. NaN serializes as JSON `null`, so
+        // the sampled snapshot-fidelity check's re-parse must fail.
+        let mut sim = Simulation::builder()
+            .cluster(ClusterConfig::single_node(4))
+            .check_invariants(true)
+            .jobs(vec![map_job(0, 8, 10)])
+            .build(Greedy)
+            .unwrap();
+        assert!(sim.run_until(SimTime::from_secs(5)));
+        sim.util_integral = f64::NAN;
+        // Every 64th check samples, the first included: run the checks up
+        // to the next sample, which must be the one that notices.
+        let checks_run = |sim: &Simulation<Greedy>| sim.invariants.as_ref().unwrap().checks_run;
+        while !checks_run(&sim).is_multiple_of(64) {
+            sim.run_invariant_checks();
+        }
+        assert!(sim.invariants.as_ref().unwrap().is_clean());
+        sim.run_invariant_checks();
+        let inv = sim.invariants.as_ref().unwrap();
+        assert!(
+            inv.violations
+                .iter()
+                .any(|v| v.kind == InvariantKind::SnapshotFidelity
+                    && v.detail.contains("failed to re-parse")),
+            "unexpected report: {inv}"
+        );
+    }
+
     /// `sim`'s live views audited as a pass audits them: after `corrupt`,
     /// answered with `plan`, each job at the slot `slot_of` gives. Returns
     /// the view-sanity, plan-discipline and work-conservation violations.

@@ -87,6 +87,20 @@ puma fbbf341fb0a7f8c01548ec0ef52fa3a6c34f12094897928abfd8644ecdd084db
 EOF
 }
 
+quick_bytes() {
+    # The quick reproduction keeps its bytes: every CSV that `repro all
+    # --quick` and the verified `repro robustness --quick` write must
+    # hash to results/quick.sha256, and no CSV may go unpinned. A change
+    # that means to move a number re-records the manifest (same two
+    # commands, then `sha256sum *.csv`) so the diff shows it.
+    rm -rf target/quick-bytes
+    ./target/release/repro all --quick --no-cache --threads 2 --out target/quick-bytes
+    ./target/release/repro robustness --quick --verify --no-cache --threads 2 \
+        --out target/quick-bytes
+    (cd target/quick-bytes && sha256sum --check --strict) <results/quick.sha256
+    diff <(cd target/quick-bytes && ls -- *.csv) <(awk '{print $2}' results/quick.sha256 | sort)
+}
+
 interrupt_resume() {
     # Kill a campaign as soon as its first cell is cached, require
     # campaign-status to report it [partial], rerun it with the cache on
@@ -237,8 +251,8 @@ EOF
 
 # In the order ci.yml ran them.
 steps=(perf_smoke benchmark_harness engine_bit_identity ab_pairs
-    million_job_perf reproduction trace_bytes interrupt_resume verify robustness
-    training serve telemetry)
+    million_job_perf reproduction trace_bytes quick_bytes interrupt_resume verify
+    robustness training serve telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)
 failed=0

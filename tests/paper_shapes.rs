@@ -3,6 +3,7 @@
 //! paper scale runs via `cargo run --release -p lasmq-experiments --bin
 //! repro`).
 
+use lasmq::campaign::ExecOptions;
 use lasmq::experiments::{fig3, fig56, fig7, fig8, Scale};
 
 fn shapes_scale() -> Scale {
@@ -18,7 +19,7 @@ fn shapes_scale() -> Scale {
 
 #[test]
 fn fig3_both_features_beat_fair_and_each_feature_helps() {
-    let r = fig3::run(&shapes_scale());
+    let r = fig3::run(&shapes_scale(), &ExecOptions::default().no_cache());
     // Case 4 (the shipped design) beats Fair outright.
     assert!(r.case(3) > 1.0, "Case 4 = {}", r.case(3));
     // In-queue ordering is the big lever (Case 3 ≫ Case 1)…
@@ -39,7 +40,7 @@ fn fig3_both_features_beat_fair_and_each_feature_helps() {
 
 #[test]
 fn fig5_lasmq_cuts_mean_response_against_every_baseline() {
-    let r = fig56::run(&shapes_scale(), 80.0);
+    let r = fig56::run(&shapes_scale(), 80.0, &ExecOptions::default().no_cache());
     for baseline in ["LAS", "FAIR", "FIFO"] {
         let cut = r.lasmq_reduction_vs(baseline).expect("baseline present");
         assert!(cut > 15.0, "only {cut:.0}% off {baseline}");
@@ -65,14 +66,14 @@ fn fig5_lasmq_cuts_mean_response_against_every_baseline() {
 
 #[test]
 fn fig6_higher_load_keeps_the_gaps() {
-    let r = fig56::run(&shapes_scale(), 50.0);
+    let r = fig56::run(&shapes_scale(), 50.0, &ExecOptions::default().no_cache());
     assert!(r.lasmq_reduction_vs("FAIR").unwrap() > 20.0);
     assert!(r.lasmq_reduction_vs("FIFO").unwrap() > 30.0);
 }
 
 #[test]
 fn fig7_heavy_tail_and_uniform_shapes() {
-    let r = fig7::run(&shapes_scale());
+    let r = fig7::run(&shapes_scale(), &ExecOptions::default().no_cache());
 
     let h = &r.heavy_tailed;
     let lasmq = h.mean_for("LAS_MQ").unwrap();
@@ -105,7 +106,7 @@ fn fig7_heavy_tail_and_uniform_shapes() {
 
 #[test]
 fn fig8_queue_count_and_threshold_sensitivity() {
-    let r = fig8::run(&shapes_scale());
+    let r = fig8::run(&shapes_scale(), &ExecOptions::default().no_cache());
     // One queue is FIFO-grade; ten queues beat Fair; the curve rises.
     let k1 = r.normalized_for_queues(1).unwrap();
     let k5 = r.normalized_for_queues(5).unwrap();
