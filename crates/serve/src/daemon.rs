@@ -18,14 +18,17 @@
 //!   to the socket, preserving request order per connection.
 //!
 //! The engine thread alternates between handling queued requests and
-//! pumping the scheduling [`Driver`] toward its clock's horizon,
-//! recording per-batch decision latency. The shared request channel is
-//! bounded: when the engine falls behind, reader threads block on `send`,
-//! TCP receive windows fill, and backpressure propagates to clients
-//! without unbounded buffering — that is the transport layer of
-//! backpressure. The admission layer is [`ServeConfig::queue_cap`]:
-//! submissions beyond the engine's job backlog cap are *refused* with an
-//! explicit `deferred` response rather than silently queued.
+//! stepping the engine. Both pacing modes step through one function that
+//! feeds [`Simulation::step_batch`] a horizon — the wall clock's current
+//! reading under [`Pacing::Wall`], the `advance` target under
+//! [`Pacing::Manual`] — and records per-batch decision latency. The
+//! shared request channel is bounded: when the engine falls behind,
+//! reader threads block on `send`, TCP receive windows fill, and
+//! backpressure propagates to clients without unbounded buffering — that
+//! is the transport layer of backpressure. The admission layer is
+//! [`ServeConfig::queue_cap`]: submissions beyond the engine's job
+//! backlog cap are *refused* with an explicit `deferred` response rather
+//! than silently queued.
 //!
 //! ## Durability
 //!
@@ -45,8 +48,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use lasmq_campaign::{LatencyHistogram, SchedulerKind, SimSetup};
-use lasmq_simulator::{CompressedWallClock, Driver, DriverStep, Scheduler, SimTime, Simulation};
+use lasmq_simulator::{Scheduler, SimTime, Simulation};
 
+use crate::clock::CompressedWallClock;
 use crate::protocol::{
     to_line, AckResponse, AdvanceResponse, ErrorResponse, JobResponse, MetricsResponse, Request,
     SnapshotResponse, StatusResponse, SubmitResponse,
@@ -56,7 +60,7 @@ use crate::snapshot::{
     load_snapshot, save_snapshot, ServeSnapshot, SnapshotLoadError, SERVE_SNAPSHOT_SCHEMA,
 };
 
-/// Engine batches pumped per loop iteration before the engine re-checks
+/// Engine batches stepped per wall-paced pump before the engine re-checks
 /// its request queue — bounds how long a burst of due batches can starve
 /// admission acks.
 const MAX_BATCHES_PER_PUMP: u32 = 512;
@@ -198,11 +202,6 @@ struct Envelope {
     received: Instant,
 }
 
-enum PacingDrive {
-    Wall(Driver),
-    Manual,
-}
-
 /// A bound daemon, ready to [`run`](Daemon::run).
 ///
 /// Binding and engine construction are separate steps: `bind` claims the
@@ -283,20 +282,20 @@ impl Daemon {
             None => config.setup.build_simulation(Vec::new(), &kind),
         };
 
-        let pacing = match config.pacing {
-            Pacing::Manual => PacingDrive::Manual,
-            Pacing::Wall { compression } => PacingDrive::Wall(Driver::new(
-                // Resume re-anchors the wall mapping at the snapshot's sim
-                // clock: downtime is not replayed.
-                CompressedWallClock::resumed_at(sim.now(), compression),
-            )),
+        let clock = match config.pacing {
+            Pacing::Manual => None,
+            // Resume re-anchors the wall mapping at the snapshot's sim
+            // clock: downtime is not replayed.
+            Pacing::Wall { compression } => {
+                Some(CompressedWallClock::starting_at(sim.now(), compression))
+            }
         };
 
         Ok(Engine {
             sim,
             kind,
             queue_cap: config.queue_cap,
-            pacing,
+            clock,
             snapshot_path: config.snapshot_path,
             snapshot_every: config.snapshot_every,
             accepted,
@@ -497,7 +496,9 @@ struct Engine {
     sim: Simulation<Box<dyn Scheduler>>,
     kind: SchedulerKind,
     queue_cap: Option<usize>,
-    pacing: PacingDrive,
+    /// The wall clock under [`Pacing::Wall`]; `None` under
+    /// [`Pacing::Manual`].
+    clock: Option<CompressedWallClock>,
     snapshot_path: Option<PathBuf>,
     snapshot_every: Option<Duration>,
     accepted: u64,
@@ -561,25 +562,33 @@ impl Engine {
         })
     }
 
-    /// Pumps due batches. Returns `None` when more work is immediately
-    /// due (don't block), or a suggested wait.
+    /// Steps the batches due under the wall clock's current reading, at
+    /// most [`MAX_BATCHES_PER_PUMP`] of them. Returns `None` when more
+    /// work is immediately due (don't block), or a suggested wait.
     fn pump(&mut self) -> Option<Duration> {
-        match &mut self.pacing {
-            PacingDrive::Manual => Some(IDLE_WAIT),
-            PacingDrive::Wall(driver) => {
-                for _ in 0..MAX_BATCHES_PER_PUMP {
-                    let t0 = Instant::now();
-                    match driver.step(&mut self.sim) {
-                        DriverStep::Worked { passes } => {
-                            if passes > 0 {
-                                self.decision.record(t0.elapsed());
-                            }
-                        }
-                        DriverStep::Wait(d) => return Some(d),
-                        DriverStep::Drained => return Some(IDLE_WAIT),
-                    }
-                }
-                None
+        let Some(clock) = self.clock else {
+            return Some(IDLE_WAIT);
+        };
+        self.step_until(clock.now_sim(), MAX_BATCHES_PER_PUMP);
+        match self.sim.next_event_time() {
+            None => Some(IDLE_WAIT),
+            Some(next) => clock.wait_for(next),
+        }
+    }
+
+    /// Steps the engine through the batches due at or before `horizon`,
+    /// at most `budget` of them. The one place the daemon advances
+    /// simulated time: each batch that ran a scheduling pass is one
+    /// decision-latency sample.
+    fn step_until(&mut self, horizon: SimTime, budget: u32) {
+        for _ in 0..budget {
+            let t0 = Instant::now();
+            let passes = self.sim.stats().scheduling_passes;
+            if !self.sim.step_batch(horizon) {
+                return;
+            }
+            if self.sim.stats().scheduling_passes > passes {
+                self.decision.record(t0.elapsed());
             }
         }
     }
@@ -668,28 +677,14 @@ impl Engine {
                 false
             }
             Request::Advance(to_ms) => {
-                let line = match self.pacing {
-                    PacingDrive::Wall(_) => {
-                        ErrorResponse::new("advance is only available under --manual-pacing")
-                            .to_line()
-                    }
-                    PacingDrive::Manual => {
-                        let to = SimTime::from_millis(to_ms);
-                        loop {
-                            let t0 = Instant::now();
-                            let before = self.sim.stats().scheduling_passes;
-                            if !self.sim.step_batch(to) {
-                                break;
-                            }
-                            if self.sim.stats().scheduling_passes > before {
-                                self.decision.record(t0.elapsed());
-                            }
-                        }
-                        to_line(&AdvanceResponse {
-                            ok: true,
-                            now_ms: self.sim.now().as_millis(),
-                        })
-                    }
+                let line = if self.clock.is_some() {
+                    ErrorResponse::new("advance is only available under --manual-pacing").to_line()
+                } else {
+                    self.step_until(SimTime::from_millis(to_ms), u32::MAX);
+                    to_line(&AdvanceResponse {
+                        ok: true,
+                        now_ms: self.sim.now().as_millis(),
+                    })
                 };
                 let _ = reply.send(line);
                 false
@@ -785,6 +780,141 @@ mod tests {
 
     fn test_engine(config: ServeConfig) -> Engine {
         Daemon::build_engine(config, Arc::new(AtomicBool::new(false))).unwrap()
+    }
+
+    /// Wall pacing so compressed that every batch of [`many_batches`] is
+    /// due by the time the first pump reads the clock.
+    fn all_due() -> ServeConfig {
+        ServeConfig {
+            pacing: Pacing::Wall { compression: 1e9 },
+            ..ServeConfig::default()
+        }
+    }
+
+    /// One-task jobs a millisecond apart: over a thousand timestamp
+    /// batches (arrivals, task finishes, quantum passes) within seconds of
+    /// simulated time.
+    fn many_batches() -> Vec<JobSpec> {
+        (1..=600)
+            .map(|ms| {
+                JobSpec::builder()
+                    .arrival(SimTime::from_millis(ms))
+                    .stage(StageSpec::uniform(
+                        StageKind::Map,
+                        1,
+                        TaskSpec::new(SimDuration::from_millis(1_500)),
+                    ))
+                    .build()
+            })
+            .collect()
+    }
+
+    fn submit_all(engine: &mut Engine, jobs: Vec<JobSpec>) {
+        for spec in jobs {
+            let line = engine.submit(spec, false, Instant::now());
+            assert!(line.contains(r#""ok":true"#), "got {line}");
+        }
+    }
+
+    /// The report of the same jobs run up front, in simulated time.
+    fn run_report(config: &ServeConfig, jobs: Vec<JobSpec>) -> String {
+        let report = config.setup.build_simulation(jobs, &config.kind).run();
+        serde_json::to_string(&report).unwrap()
+    }
+
+    #[test]
+    fn wall_pumping_live_submissions_matches_run_byte_for_byte() {
+        let config = all_due();
+        let mut engine = test_engine(config.clone());
+        submit_all(&mut engine, many_batches());
+        while engine.sim.next_event_time().is_some() {
+            if let Some(wait) = engine.pump() {
+                thread::sleep(wait.min(IDLE_WAIT));
+            }
+        }
+        assert!(engine.decision.count() > 0, "no decision latency recorded");
+        assert_eq!(
+            run_report(&config, many_batches()),
+            serde_json::to_string(&engine.sim.into_report()).unwrap()
+        );
+    }
+
+    #[test]
+    fn one_pump_steps_exactly_the_batch_budget_then_yields() {
+        let config = all_due();
+        let mut engine = test_engine(config.clone());
+        submit_all(&mut engine, many_batches());
+        let mut reference = config.setup.build_simulation(many_batches(), &config.kind);
+        let horizon = SimTime::from_millis(u64::MAX);
+        for _ in 0..MAX_BATCHES_PER_PUMP {
+            assert!(reference.step_batch(horizon));
+        }
+        assert!(
+            reference.next_event_time().is_some(),
+            "the workload must outlast one pump"
+        );
+
+        // Due batches remain, so the pump asks the serve loop not to
+        // block: it drains the request queue and pumps again.
+        assert_eq!(engine.pump(), None);
+        assert_eq!(engine.sim.now(), reference.now());
+        assert_eq!(engine.sim.stats(), reference.stats());
+    }
+
+    #[test]
+    fn a_clock_short_of_the_next_event_steps_nothing_and_waits() {
+        let mut engine = test_engine(ServeConfig {
+            pacing: Pacing::Wall { compression: 1.0 },
+            ..ServeConfig::default()
+        });
+        submit_all(
+            &mut engine,
+            vec![spec().with_arrival(SimTime::from_secs(1_000))],
+        );
+        let wait = engine.pump().expect("nothing is due yet");
+        assert!(wait > Duration::from_secs(900), "waits {wait:?}");
+        assert_eq!(engine.sim.stats().events_processed, 0);
+        assert_eq!(engine.sim.now(), SimTime::ZERO);
+        assert_eq!(engine.decision.count(), 0);
+    }
+
+    #[test]
+    fn kill_resume_cycles_under_wall_pacing_replay_byte_identically() {
+        // The daemon's crash-restart path: pump, write the snapshot, build
+        // a fresh engine from it (which re-anchors a fresh clock at the
+        // snapshot's sim time). No batch may be dropped or run twice.
+        let dir =
+            std::env::temp_dir().join(format!("lasmq-serve-resume-cycles-{}", std::process::id()));
+        let config = ServeConfig {
+            snapshot_path: Some(dir.join("serve.snap.json")),
+            resume: true,
+            ..all_due()
+        };
+        let mut engine = test_engine(config.clone());
+        submit_all(&mut engine, many_batches());
+        let mut cycles = 0u32;
+        loop {
+            if let Some(wait) = engine.pump() {
+                thread::sleep(wait.min(IDLE_WAIT));
+            }
+            if engine.sim.next_event_time().is_none() {
+                break;
+            }
+            let paused_at = engine.sim.now();
+            engine.write_snapshot().unwrap();
+            engine = test_engine(config.clone());
+            assert_eq!(engine.sim.now(), paused_at, "resume moved the sim clock");
+            cycles += 1;
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            cycles >= 2,
+            "drained in {cycles} cycles; too few to test resume"
+        );
+        assert_eq!(
+            run_report(&config, many_batches()),
+            serde_json::to_string(&engine.sim.into_report()).unwrap()
+        );
     }
 
     fn spec() -> JobSpec {

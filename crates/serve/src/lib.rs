@@ -5,8 +5,9 @@
 //! clock*: a daemon accepts streaming job submissions from many
 //! concurrent clients over a newline-delimited JSON TCP protocol
 //! ([`protocol`]), paces batched scheduling passes on the incremental
-//! simulation engine via the shared [`Driver`](lasmq_simulator::driver)
-//! abstraction, applies admission backpressure, reports
+//! simulation engine by stepping
+//! [`Simulation::step_batch`](lasmq_simulator::Simulation::step_batch) up
+//! to a time-compressed wall clock, applies admission backpressure, reports
 //! p50/p99/p999 scheduling-decision and admission-ack latency, and
 //! survives kill → `--resume` restarts through atomically-written
 //! snapshots ([`snapshot`]).
@@ -44,6 +45,7 @@
 // offline build); everything else in the crate is safe code.
 #![deny(unsafe_code)]
 
+mod clock;
 pub mod daemon;
 pub mod protocol;
 #[allow(unsafe_code)]

@@ -1040,9 +1040,9 @@ impl<S: Scheduler> Simulation<S> {
         self.advance_inner(until, u64::MAX).1
     }
 
-    /// The one batch loop every driver funnels through — sim-time runs
+    /// The one batch loop every caller funnels through — sim-time runs
     /// ([`run`](Simulation::run) / [`run_until`](Simulation::run_until))
-    /// and the wall-clock daemon ([`step_batch`](Simulation::step_batch))
+    /// and batch-by-batch stepping ([`step_batch`](Simulation::step_batch))
     /// alike — so pausing, stepping and running to completion are the same
     /// code path batch-for-batch. Processes at most `max_batches` timestamp
     /// batches; returns how many were processed and whether a batch beyond
@@ -1312,13 +1312,13 @@ impl<S: Scheduler> Simulation<S> {
     /// batch was processed, `false` if the next batch lies beyond `limit`
     /// or the queue is drained.
     ///
-    /// This is the wall-clock driver's entry point (see
-    /// [`driver`](crate::driver)): it funnels into the same core loop as
-    /// [`run`](Simulation::run) / [`run_until`](Simulation::run_until), so a
-    /// driver-stepped run processes batches in exactly the same order as a
-    /// sim-time run, and the paused state between calls is always a
-    /// canonical batch boundary where [`snapshot`](Simulation::snapshot) is
-    /// well-defined.
+    /// This is the entry point for callers that pace the engine themselves
+    /// (the `lasmq-serve` daemon steps it against a wall clock): it funnels
+    /// into the same core loop as [`run`](Simulation::run) /
+    /// [`run_until`](Simulation::run_until), so a stepped run processes
+    /// batches in exactly the same order as a sim-time run, and the paused
+    /// state between calls is always a canonical batch boundary where
+    /// [`snapshot`](Simulation::snapshot) is well-defined.
     pub fn step_batch(&mut self, limit: SimTime) -> bool {
         self.advance_inner(Some(limit), 1).0 > 0
     }
@@ -1400,11 +1400,6 @@ impl<S: Scheduler> Simulation<S> {
     /// Events still pending in the queue.
     pub fn pending_events(&self) -> usize {
         self.events.len()
-    }
-
-    /// `true` once every event has been processed — nothing left to run.
-    pub fn is_drained(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The outcome recorded for `id` so far (arrival/admission/finish
@@ -3762,5 +3757,72 @@ mod tests {
             .map(|o| o.arrival.as_millis())
             .collect();
         assert_eq!(arrivals, vec![0, 10_000, 20_000]);
+    }
+
+    /// Six two-stage jobs three seconds apart: enough overlap on a 2×4
+    /// cluster that arrivals land while earlier jobs still run.
+    fn staggered_jobs() -> Vec<JobSpec> {
+        (0..6)
+            .map(|i| {
+                JobSpec::builder()
+                    .arrival(SimTime::from_secs(i * 3))
+                    .stage(StageSpec::uniform(
+                        StageKind::Map,
+                        4,
+                        TaskSpec::new(SimDuration::from_secs(7 + i)),
+                    ))
+                    .stage(StageSpec::uniform(
+                        StageKind::Reduce,
+                        2,
+                        TaskSpec::new(SimDuration::from_secs(5)),
+                    ))
+                    .build()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn live_submission_matches_upfront_jobs_byte_for_byte() {
+        let upfront = Simulation::builder()
+            .cluster(ClusterConfig::new(2, 4))
+            .jobs(staggered_jobs())
+            .build(Greedy)
+            .unwrap()
+            .run();
+        let mut live = Simulation::builder()
+            .cluster(ClusterConfig::new(2, 4))
+            .build(Greedy)
+            .unwrap();
+        // Submitted in arrival order before running, the jobs get the
+        // dense ids `build` would have assigned.
+        for spec in staggered_jobs() {
+            live.submit(spec).unwrap();
+        }
+        assert_eq!(
+            serde_json::to_string(&upfront).unwrap(),
+            serde_json::to_string(&live.run()).unwrap()
+        );
+    }
+
+    #[test]
+    fn mid_run_submission_is_clamped_forward_and_finishes() {
+        let mut sim = Simulation::builder()
+            .cluster(ClusterConfig::new(2, 4))
+            .jobs(staggered_jobs())
+            .build(Greedy)
+            .unwrap();
+        assert!(sim.run_until(SimTime::from_secs(4)));
+        let paused = sim.now();
+        assert!(paused > SimTime::from_secs(1), "paused at {paused:?}");
+        // An arrival before the paused clock is moved forward to it, not
+        // delivered retroactively.
+        let id = sim.submit(map_job(1, 2, 2)).unwrap();
+        assert_eq!(id.index(), 6);
+        assert_eq!(sim.job_outcome(id).unwrap().arrival, paused);
+        let report = sim.run();
+        assert!(report.all_completed());
+        let late = &report.outcomes()[6];
+        assert_eq!(late.arrival, paused);
+        assert!(late.finish.is_some());
     }
 }

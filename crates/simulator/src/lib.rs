@@ -78,7 +78,6 @@
 
 pub mod admission;
 pub mod cluster;
-pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod event;
@@ -96,7 +95,6 @@ pub mod time;
 mod views;
 
 pub use cluster::{ClusterConfig, ClusterState};
-pub use driver::{CompressedWallClock, Driver, DriverStep};
 pub use engine::{
     FailureConfig, PreemptionPolicy, Simulation, SimulationBuilder, SpeculationConfig,
 };

@@ -50,8 +50,10 @@ pub struct FacebookTrace {
     jobs: usize,
     load: f64,
     capacity: u32,
-    sizes: BoundedPareto,
-    task_secs: f64,
+    /// Service units per task: 1 here, 0.5 for [`ScaleTrace`](crate::ScaleTrace).
+    pub(crate) task_secs: f64,
+    /// The label every generated job carries.
+    pub(crate) label: &'static str,
     seed: u64,
 }
 
@@ -63,8 +65,8 @@ impl FacebookTrace {
             jobs: FACEBOOK_JOB_COUNT,
             load: 0.9,
             capacity: 100,
-            sizes: BoundedPareto::new(0.8, 1.0, 1e4),
             task_secs: 1.0,
+            label: "facebook",
             seed: 0,
         }
     }
@@ -94,12 +96,6 @@ impl FacebookTrace {
         self
     }
 
-    /// Overrides the size distribution.
-    pub fn size_distribution(mut self, sizes: BoundedPareto) -> Self {
-        self.sizes = sizes;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -117,9 +113,8 @@ impl FacebookTrace {
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
 
         // Sizes in service units (1 unit = 1 container-second here).
-        let sizes: Vec<f64> = (0..self.jobs)
-            .map(|_| self.sizes.sample(&mut rng))
-            .collect();
+        let dist = BoundedPareto::new(0.8, 1.0, 1e4);
+        let sizes: Vec<f64> = (0..self.jobs).map(|_| dist.sample(&mut rng)).collect();
         let mean_size = sizes.iter().sum::<f64>() / sizes.len() as f64;
 
         // ρ = λ · E[S] / C  =>  λ = ρ C / E[S].
@@ -138,7 +133,7 @@ impl FacebookTrace {
                 JobSpec::builder()
                     .arrival(arrival)
                     .priority(priority)
-                    .label("facebook")
+                    .label(self.label)
                     .bin(size_bin(size))
                     .stage(StageSpec::uniform(
                         StageKind::Generic,

@@ -7,8 +7,8 @@
 //! event dispatch, struct-of-arrays job state, O(log n) container
 //! placement) rather than a paper figure. The statistical shape matches
 //! [`facebook`](crate::facebook): bounded-Pareto sizes on `[1, 10⁴]` with
-//! tail index 0.8, Poisson arrivals at the rate realizing the configured
-//! load, priorities uniform on 1–5.
+//! tail index 0.8, Poisson arrivals at the rate realizing load 0.9,
+//! priorities uniform on 1–5.
 //!
 //! Tasks are half a service unit each (versus the trace's unit tasks).
 //! The grain is the lever that trades event volume against concurrency:
@@ -32,13 +32,9 @@
 //! assert_eq!(jobs, trace.generate());
 //! ```
 
-use rand::SeedableRng;
+use lasmq_simulator::{ClusterConfig, JobSpec};
 
-use lasmq_simulator::{ClusterConfig, JobSpec, SimDuration, StageKind, StageSpec, TaskSpec};
-
-use crate::arrivals::PoissonArrivals;
-use crate::dist::{uniform01, BoundedPareto, Sample};
-use crate::facebook::size_bin;
+use crate::facebook::FacebookTrace;
 
 /// Default job count: a full million.
 pub const SCALE_JOB_COUNT: usize = 1_000_000;
@@ -49,36 +45,35 @@ pub const SCALE_NODES: u32 = 1_000;
 /// Containers hosted by each node of the default scale cluster.
 pub const SCALE_CONTAINERS_PER_NODE: u32 = 8;
 
-/// Generator for the million-job, thousand-node workload.
+/// Generator for the million-job, thousand-node workload: a
+/// [`FacebookTrace`] labelled `"scale"`, sized for a node × container
+/// cluster, with half-unit tasks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleTrace {
-    jobs: usize,
+    trace: FacebookTrace,
     nodes: u32,
     containers_per_node: u32,
-    load: f64,
-    sizes: BoundedPareto,
-    task_secs: f64,
-    seed: u64,
 }
 
 impl ScaleTrace {
     /// The default scale setup: one million jobs at load 0.9 on a
     /// 1,000-node × 8-container cluster, sizes on `[1, 10⁴]`.
     pub fn new() -> Self {
+        let mut trace = FacebookTrace::new()
+            .jobs(SCALE_JOB_COUNT)
+            .capacity(SCALE_NODES * SCALE_CONTAINERS_PER_NODE);
+        trace.label = "scale";
+        trace.task_secs = 0.5;
         ScaleTrace {
-            jobs: SCALE_JOB_COUNT,
+            trace,
             nodes: SCALE_NODES,
             containers_per_node: SCALE_CONTAINERS_PER_NODE,
-            load: 0.9,
-            sizes: BoundedPareto::new(0.8, 1.0, 1e4),
-            task_secs: 0.5,
-            seed: 0,
         }
     }
 
     /// Sets the number of jobs (for scaled-down runs).
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+        self.trace = self.trace.jobs(jobs);
         self
     }
 
@@ -95,40 +90,13 @@ impl ScaleTrace {
         );
         self.nodes = nodes;
         self.containers_per_node = containers_per_node;
-        self
-    }
-
-    /// Sets the target system load ρ = arrival rate × mean size / capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` is not in `(0, 1]`.
-    pub fn load(mut self, load: f64) -> Self {
-        assert!(load > 0.0 && load <= 1.0, "load must be in (0, 1]");
-        self.load = load;
-        self
-    }
-
-    /// Sets the task grain in service units (= container-seconds). Finer
-    /// tasks mean more events per job but fewer concurrently-active jobs
-    /// (each job's slice of the cluster drains sooner), which is the
-    /// dominant term of pass cost at thousand-node scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task_secs` is not positive and finite.
-    pub fn task_secs(mut self, task_secs: f64) -> Self {
-        assert!(
-            task_secs.is_finite() && task_secs > 0.0,
-            "task grain must be positive"
-        );
-        self.task_secs = task_secs;
+        self.trace = self.trace.capacity(self.cluster().total_containers());
         self
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.trace = self.trace.seed(seed);
         self
     }
 
@@ -145,41 +113,7 @@ impl ScaleTrace {
     ///
     /// Panics if `jobs` is zero.
     pub fn generate(&self) -> Vec<JobSpec> {
-        assert!(self.jobs > 0, "trace needs at least one job");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        let capacity = self.cluster().total_containers();
-
-        let sizes: Vec<f64> = (0..self.jobs)
-            .map(|_| self.sizes.sample(&mut rng))
-            .collect();
-        let mean_size = sizes.iter().sum::<f64>() / sizes.len() as f64;
-
-        // ρ = λ · E[S] / C  =>  λ = ρ C / E[S].
-        let rate = self.load * capacity as f64 / mean_size;
-        let arrivals = PoissonArrivals::with_rate(rate).take(&mut rng, self.jobs);
-
-        sizes
-            .into_iter()
-            .zip(arrivals)
-            .map(|(size, arrival)| {
-                let priority = 1 + (uniform01(&mut rng) * 5.0).min(4.0) as u8;
-                let tasks = (size / self.task_secs).round().max(1.0) as u32;
-                // Dividing the size over the rounded task count keeps the
-                // job's total service equal to its drawn size.
-                let task_secs = size / tasks as f64;
-                JobSpec::builder()
-                    .arrival(arrival)
-                    .priority(priority)
-                    .label("scale")
-                    .bin(size_bin(size))
-                    .stage(StageSpec::uniform(
-                        StageKind::Generic,
-                        tasks,
-                        TaskSpec::new(SimDuration::from_secs_f64(task_secs)),
-                    ))
-                    .build()
-            })
-            .collect()
+        self.trace.generate()
     }
 }
 
@@ -196,7 +130,8 @@ mod tests {
     #[test]
     fn defaults_are_million_scale() {
         let t = ScaleTrace::new();
-        assert_eq!(t.jobs, SCALE_JOB_COUNT);
+        assert_eq!(t, t.jobs(SCALE_JOB_COUNT));
+        assert_ne!(t, t.jobs(SCALE_JOB_COUNT - 1));
         assert_eq!(t.cluster().total_containers(), 8_000);
     }
 

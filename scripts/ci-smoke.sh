@@ -101,6 +101,14 @@ quick_bytes() {
     diff <(cd target/quick-bytes && ls -- *.csv) <(awk '{print $2}' results/quick.sha256 | sort)
 }
 
+docs_match() {
+    # EXPERIMENTS.md quotes its measured tables from the committed
+    # full-scale reproduction (results/paper/): every table under a
+    # `<!-- results/paper/<file>.csv -->` marker must equal that file,
+    # cell for cell, so the docs cannot drift from the results.
+    python3 scripts/docs-match.py EXPERIMENTS.md
+}
+
 interrupt_resume() {
     # Kill a campaign as soon as its first cell is cached, require
     # campaign-status to report it [partial], rerun it with the cache on
@@ -251,7 +259,7 @@ EOF
 
 # In the order ci.yml ran them.
 steps=(perf_smoke benchmark_harness engine_bit_identity ab_pairs
-    million_job_perf reproduction trace_bytes quick_bytes interrupt_resume verify
+    million_job_perf reproduction trace_bytes quick_bytes docs_match interrupt_resume verify
     robustness training serve telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)
