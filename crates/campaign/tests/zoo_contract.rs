@@ -84,9 +84,6 @@ impl Scheduler for ClaimsToReadProgress {
     fn on_job_completed(&mut self, job: JobId, now: SimTime) {
         self.0.on_job_completed(job, now)
     }
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        self.0.allocate(ctx)
-    }
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         self.0.allocate_into(ctx, plan)
     }

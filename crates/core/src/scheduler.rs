@@ -331,14 +331,7 @@ impl Scheduler for LasMq {
         }
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let mut plan = AllocationPlan::new();
-        self.allocate_into(ctx, &mut plan);
-        plan
-    }
-
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
-        plan.clear();
         self.pass_epoch += 1;
         let views = ctx.jobs();
 

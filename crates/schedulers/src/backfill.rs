@@ -114,10 +114,10 @@ impl Scheduler for Backfill {
         self.estimates.forget(job);
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let now = ctx.now();
         // Highest score first; ties resolve oldest-arrival then lowest id.
-        rank_and_grant(ctx, |j| (-self.score(j, now), (j.arrival, j.id)))
+        rank_and_grant(ctx, plan, |j| (-self.score(j, now), (j.arrival, j.id)));
     }
 }
 

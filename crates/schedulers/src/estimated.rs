@@ -71,11 +71,11 @@ impl Scheduler for EstimatedSjf {
         self.estimates.forget(job);
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        rank_and_grant(ctx, |j| {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+        rank_and_grant(ctx, plan, |j| {
             let estimate = self.estimates.estimate(j).as_container_secs();
             (estimate, (j.arrival, j.id))
-        })
+        });
     }
 }
 

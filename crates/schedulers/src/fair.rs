@@ -87,14 +87,7 @@ impl Scheduler for Fair {
         Ok(())
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        let mut plan = AllocationPlan::new();
-        self.allocate_into(ctx, &mut plan);
-        plan
-    }
-
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
-        plan.clear();
         let jobs = ctx.jobs();
         // YARN's fair policy orders apps by usage over weight; replicating
         // that here sends integer-rounding surplus containers to the jobs

@@ -42,9 +42,9 @@ impl Scheduler for Fifo {
 
     // FIFO keeps no state between passes (the plan is recomputed from the
     // admission-ordered views), so there is nothing to snapshot.
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         // ctx.jobs() is in admission order, which is arrival order.
-        grant_in_order(ctx.jobs(), ctx.total_containers())
+        grant_in_order(plan, ctx.jobs(), ctx.total_containers());
     }
 }
 

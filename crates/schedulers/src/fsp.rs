@@ -40,7 +40,7 @@
 //! arithmetic).
 //!
 //! Determinism: the virtual clock advances only inside
-//! [`allocate`](Scheduler::allocate) by `now − last_pass`, with
+//! [`allocate_into`](Scheduler::allocate_into) by `now − last_pass`, with
 //! water-filling resolved smallest-time-to-virtual-finish-first (ties by
 //! job id), and estimates are refined from pass-visible data only. The
 //! engine and the naive reference executor run scheduling passes at
@@ -413,7 +413,7 @@ impl Scheduler for Fsp {
         Self::audit(&self.jobs, self.next_rank)
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         self.admit_new(ctx.jobs());
         // Advance over [last, now] with the *previous* pass's waiting
         // flags, then (HFSP) refine estimates and flags from the fresh
@@ -433,7 +433,11 @@ impl Scheduler for Fsp {
                 .then_with(|| a.arrival.cmp(&b.arrival))
                 .then_with(|| a.id.cmp(&b.id))
         });
-        grant_in_order(order.into_iter().map(|(_, j)| j), ctx.total_containers())
+        grant_in_order(
+            plan,
+            order.into_iter().map(|(_, j)| j),
+            ctx.total_containers(),
+        );
     }
 }
 

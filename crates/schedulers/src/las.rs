@@ -46,10 +46,10 @@ impl Scheduler for Las {
 
     // LAS re-derives its ordering from attained service (which lives in the
     // engine's job views) every pass, so there is nothing to snapshot.
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        rank_and_grant(ctx, |j| {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+        rank_and_grant(ctx, plan, |j| {
             (j.attained.as_container_secs(), (j.admitted_at, j.id))
-        })
+        });
     }
 }
 

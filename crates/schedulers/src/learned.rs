@@ -231,13 +231,13 @@ impl Scheduler for LearnedScheduler {
         "LEARNED"
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let cluster = ClusterFeatures::from_context(ctx);
         let now = ctx.now();
         // Higher score first; equal scores keep admission order.
-        rank_and_grant(ctx, |j| {
+        rank_and_grant(ctx, plan, |j| {
             (-self.policy.score(&job_features(j, now, &cluster)), ())
-        })
+        });
     }
 
     fn snapshot_state(&self) -> Option<String> {

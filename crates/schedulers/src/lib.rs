@@ -90,10 +90,10 @@ pub use ps::Ps;
 
 use lasmq_simulator::{AllocationPlan, JobView, OracleInfo, SchedContext};
 
-/// Ranks the context's jobs by `key` and grants in that order: smallest
-/// primary key first under IEEE 754 `totalOrder` (so NaN keys stay
-/// orderable; negate a score to serve the highest first), then the
-/// policy's tie-break, then admission order (the sort is stable and
+/// Ranks the context's jobs by `key` and grants in that order into
+/// `plan`: smallest primary key first under IEEE 754 `totalOrder` (so NaN
+/// keys stay orderable; negate a score to serve the highest first), then
+/// the policy's tie-break, then admission order (the sort is stable and
 /// [`SchedContext::jobs`] is in admission order). Each job gets its full
 /// useful demand until the cluster's containers run out.
 ///
@@ -102,21 +102,27 @@ use lasmq_simulator::{AllocationPlan, JobView, OracleInfo, SchedContext};
 /// ```
 /// use lasmq_schedulers::rank_and_grant;
 /// use lasmq_simulator::testkit::view;
-/// use lasmq_simulator::{JobId, JobView, SchedContext, SimTime};
+/// use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, SimTime};
 ///
 /// // Fewest remaining tasks first, ties to the lower id.
 /// let jobs = [view(0), JobView { unstarted_tasks: 3, remaining_tasks: 3, ..view(1) }];
 /// let ctx = SchedContext::new(SimTime::ZERO, 10, &jobs);
-/// let plan = rank_and_grant(&ctx, |j| (f64::from(j.remaining_tasks), j.id));
+/// let mut plan = AllocationPlan::new();
+/// rank_and_grant(&ctx, &mut plan, |j| (f64::from(j.remaining_tasks), j.id));
 /// assert_eq!(plan.entries(), &[(JobId::new(1), 3), (JobId::new(0), 7)]);
 /// ```
 pub fn rank_and_grant<T: Ord>(
     ctx: &SchedContext<'_>,
+    plan: &mut AllocationPlan,
     mut key: impl FnMut(&JobView) -> (f64, T),
-) -> AllocationPlan {
+) {
     let mut ranked: Vec<_> = ctx.jobs().iter().map(|j| (key(j), j)).collect();
     ranked.sort_by(|((a, ta), _), ((b, tb), _)| a.total_cmp(b).then_with(|| ta.cmp(tb)));
-    grant_in_order(ranked.into_iter().map(|(_, j)| j), ctx.total_containers())
+    grant_in_order(
+        plan,
+        ranked.into_iter().map(|(_, j)| j),
+        ctx.total_containers(),
+    );
 }
 
 /// The ground truth an oracle-family scheduler reads from a view.
@@ -127,13 +133,14 @@ fn oracle_info(view: &JobView) -> OracleInfo {
 
 /// The grant loop every strict-priority policy ends with: walk `jobs` in
 /// the policy's priority order and give each its full useful demand until
-/// the cluster's `total_containers` run out. Jobs with nothing to use are
-/// skipped, so the plan lists only positive grants.
+/// the cluster's `total_containers` run out, appending to `plan`. Jobs
+/// with nothing to use are skipped, so the plan lists only positive
+/// grants.
 fn grant_in_order<'a>(
+    plan: &mut AllocationPlan,
     jobs: impl IntoIterator<Item = &'a JobView>,
     total_containers: u32,
-) -> AllocationPlan {
-    let mut plan = AllocationPlan::new();
+) {
     let mut budget = total_containers;
     for job in jobs {
         if budget == 0 {
@@ -145,5 +152,4 @@ fn grant_in_order<'a>(
             budget -= want;
         }
     }
-    plan
 }

@@ -49,13 +49,13 @@ impl Scheduler for ShortestJobFirst {
         false
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        rank_and_grant(ctx, |j| {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+        rank_and_grant(ctx, plan, |j| {
             (
                 oracle_info(j).total_size.as_container_secs(),
                 (j.arrival, j.id),
             )
-        })
+        });
     }
 }
 
@@ -85,13 +85,13 @@ impl Scheduler for ShortestRemainingFirst {
         false
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        rank_and_grant(ctx, |j| {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+        rank_and_grant(ctx, plan, |j| {
             (
                 oracle_info(j).remaining.as_container_secs(),
                 (j.arrival, j.id),
             )
-        })
+        });
     }
 }
 

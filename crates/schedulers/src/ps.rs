@@ -49,18 +49,19 @@ impl Scheduler for Ps {
     }
 
     // PS recomputes equal shares from demand every pass; no state.
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let jobs = ctx.jobs();
         let requests: Vec<ShareRequest> = jobs
             .iter()
             .map(|j| ShareRequest::new(j.max_useful_allocation(), 1.0))
             .collect();
         let shares = weighted_shares(ctx.total_containers(), &requests);
-        jobs.iter()
-            .zip(shares)
-            .filter(|(_, s)| *s > 0)
-            .map(|(j, s)| (j.id, s))
-            .collect()
+        plan.extend(
+            jobs.iter()
+                .zip(shares)
+                .filter(|(_, s)| *s > 0)
+                .map(|(j, s)| (j.id, s)),
+        );
     }
 }
 

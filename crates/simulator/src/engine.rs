@@ -952,7 +952,8 @@ pub struct Simulation<S: Scheduler> {
     /// running tasks (or a pending stage-readiness deadline) stay listed:
     /// their views vary with time even without discrete events.
     dirty_list: Vec<JobId>,
-    /// Recycled allocation-plan buffer handed to the scheduler each pass.
+    /// Recycled allocation-plan buffer, handed to the scheduler empty on
+    /// each pass.
     plan_buf: AllocationPlan,
     /// Recycled buffer for the sampled snapshot-fidelity check.
     event_scratch: Vec<EventEntry>,
@@ -980,25 +981,11 @@ impl<S: Scheduler> std::fmt::Debug for Simulation<S> {
     }
 }
 
-impl Simulation<NeverScheduler> {
-    /// Starts building a simulation.
+impl Simulation<Box<dyn Scheduler>> {
+    /// Starts building a simulation. The builder is not tied to this
+    /// scheduler type: [`SimulationBuilder::build`] takes any scheduler.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder::new()
-    }
-}
-
-/// Placeholder scheduler type anchoring [`Simulation::builder`]; allocates
-/// nothing and is never instantiated by the library.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NeverScheduler;
-
-impl Scheduler for NeverScheduler {
-    fn name(&self) -> &str {
-        "never"
-    }
-
-    fn allocate(&mut self, _ctx: &SchedContext<'_>) -> crate::sched::AllocationPlan {
-        crate::sched::AllocationPlan::new()
     }
 }
 
@@ -2100,6 +2087,7 @@ impl<S: Scheduler> Simulation<S> {
         )
         .with_changed(self.views.changed());
         let mut plan = std::mem::take(&mut self.plan_buf);
+        plan.clear();
         self.scheduler.allocate_into(&ctx, &mut plan);
         if let Some(report) = &mut self.invariants {
             report.audit_pass(
@@ -2312,10 +2300,6 @@ impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
         (**self).on_job_completed(job, now)
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> crate::sched::AllocationPlan {
-        (**self).allocate(ctx)
-    }
-
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut crate::sched::AllocationPlan) {
         (**self).allocate_into(ctx, plan)
     }
@@ -2368,10 +2352,10 @@ mod tests {
             "even"
         }
 
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
             let n = ctx.jobs().len().max(1) as u32;
             let share = ctx.total_containers() / n;
-            ctx.jobs().iter().map(|j| (j.id, share)).collect()
+            plan.extend(ctx.jobs().iter().map(|j| (j.id, share)));
         }
     }
 
@@ -2386,14 +2370,29 @@ mod tests {
             true
         }
 
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
             for j in ctx.jobs() {
                 assert!(j.oracle.is_some(), "oracle missing despite requires_oracle");
             }
-            ctx.jobs()
-                .iter()
-                .map(|j| (j.id, j.max_useful_allocation()))
-                .collect()
+            plan.extend(ctx.jobs().iter().map(|j| (j.id, j.max_useful_allocation())));
+        }
+    }
+
+    /// Grants like `Greedy`, logging per pass whether the plan arrived
+    /// empty and how many entries it left in it.
+    struct EmptyPlanProbe(std::rc::Rc<std::cell::RefCell<Vec<(bool, usize)>>>);
+
+    impl Scheduler for EmptyPlanProbe {
+        fn name(&self) -> &str {
+            "empty-plan-probe"
+        }
+
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+            let arrived_empty = plan.is_empty();
+            Greedy.allocate_into(ctx, plan);
+            self.0
+                .borrow_mut()
+                .push((arrived_empty, plan.entries().len()));
         }
     }
 
@@ -2422,6 +2421,31 @@ mod tests {
                 TaskSpec::new(SimDuration::from_secs(10)).with_containers(2),
             ))
             .build()
+    }
+
+    #[test]
+    fn every_pass_hands_the_scheduler_an_empty_plan() {
+        // Overlapping jobs keep the plan non-empty pass after pass, so a
+        // recycled buffer that was not cleared would arrive full.
+        let log = std::rc::Rc::default();
+        let report = Simulation::builder()
+            .cluster(ClusterConfig::single_node(4))
+            .jobs(vec![map_job(0, 6, 5), map_job(1, 6, 5), map_job(3, 3, 5)])
+            .build(EmptyPlanProbe(std::rc::Rc::clone(&log)))
+            .unwrap()
+            .run();
+        assert!(report.all_completed());
+        let log = log.borrow();
+        assert_eq!(log.len() as u64, report.stats().scheduling_passes);
+        let refilled = log.windows(2).filter(|w| w[0].1 > 0).count();
+        assert!(
+            refilled >= 3,
+            "too few passes follow a non-empty plan: {log:?}"
+        );
+        assert!(
+            log.iter().all(|&(arrived_empty, _)| arrived_empty),
+            "a plan arrived with the previous pass's entries: {log:?}"
+        );
     }
 
     #[test]
@@ -2555,8 +2579,8 @@ mod tests {
     #[test]
     fn oracle_gating_enforced() {
         // The scheduler's declaration is the only switch: `NeedsOracle`
-        // sees sizes (its `allocate` asserts so) without any option, and a
-        // scheduler that does not declare it keeps none to show.
+        // sees sizes (its `allocate_into` asserts so) without any option,
+        // and a scheduler that does not declare it keeps none to show.
         let build = || Simulation::builder().job(map_job(0, 1, 1));
         assert!(build().build(NeedsOracle).unwrap().run().all_completed());
         assert!(build().build(Greedy).unwrap().jobs.oracle_size.is_none());
@@ -3026,7 +3050,7 @@ mod tests {
             fn name(&self) -> &str {
                 "fake-mlq"
             }
-            fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+            fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
                 self.jobs = ctx.jobs().len() as u32;
                 for j in ctx.jobs() {
                     if !self.demoted.contains(&j.id) {
@@ -3039,10 +3063,7 @@ mod tests {
                         });
                     }
                 }
-                ctx.jobs()
-                    .iter()
-                    .map(|j| (j.id, j.max_useful_allocation()))
-                    .collect()
+                plan.extend(ctx.jobs().iter().map(|j| (j.id, j.max_useful_allocation())));
             }
             fn queue_depths(&self) -> Option<Vec<u32>> {
                 Some(vec![0, self.jobs])
@@ -3086,7 +3107,7 @@ mod tests {
             fn name(&self) -> &str {
                 "demoting-greedy"
             }
-            fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+            fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
                 for j in ctx.jobs() {
                     if !self.seen.contains(&j.id) {
                         self.seen.push(j.id);
@@ -3098,7 +3119,7 @@ mod tests {
                         });
                     }
                 }
-                Greedy.allocate(ctx)
+                Greedy.allocate_into(ctx, plan)
             }
             fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
                 std::mem::take(&mut self.pending)
@@ -3435,18 +3456,16 @@ mod tests {
             self.cursor = state.parse().map_err(|e| format!("bad cursor: {e}"))?;
             Ok(())
         }
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
             self.cursor += 1;
             let jobs = ctx.jobs();
             let mut budget = ctx.total_containers();
-            let mut plan = AllocationPlan::new();
             for k in 0..jobs.len() {
                 let job = &jobs[(k + self.cursor / 4) % jobs.len()];
                 let grant = job.max_useful_allocation().min(budget);
                 plan.push(job.id, grant);
                 budget -= grant;
             }
-            plan
         }
     }
 
@@ -3692,11 +3711,8 @@ mod tests {
             fn name(&self) -> &str {
                 "broken-queues"
             }
-            fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-                ctx.jobs()
-                    .iter()
-                    .map(|j| (j.id, j.max_useful_allocation()))
-                    .collect()
+            fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+                plan.extend(ctx.jobs().iter().map(|j| (j.id, j.max_useful_allocation())));
             }
             fn check_consistency(&self) -> Result<(), String> {
                 Err("job 3 appears in two queues".to_string())

@@ -34,8 +34,8 @@
 //!         "fifo"
 //!     }
 //!
-//!     fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-//!         ctx.jobs().iter().map(|j| (j.id, j.max_useful_allocation())).collect()
+//!     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+//!         plan.extend(ctx.jobs().iter().map(|j| (j.id, j.max_useful_allocation())));
 //!     }
 //! }
 //!

@@ -127,8 +127,8 @@ impl<'a> SchedContext<'a> {
     }
 
     /// Attaches the engine's dirty-set hint: the ascending indices into
-    /// [`jobs`](Self::jobs) whose views differ from the previous `allocate`
-    /// call on the same scheduler instance. See
+    /// [`jobs`](Self::jobs) whose views differ from the previous
+    /// scheduling pass on the same scheduler instance. See
     /// [`changed`](Self::changed) for the exact contract.
     pub fn with_changed(mut self, changed: &'a [usize]) -> Self {
         self.changed = Some(changed);
@@ -151,7 +151,7 @@ impl<'a> SchedContext<'a> {
     }
 
     /// Which entries of [`jobs`](Self::jobs) changed since the previous
-    /// `allocate` call on the same scheduler instance, as ascending indices
+    /// scheduling pass on the same scheduler instance, as ascending indices
     /// into that slice.
     ///
     /// `None` means "no information — treat every job as possibly changed"
@@ -270,12 +270,13 @@ impl Extend<(JobId, u32)> for AllocationPlan {
 /// A pluggable job scheduler.
 ///
 /// Implementations receive lifecycle notifications (admission, stage and job
-/// completion) and are periodically asked to [`allocate`](Self::allocate)
-/// the cluster's containers among admitted jobs.
+/// completion) and are periodically asked to divide the cluster's
+/// containers among admitted jobs through
+/// [`allocate_into`](Self::allocate_into).
 ///
-/// The engine invokes `allocate` on job arrival, on stage/job completion,
-/// and once per scheduling quantum — so schedulers may keep incremental
-/// state keyed by [`JobId`] between calls.
+/// The engine invokes `allocate_into` on job arrival, on stage/job
+/// completion, and once per scheduling quantum — so schedulers may keep
+/// incremental state keyed by [`JobId`] between calls.
 pub trait Scheduler {
     /// A short human-readable name ("FIFO", "LAS_MQ", ...), used in reports.
     fn name(&self) -> &str;
@@ -295,12 +296,12 @@ pub trait Scheduler {
     /// running tasks on every pass, so the engine computes it only for
     /// schedulers that use it: when this returns `false`, every view the
     /// engine passes to [`on_job_admitted`](Self::on_job_admitted) and
-    /// [`allocate`](Self::allocate) carries `stage_progress == 0.0`. The
-    /// default `true` is always correct; answering `false` is a promise
-    /// that no decision of this scheduler depends on the field, so the run
-    /// is bit-identical either way. The engine asks once, when the
-    /// simulation is built or restored, so the answer must not change over
-    /// the scheduler's lifetime.
+    /// [`allocate_into`](Self::allocate_into) carries
+    /// `stage_progress == 0.0`. The default `true` is always correct;
+    /// answering `false` is a promise that no decision of this scheduler
+    /// depends on the field, so the run is bit-identical either way. The
+    /// engine asks once, when the simulation is built or restored, so the
+    /// answer must not change over the scheduler's lifetime.
     fn reads_stage_progress(&self) -> bool {
         true
     }
@@ -314,22 +315,24 @@ pub trait Scheduler {
     /// A job finished entirely and left the system.
     fn on_job_completed(&mut self, _job: JobId, _now: SimTime) {}
 
-    /// Divides the cluster's containers among the jobs in `ctx`.
+    /// Divides the cluster's containers among the jobs in `ctx`, writing
+    /// the decision into `plan`, which arrives empty. This is the one
+    /// method a policy implements to decide a pass: the engine calls it
+    /// with a buffer it clears and reuses, so the plan's storage lives
+    /// across passes.
     ///
     /// Work conservation is the scheduler's responsibility: if total demand
     /// meets or exceeds capacity, a well-behaved plan allocates every
-    /// container (the engine asserts this in debug builds).
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan;
+    /// container (an armed invariant checker records a plan that does not).
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan);
 
-    /// Buffer-reusing variant of [`allocate`](Self::allocate): clears
-    /// `plan` and fills it with this pass's decision. The engine calls this
-    /// with a persistent buffer so steady-state passes allocate nothing;
-    /// the default simply delegates, so plain schedulers only implement
-    /// `allocate`. Implementations that override this should make
-    /// `allocate` delegate the other way to keep both entry points
-    /// identical.
-    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
-        *plan = self.allocate(ctx);
+    /// This pass's decision as a new plan: a convenience for tests and
+    /// callers without a buffer to reuse, derived from
+    /// [`allocate_into`](Self::allocate_into). Policies do not override it.
+    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        let mut plan = AllocationPlan::new();
+        self.allocate_into(ctx, &mut plan);
+        plan
     }
 
     /// Current per-queue job counts, highest priority first, for telemetry
@@ -340,8 +343,9 @@ pub trait Scheduler {
     }
 
     /// Demotions performed since the last drain, for telemetry. The engine
-    /// calls this after every [`allocate`](Self::allocate); implementations
-    /// should hand over and clear their pending list (`std::mem::take`).
+    /// calls this after every [`allocate_into`](Self::allocate_into);
+    /// implementations should hand over and clear their pending list
+    /// (`std::mem::take`).
     /// The default returns nothing, which costs nothing.
     fn drain_demotions(&mut self) -> Vec<QueueDemotion> {
         Vec::new()

@@ -57,7 +57,7 @@ impl TelemetrySample {
 }
 
 /// A demotion performed by a multilevel-queue scheduler during one
-/// `allocate` call, reported to the engine via
+/// scheduling pass (`allocate_into` call), reported to the engine via
 /// [`Scheduler::drain_demotions`](crate::Scheduler::drain_demotions).
 ///
 /// The engine stamps the simulation time when it turns this into a

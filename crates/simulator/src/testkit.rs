@@ -85,9 +85,8 @@ impl Scheduler for BudgetedGreedy {
         "greedy"
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let mut budget = ctx.total_containers();
-        let mut plan = AllocationPlan::new();
         for j in ctx.jobs() {
             let grant = j.max_useful_allocation().min(budget);
             if grant > 0 {
@@ -95,7 +94,6 @@ impl Scheduler for BudgetedGreedy {
                 budget -= grant;
             }
         }
-        plan
     }
 }
 
@@ -103,8 +101,7 @@ impl Scheduler for BudgetedGreedy {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    // `NeverScheduler` allocates nothing: the lazy policy of the tests below.
-    use crate::engine::{NeverScheduler as Lazy, Simulation};
+    use crate::engine::Simulation;
     use crate::invariant::{InvariantKind, InvariantReport};
     use crate::job::{JobSpec, StageKind, StageSpec, TaskSpec};
     use crate::time::SimDuration;
@@ -117,12 +114,24 @@ mod tests {
             "over-asker"
         }
 
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-            ctx.jobs()
-                .iter()
-                .map(|j| (j.id, j.max_useful_allocation() + 1))
-                .collect()
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+            plan.extend(
+                ctx.jobs()
+                    .iter()
+                    .map(|j| (j.id, j.max_useful_allocation() + 1)),
+            );
         }
+    }
+
+    /// Allocates nothing — the audit must call it lazy and nothing else.
+    struct Lazy;
+
+    impl Scheduler for Lazy {
+        fn name(&self) -> &str {
+            "lazy"
+        }
+
+        fn allocate_into(&mut self, _ctx: &SchedContext<'_>, _plan: &mut AllocationPlan) {}
     }
 
     fn job(tasks: u32) -> JobSpec {

@@ -21,10 +21,9 @@ impl Scheduler for Erratic {
         "erratic"
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         self.tick += 1;
         let n = ctx.jobs().len();
-        let mut plan = AllocationPlan::new();
         for (i, job) in ctx.jobs().iter().enumerate() {
             let rotated = (i + self.tick as usize) % n.max(1);
             let target = match rotated % 3 {
@@ -34,7 +33,6 @@ impl Scheduler for Erratic {
             };
             plan.push(job.id, target);
         }
-        plan
     }
 }
 

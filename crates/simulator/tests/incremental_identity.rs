@@ -53,7 +53,7 @@ impl Scheduler for Mirror {
         Ok(())
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let views = ctx.jobs();
         let changed = ctx
             .changed()
@@ -85,7 +85,6 @@ impl Scheduler for Mirror {
 
         self.cursor += 1;
         let n = self.cache.len();
-        let mut plan = AllocationPlan::new();
         let mut budget = ctx.total_containers();
         for i in 0..n {
             let job = &self.cache[(i + self.cursor as usize) % n];
@@ -95,7 +94,6 @@ impl Scheduler for Mirror {
                 budget -= grant;
             }
         }
-        plan
     }
 }
 

@@ -43,18 +43,16 @@ impl Scheduler for Srtf {
         true
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let mut order: Vec<_> = ctx.jobs().iter().collect();
         let remaining = |j: &JobView| j.oracle.expect("oracle exposed").remaining;
         order.sort_by(|a, b| remaining(a).total_cmp(&remaining(b)).then(a.id.cmp(&b.id)));
         let mut budget = ctx.total_containers();
-        let mut plan = AllocationPlan::new();
         for job in order {
             let grant = job.max_useful_allocation().min(budget);
             plan.push(job.id, grant);
             budget -= grant;
         }
-        plan
     }
 }
 

@@ -43,11 +43,10 @@ impl Scheduler for Rotor {
         Ok(())
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         self.cursor += 1;
         let jobs = ctx.jobs();
         let n = jobs.len();
-        let mut plan = AllocationPlan::new();
         let mut budget = ctx.total_containers();
         for i in 0..n {
             let job = &jobs[(i + self.cursor as usize) % n];
@@ -57,7 +56,6 @@ impl Scheduler for Rotor {
                 budget -= grant;
             }
         }
-        plan
     }
 }
 
@@ -183,9 +181,7 @@ fn restore_rejects_wrong_scheduler_name() {
         fn name(&self) -> &str {
             "other"
         }
-        fn allocate(&mut self, _ctx: &SchedContext<'_>) -> AllocationPlan {
-            AllocationPlan::new()
-        }
+        fn allocate_into(&mut self, _ctx: &SchedContext<'_>, _plan: &mut AllocationPlan) {}
     }
     let mut sim = build(Rotor::new());
     let snap = sim.snapshot_at(SimTime::from_secs(15)).expect("mid-run");
@@ -297,9 +293,8 @@ fn fork_switches_policy_and_still_completes_everything() {
         fn name(&self) -> &str {
             "greedy"
         }
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
             let mut budget = ctx.total_containers();
-            let mut plan = AllocationPlan::new();
             for j in ctx.jobs() {
                 let grant = j.max_useful_allocation().min(budget);
                 if grant > 0 {
@@ -307,7 +302,6 @@ fn fork_switches_policy_and_still_completes_everything() {
                     budget -= grant;
                 }
             }
-            plan
         }
     }
 

@@ -704,10 +704,10 @@ mod tests {
             "even"
         }
 
-        fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
             let n = ctx.jobs().len().max(1) as u32;
             let share = ctx.total_containers() / n;
-            ctx.jobs().iter().map(|j| (j.id, share)).collect()
+            plan.extend(ctx.jobs().iter().map(|j| (j.id, share)));
         }
     }
 

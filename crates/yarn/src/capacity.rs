@@ -100,17 +100,24 @@ impl CapacityScheduler {
     pub fn remove_app(&mut self, app: JobId) {
         self.capacities.remove(&app);
     }
+}
+
+impl Scheduler for CapacityScheduler {
+    fn name(&self) -> &str {
+        "CAPACITY"
+    }
+
+    fn on_job_completed(&mut self, job: JobId, _now: SimTime) {
+        self.remove_app(job);
+    }
 
     /// Allocates the cluster per the current capacities: each app queue is
     /// guaranteed `capacity × cluster` (rounded via weighted sharing), and
     /// unused guarantees spill to queues with demand (YARN elasticity).
     /// Apps without an explicit capacity get the mean capacity (a fresh
     /// queue's default share).
-    pub fn allocate_by_capacity(&self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let jobs = ctx.jobs();
-        if jobs.is_empty() {
-            return AllocationPlan::new();
-        }
         let default_weight = if self.capacities.is_empty() {
             1.0
         } else {
@@ -136,26 +143,13 @@ impl CapacityScheduler {
             .map(|&i| ShareRequest::new(jobs[i].max_useful_allocation(), weight_of(&jobs[i])))
             .collect();
         let shares = weighted_shares(ctx.total_containers(), &requests);
-        order
-            .into_iter()
-            .zip(shares)
-            .filter(|(_, s)| *s > 0)
-            .map(|(i, s)| (jobs[i].id, s))
-            .collect()
-    }
-}
-
-impl Scheduler for CapacityScheduler {
-    fn name(&self) -> &str {
-        "CAPACITY"
-    }
-
-    fn on_job_completed(&mut self, job: JobId, _now: SimTime) {
-        self.remove_app(job);
-    }
-
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
-        self.allocate_by_capacity(ctx)
+        plan.extend(
+            order
+                .into_iter()
+                .zip(shares)
+                .filter(|(_, s)| *s > 0)
+                .map(|(i, s)| (jobs[i].id, s)),
+        );
     }
 }
 
@@ -189,7 +183,7 @@ mod tests {
         sched.set_capacities([(JobId::new(0), 0.75), (JobId::new(1), 0.25)]);
         let jobs = vec![view(0, 100), view(1, 100)];
         let ctx = SchedContext::new(SimTime::ZERO, 40, &jobs);
-        let plan = sched.allocate_by_capacity(&ctx);
+        let plan = sched.allocate(&ctx);
         assert_eq!(plan.target_for(JobId::new(0)), Some(30));
         assert_eq!(plan.target_for(JobId::new(1)), Some(10));
     }
@@ -201,7 +195,7 @@ mod tests {
         // App 0 can only use 5 containers; its guarantee flows to app 1.
         let jobs = vec![view(0, 5), view(1, 100)];
         let ctx = SchedContext::new(SimTime::ZERO, 40, &jobs);
-        let plan = sched.allocate_by_capacity(&ctx);
+        let plan = sched.allocate(&ctx);
         assert_eq!(plan.target_for(JobId::new(0)), Some(5));
         assert_eq!(plan.target_for(JobId::new(1)), Some(35));
     }
@@ -217,10 +211,10 @@ mod tests {
 
     #[test]
     fn unknown_apps_get_the_default_share() {
-        let sched = CapacityScheduler::new(CapacityGranularity::Exact);
+        let mut sched = CapacityScheduler::new(CapacityGranularity::Exact);
         let jobs = vec![view(0, 100), view(1, 100)];
         let ctx = SchedContext::new(SimTime::ZERO, 10, &jobs);
-        let plan = sched.allocate_by_capacity(&ctx);
+        let plan = sched.allocate(&ctx);
         assert_eq!(plan.target_for(JobId::new(0)), Some(5));
         assert_eq!(plan.target_for(JobId::new(1)), Some(5));
     }

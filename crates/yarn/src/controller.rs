@@ -96,9 +96,9 @@ impl<S: Scheduler> Scheduler for CapacityController<S> {
         self.capacity.remove_app(job);
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         // 1. The policy decides per-job container targets…
-        let plan = self.inner.allocate(ctx);
+        self.inner.allocate_into(ctx, plan);
         // 2. …which become queue capacities ("update the configuration
         //    file"): last entry per job wins, exactly like plan targets.
         let total = ctx.total_containers().max(1) as f64;
@@ -109,8 +109,10 @@ impl<S: Scheduler> Scheduler for CapacityController<S> {
             }
         }
         self.capacity.set_capacities(fractions);
-        // 3. The capacity scheduler performs the actual allocation.
-        self.capacity.allocate_by_capacity(ctx)
+        // 3. The capacity scheduler performs the actual allocation, in
+        //    place of the policy's targets.
+        plan.clear();
+        self.capacity.allocate_into(ctx, plan);
     }
 
     fn queue_depths(&self) -> Option<Vec<u32>> {

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use lasmq_simulator::{JobId, JobView, SchedContext, Service, SimTime};
+use lasmq_simulator::{JobId, JobView, SchedContext, Scheduler, Service, SimTime};
 use lasmq_yarn::{CapacityGranularity, CapacityScheduler};
 
 fn view(id: u32, unstarted: u32) -> JobView {
@@ -47,7 +47,7 @@ proptest! {
             views.iter().zip(&fractions).map(|(v, &f)| (v.id, f)),
         );
         let ctx = SchedContext::new(SimTime::ZERO, capacity, &views);
-        let plan = sched.allocate_by_capacity(&ctx);
+        let plan = sched.allocate(&ctx);
 
         let mut totals: std::collections::HashMap<JobId, u32> = Default::default();
         for &(id, t) in plan.entries() {

@@ -24,13 +24,12 @@ impl Scheduler for SmallestDemandFirst {
         "SDF"
     }
 
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let mut order: Vec<usize> = (0..ctx.jobs().len()).collect();
         order.sort_by_key(|&i| {
             let j = &ctx.jobs()[i];
             (j.remaining_demand(), j.arrival, j.id)
         });
-        let mut plan = AllocationPlan::new();
         let mut budget = ctx.total_containers();
         for i in order {
             if budget == 0 {
@@ -43,7 +42,6 @@ impl Scheduler for SmallestDemandFirst {
                 budget -= want;
             }
         }
-        plan
     }
 }
 

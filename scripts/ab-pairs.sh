@@ -15,9 +15,10 @@
 #
 # For every end-to-end metric of BENCHMARK.json the script prints both
 # sides' medians with their quartiles and how many pairs the change won, in
-# the metric's "better" direction. It exits non-zero if the two sides'
-# `exact` lines differ (events, passes, digest), if an output check fails,
-# or if any op failed. Defaults: 10 pairs, seed 0, run_seconds of
+# the metric's "better" direction, over the pairs where both runs reported
+# the metric (the `pairs` column says how many). It exits non-zero if the
+# two sides' `exact` lines differ (events, passes, digest), if a run left
+# no result line, if an output check fails, or if any op failed. Defaults: 10 pairs, seed 0, run_seconds of
 # BENCHMARK.json. --quick runs the harness's smoke mode: the exact lines
 # still have to agree, the numbers are not a measurement.
 set -euo pipefail
@@ -103,7 +104,7 @@ def load(side, pair):
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        result = {"correct": False, "failed": None, "metrics": {}}
+        result = None
     return exact, result
 
 
@@ -123,32 +124,46 @@ sides = {s: [load(s, p) for p in range(1, pairs + 1)] for s in ("parent", "chang
 problems = []
 for side, results in sides.items():
     for pair, (exact, result) in enumerate(results, 1):
+        if result is None:
+            problems.append(f"{side} run {pair}: no result line")
+            continue
         if exact is None:
             problems.append(f"{side} run {pair}: no exact line")
         if result.get("correct") is not True:
             problems.append(f"{side} run {pair}: output checks failed")
         if result.get("failed") != 0:
             problems.append(f"{side} run {pair}: {result.get('failed')} op(s) failed")
-exacts = {side: {e for e, _ in results} for side, results in sides.items()}
-if exacts["parent"] != exacts["change"] or len(exacts["parent"]) != 1:
+# A run without a result line is reported above and takes no part in the
+# agreement check, so one broken run does not read as a behaviour change.
+exacts = {
+    side: {e for e, r in results if r is not None and e is not None}
+    for side, results in sides.items()
+}
+if len(exacts["parent"] | exacts["change"]) > 1:
     problems.append("exact lines differ:\n  parent: %s\n  change: %s" % (
         " | ".join(sorted(map(str, exacts["parent"]))),
         " | ".join(sorted(map(str, exacts["change"])))))
 
-print(f"\n{workload}: {pairs} alternating pair(s), median [q1, q3]")
-print(f"{'metric':12} {'parent':>30} {'change':>30} {'change/parent':>14} {'won':>6}")
+print(f"\n{workload}: {pairs} alternating pair(s), median [q1, q3] over the pairs")
+print("where both sides reported the metric")
+print(f"{'metric':12} {'pairs':>6} {'parent':>30} {'change':>30} {'change/parent':>14} {'won':>6}")
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
-    value = lambda r: r["metrics"].get(name, {}).get("value")
-    vals = {s: [value(r) for _, r in results] for s, results in sides.items()}
-    if any(v is None for vs in vals.values() for v in vs):
+    value = lambda r: None if r is None else r["metrics"].get(name, {}).get("value")
+    both = [
+        (value(p), value(c))
+        for (_, p), (_, c) in zip(sides["parent"], sides["change"])
+        if value(p) is not None and value(c) is not None
+    ]
+    if not both:
         print(f"{name:12} missing")
         continue
-    stats = [quartiles(vals[s]) for s in ("parent", "change")]
+    stats = [quartiles(side) for side in zip(*both)]
     cells = [f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3 in stats]
     ratio = stats[1][1] / stats[0][1] if stats[0][1] else float("nan")
-    won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
-    print(f"{name:12} {cells[0]:>30} {cells[1]:>30} {ratio:>13.3f}x {won:>3}/{pairs}")
+    won = sum((c > p) if higher else (c < p) for p, c in both)
+    used = f"{len(both)}/{pairs}"
+    print(f"{name:12} {used:>6} {cells[0]:>30} {cells[1]:>30} {ratio:>13.3f}x {won:>3}/{len(both)}")
 if problems:
     print("FAILED:\n" + "\n".join(problems))
     sys.exit(1)

@@ -195,9 +195,9 @@ impl Scheduler for Blind {
     fn on_job_completed(&mut self, job: JobId, now: SimTime) {
         self.0.on_job_completed(job, now);
     }
-    fn allocate(&mut self, ctx: &SchedContext<'_>) -> AllocationPlan {
+    fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         assert!(ctx.jobs().iter().all(|view| view.oracle.is_none()));
-        self.0.allocate(ctx)
+        self.0.allocate_into(ctx, plan)
     }
 }
 
@@ -208,7 +208,7 @@ fn las_mq_views_never_carry_sizes() {
     let report = SimSetup::trace_sim()
         .build_simulation_with(jobs, las_mq, false)
         .run();
-    // Jobs only finish on containers that `allocate` granted.
+    // Jobs only finish on containers that `allocate_into` granted.
     assert!(report.all_completed());
 }
 
