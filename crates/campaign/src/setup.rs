@@ -1,8 +1,8 @@
 //! Shared simulation setups for the paper's two evaluation environments.
 
 use lasmq_simulator::{
-    ClusterConfig, FailureConfig, JobSpec, PreemptionPolicy, Scheduler, SimDuration, SimError,
-    SimSnapshot, Simulation, SimulationReport, SpeculationConfig,
+    ClusterConfig, FailureConfig, JobSpec, PreemptionPolicy, Scheduler, SimDuration, Simulation,
+    SimulationReport, SpeculationConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -195,22 +195,6 @@ impl SimSetup {
         builder
             .build(scheduler)
             .expect("experiment setup must be valid")
-    }
-
-    /// Rebuilds a paused simulation of `kind` from a mid-run `snapshot`
-    /// (the snapshot embeds the full setup, so `self` only supplies the
-    /// scheduler instance — a snapshot taken under a different setup has a
-    /// different cache fingerprint and never reaches this call).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Simulation::restore`] errors: schema or scheduler
-    /// mismatch, or scheduler state the instance rejects.
-    pub fn resume_simulation(
-        snapshot: SimSnapshot,
-        kind: &SchedulerKind,
-    ) -> Result<Simulation<Box<dyn Scheduler>>, SimError> {
-        Simulation::restore(snapshot, kind.build())
     }
 }
 

@@ -37,7 +37,8 @@ use lasmq_campaign::{
 use lasmq_simulator::testkit;
 use lasmq_simulator::{
     AllocationPlan, EngineStats, FailureConfig, JobId, JobSpec, JobView, QueueDemotion,
-    SchedContext, Scheduler, Service, SimSnapshot, SimTime, SimulationReport, SpeculationConfig,
+    SchedContext, Scheduler, Service, SimSnapshot, SimTime, Simulation, SimulationReport,
+    SpeculationConfig,
 };
 use lasmq_workload::{FacebookTrace, PumaWorkload};
 
@@ -162,7 +163,7 @@ fn speculating_fair_run_resumes_to_the_same_report_and_later_snapshot() {
         .expect("mid-run")
         .to_json();
     let half = SimSnapshot::from_json(&half).expect("snapshot JSON parses");
-    let mut resumed = SimSetup::resume_simulation(half, &kind).expect("restores");
+    let mut resumed = Simulation::restore(half, kind.build()).expect("restores");
     let a = straight.snapshot_at(late).expect("still running").to_json();
     let b = resumed.snapshot_at(late).expect("still running").to_json();
     assert!(a == b, "snapshot bytes diverged after a restore");
@@ -208,7 +209,7 @@ fn demand_ordered_las_mq_snapshot_is_canonical_and_a_live_order_payload_loads() 
 
     for json in [&half, &old] {
         let revived = SimSnapshot::from_json(json).expect("snapshot JSON parses");
-        let mut resumed = SimSetup::resume_simulation(revived, &kind).expect("restores");
+        let mut resumed = Simulation::restore(revived, kind.build()).expect("restores");
         assert!(
             resumed.snapshot().to_json() == half,
             "restore is not canonical"
@@ -290,7 +291,7 @@ fn every_kind_snapshot_restores_byte_identically_mid_run() {
             "{kind}: snapshot JSON round-trip is not byte-identical"
         );
 
-        let resumed = SimSetup::resume_simulation(revived, &kind)
+        let resumed = Simulation::restore(revived, kind.build())
             .unwrap_or_else(|e| panic!("{kind}: restore rejected its own snapshot: {e}"))
             .run();
         assert_eq!(

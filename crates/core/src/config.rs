@@ -50,8 +50,6 @@ pub enum QueueWeights {
         /// The decay ratio between consecutive queues (must be ≥ 1).
         ratio: f64,
     },
-    /// Explicit per-queue weights (must match the queue count).
-    Custom(Vec<f64>),
 }
 
 impl QueueWeights {
@@ -60,8 +58,7 @@ impl QueueWeights {
     ///
     /// # Panics
     ///
-    /// Panics if a custom vector's length differs from `k`, contains a
-    /// non-finite or negative weight, or a geometric ratio is below 1.
+    /// Panics if a geometric ratio is below 1.
     pub fn vector(&self, k: usize) -> Vec<f64> {
         match self {
             QueueWeights::Equal => vec![1.0; k],
@@ -71,13 +68,6 @@ impl QueueWeights {
                     "geometric ratio must be >= 1"
                 );
                 (0..k).map(|i| ratio.powi(-(i as i32))).collect()
-            }
-            QueueWeights::Custom(weights) => {
-                assert_eq!(weights.len(), k, "custom weights must cover every queue");
-                for &w in weights {
-                    assert!(w.is_finite() && w >= 0.0, "weights must be non-negative");
-                }
-                weights.clone()
             }
         }
     }
@@ -297,18 +287,6 @@ mod tests {
     #[test]
     fn equal_weights_are_flat() {
         assert_eq!(QueueWeights::Equal.vector(3), vec![1.0; 3]);
-    }
-
-    #[test]
-    fn custom_weights_roundtrip() {
-        let w = QueueWeights::Custom(vec![3.0, 1.0]).vector(2);
-        assert_eq!(w, vec![3.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every queue")]
-    fn custom_weights_length_checked() {
-        let _ = QueueWeights::Custom(vec![1.0]).vector(2);
     }
 
     #[test]

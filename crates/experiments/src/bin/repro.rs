@@ -8,7 +8,8 @@
 //!       <table1|fig3|fig5|fig6|fig7|fig8|extensions|fork-compare|robustness|train|all>
 //! repro campaign-status
 //! repro trace-gen <facebook|uniform|puma> [--jobs N] [--seed S] [--out FILE]
-//! repro trace-run <FILE> [--scheduler fifo|fair|las|las_mq|ps|learned|sjf|srtf|sjf-est]
+//! repro trace-run <FILE> [--scheduler fifo|fair|las|las_mq|ps|learned|sjf|srtf|sjf-est|
+//!                                     fsp|hfsp|wfp3|unicef]
 //!                 [--containers N] [--policy FILE]
 //! ```
 //!

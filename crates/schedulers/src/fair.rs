@@ -10,9 +10,9 @@
 //! Under many concurrently running large jobs, Fair degrades to processor
 //! sharing — the failure mode LAS_MQ is designed to avoid.
 
-use lasmq_simulator::{AllocationPlan, JobView, SchedContext, Scheduler};
+use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
 
-use crate::share::{weighted_shares_into, ShareRequest, ShareScratch};
+use crate::{rank_and_share, RankShareScratch};
 
 /// Serialized snapshot of the Fair scheduler. Fair recomputes shares from
 /// scratch every pass, so the only thing worth checking on restore is that
@@ -35,13 +35,8 @@ struct FairState {
 #[derive(Debug, Clone, Default)]
 pub struct Fair {
     ignore_priorities: bool,
-    /// Reused per-pass buffers: `(usage over weight, slot)` in service
-    /// order, the share requests and shares in that order, and the share
-    /// computation's working memory. Hold no state between passes.
-    order: Vec<(f64, usize)>,
-    requests: Vec<ShareRequest>,
-    shares: Vec<u32>,
-    share_scratch: ShareScratch,
+    /// The share kernel's reused working memory; no state between passes.
+    scratch: RankShareScratch<(SimTime, JobId)>,
 }
 
 impl Fair {
@@ -88,51 +83,19 @@ impl Scheduler for Fair {
     }
 
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
-        let jobs = ctx.jobs();
         // YARN's fair policy orders apps by usage over weight; replicating
         // that here sends integer-rounding surplus containers to the jobs
         // furthest below their fair share, so equal jobs rotate (processor
         // sharing) rather than the first N monopolizing the rounding bonus.
         let ignore_priorities = self.ignore_priorities;
-        let weight = |job: &JobView| {
-            if ignore_priorities {
-                1.0
-            } else {
-                f64::from(job.priority)
-            }
+        let weight = move |j: &JobView| f64::from(if ignore_priorities { 1 } else { j.priority });
+        let usage = |j: &JobView| {
+            (
+                j.attained.as_container_secs() / weight(j),
+                (j.admitted_at, j.id),
+            )
         };
-        // The usage key is computed once per job, not once per comparison.
-        self.order.clear();
-        self.order.extend(
-            jobs.iter()
-                .enumerate()
-                .map(|(i, j)| (j.attained.as_container_secs() / weight(j), i)),
-        );
-        self.order.sort_by(|&(usage_a, a), &(usage_b, b)| {
-            usage_a
-                .total_cmp(&usage_b)
-                .then_with(|| jobs[a].admitted_at.cmp(&jobs[b].admitted_at))
-                .then_with(|| jobs[a].id.cmp(&jobs[b].id))
-        });
-        self.requests.clear();
-        self.requests.extend(
-            self.order.iter().map(|&(_, i)| {
-                ShareRequest::new(jobs[i].max_useful_allocation(), weight(&jobs[i]))
-            }),
-        );
-        weighted_shares_into(
-            ctx.total_containers(),
-            &self.requests,
-            &mut self.share_scratch,
-            &mut self.shares,
-        );
-        plan.extend(
-            self.order
-                .iter()
-                .zip(&self.shares)
-                .filter(|(_, &share)| share > 0)
-                .map(|(&(_, i), &share)| (jobs[i].id, share)),
-        );
+        rank_and_share(ctx, plan, &mut self.scratch, usage, weight);
     }
 }
 

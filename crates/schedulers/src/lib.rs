@@ -31,10 +31,13 @@
 //! corrupt the oracle size through the shared [`noise::SizeNoise`] model,
 //! so the robustness campaign compares them on identical noisy traces.
 //!
-//! Every policy that is "key each job, sort, grant in that order" — LAS,
-//! SJF, SRTF, SJF-est, WFP3, UNICEF and LEARNED — is one closure handed to
-//! [`rank_and_grant`]; a policy file holds its key and tie-break and
-//! nothing else.
+//! The zoo has two kernels, and a policy file holds its key, tie-break and
+//! weight and nothing else. Every policy that is "key each job, sort,
+//! grant in that order" — LAS, SJF, SRTF, SJF-est, WFP3, UNICEF and
+//! LEARNED — is one closure handed to [`rank_and_grant`]. FAIR, PS and
+//! `lasmq-yarn`'s capacity scheduler rank the same way, then split the
+//! cluster by weight in that order: a key and a weight handed to
+//! [`rank_and_share`].
 //!
 //! Two further information-agnostic entries extend the lineup beyond the
 //! paper's legend:
@@ -46,8 +49,8 @@
 //!   signals only; trained by `ext_train` in `lasmq-experiments`).
 //!
 //! The [`share`] module provides the demand-capped weighted max-min
-//! primitive shared by `Fair` (and by LAS_MQ's across-queue sharing in
-//! `lasmq-core`).
+//! primitive under [`rank_and_share`] and LAS_MQ's across-queue sharing in
+//! `lasmq-core`.
 //!
 //! # Examples
 //!
@@ -90,6 +93,8 @@ pub use ps::Ps;
 
 use lasmq_simulator::{AllocationPlan, JobView, OracleInfo, SchedContext};
 
+use crate::share::{weighted_shares_into, ShareRequest, ShareScratch};
+
 /// Ranks the context's jobs by `key` and grants in that order into
 /// `plan`: smallest primary key first under IEEE 754 `totalOrder` (so NaN
 /// keys stay orderable; negate a score to serve the highest first), then
@@ -114,15 +119,86 @@ use lasmq_simulator::{AllocationPlan, JobView, OracleInfo, SchedContext};
 pub fn rank_and_grant<T: Ord>(
     ctx: &SchedContext<'_>,
     plan: &mut AllocationPlan,
-    mut key: impl FnMut(&JobView) -> (f64, T),
+    key: impl FnMut(&JobView) -> (f64, T),
 ) {
-    let mut ranked: Vec<_> = ctx.jobs().iter().map(|j| (key(j), j)).collect();
-    ranked.sort_by(|((a, ta), _), ((b, tb), _)| a.total_cmp(b).then_with(|| ta.cmp(tb)));
+    let jobs = ctx.jobs();
+    let mut ranked = Vec::new();
+    rank(jobs, key, &mut ranked);
     grant_in_order(
         plan,
-        ranked.into_iter().map(|(_, j)| j),
+        ranked.iter().map(|&(_, i)| &jobs[i]),
         ctx.total_containers(),
     );
+}
+
+/// Ranks the context's jobs by `key` exactly as [`rank_and_grant`] does,
+/// then splits the cluster among them in that order by demand-capped
+/// weighted max-min sharing ([`share::weighted_shares`]) with each job's
+/// `weight`; the rank decides who gets the rounding surplus. Pushes the
+/// positive shares into `plan` in rank order. `scratch` is reused, so a
+/// warm pass allocates nothing. Panics on a negative or non-finite weight.
+///
+/// # Examples
+///
+/// ```
+/// use lasmq_schedulers::{rank_and_share, RankShareScratch};
+/// use lasmq_simulator::testkit::view;
+/// use lasmq_simulator::{AllocationPlan, JobId, SchedContext, SimTime};
+///
+/// // Equal weights over 5 containers: the lower id takes the odd one.
+/// let jobs = [view(1), view(0)];
+/// let ctx = SchedContext::new(SimTime::ZERO, 5, &jobs);
+/// let (mut plan, mut scratch) = (AllocationPlan::new(), RankShareScratch::default());
+/// rank_and_share(&ctx, &mut plan, &mut scratch, |j| (0.0, j.id), |_| 1.0);
+/// assert_eq!(plan.entries(), &[(JobId::new(0), 3), (JobId::new(1), 2)]);
+/// ```
+pub fn rank_and_share<T: Ord>(
+    ctx: &SchedContext<'_>,
+    plan: &mut AllocationPlan,
+    scratch: &mut RankShareScratch<T>,
+    key: impl FnMut(&JobView) -> (f64, T),
+    mut weight: impl FnMut(&JobView) -> f64,
+) {
+    let jobs = ctx.jobs();
+    rank(jobs, key, &mut scratch.ranked);
+    let in_rank = || scratch.ranked.iter().map(|&(_, i)| &jobs[i]);
+    let requests = in_rank().map(|j| ShareRequest::new(j.max_useful_allocation(), weight(j)));
+    scratch.requests.clear();
+    scratch.requests.extend(requests);
+    weighted_shares_into(
+        ctx.total_containers(),
+        &scratch.requests,
+        &mut scratch.share,
+        &mut scratch.shares,
+    );
+    plan.extend(
+        in_rank()
+            .zip(&scratch.shares)
+            .filter(|(_, &s)| s > 0)
+            .map(|(j, &s)| (j.id, s)),
+    );
+}
+
+/// Reusable working memory for [`rank_and_share`], typed by the policy's
+/// tie-break `T`. Holds nothing between passes.
+#[derive(Debug, Clone, Default)]
+pub struct RankShareScratch<T> {
+    ranked: Vec<((f64, T), usize)>,
+    requests: Vec<ShareRequest>,
+    shares: Vec<u32>,
+    share: ShareScratch,
+}
+
+/// The ranking both kernels share: `(key, slot)` per job, smallest key
+/// first under `totalOrder`, then the tie-break, stable in slot order.
+fn rank<T: Ord>(
+    jobs: &[JobView],
+    mut key: impl FnMut(&JobView) -> (f64, T),
+    ranked: &mut Vec<((f64, T), usize)>,
+) {
+    ranked.clear();
+    ranked.extend(jobs.iter().enumerate().map(|(i, j)| (key(j), i)));
+    ranked.sort_by(|((a, ta), _), ((b, tb), _)| a.total_cmp(b).then_with(|| ta.cmp(tb)));
 }
 
 /// The ground truth an oracle-family scheduler reads from a view.

@@ -15,7 +15,7 @@
 
 use lasmq_simulator::{AllocationPlan, SchedContext, Scheduler};
 
-use crate::share::{weighted_shares, ShareRequest};
+use crate::{rank_and_share, RankShareScratch};
 
 /// Equal-share processor sharing.
 ///
@@ -27,15 +27,16 @@ use crate::share::{weighted_shares, ShareRequest};
 ///
 /// assert_eq!(Ps::new().name(), "PS");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Ps {
-    _private: (),
+    /// The share kernel's reused working memory; no state between passes.
+    scratch: RankShareScratch<()>,
 }
 
 impl Ps {
     /// Creates the PS scheduler.
     pub fn new() -> Self {
-        Ps { _private: () }
+        Ps::default()
     }
 }
 
@@ -48,20 +49,10 @@ impl Scheduler for Ps {
         false
     }
 
-    // PS recomputes equal shares from demand every pass; no state.
+    // PS recomputes equal shares from demand every pass; no state. One
+    // constant key keeps admission order.
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
-        let jobs = ctx.jobs();
-        let requests: Vec<ShareRequest> = jobs
-            .iter()
-            .map(|j| ShareRequest::new(j.max_useful_allocation(), 1.0))
-            .collect();
-        let shares = weighted_shares(ctx.total_containers(), &requests);
-        plan.extend(
-            jobs.iter()
-                .zip(shares)
-                .filter(|(_, s)| *s > 0)
-                .map(|(j, s)| (j.id, s)),
-        );
+        rank_and_share(ctx, plan, &mut self.scratch, |_| (0.0, ()), |_| 1.0);
     }
 }
 

@@ -1,10 +1,12 @@
 //! Weighted max-min fair sharing with demand caps.
 //!
-//! Both the Fair baseline (weights = job priorities) and LAS_MQ's
-//! across-queue sharing (weights = queue weights) need the same primitive:
-//! split an integer pool of containers among parties in proportion to
-//! weights, never giving a party more than its demand, and redistributing
+//! Splits an integer pool of containers among parties in proportion to
+//! weights, never giving a party more than its demand, and redistributes
 //! what capped parties cannot use (progressive filling / water-filling).
+//! It is the second half of the [`rank_and_share`](crate::rank_and_share)
+//! kernel (FAIR, PS, the YARN capacity scheduler); LAS_MQ calls it directly
+//! to share across its queues. [`rank_and_grant`](crate::rank_and_grant)
+//! grants whole demands and does not use it.
 
 /// One party in a weighted share computation.
 #[derive(Debug, Clone, Copy, PartialEq)]

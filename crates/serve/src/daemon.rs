@@ -268,7 +268,7 @@ impl Daemon {
                         kind = snap.kind.clone();
                         accepted = snap.accepted;
                         deferred = snap.deferred;
-                        restored = Some(SimSetup::resume_simulation(snap.sim, &kind)?);
+                        restored = Some(Simulation::restore(snap.sim, kind.build())?);
                     }
                     Err(SnapshotLoadError::Missing) => {}
                     Err(e) => {

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use lasmq_schedulers::share::{weighted_shares, ShareRequest};
+use lasmq_schedulers::{rank_and_share, RankShareScratch};
 use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
 
 /// Capacity granularity modes, mirroring how fine a real configuration
@@ -59,6 +59,8 @@ impl CapacityGranularity {
 pub struct CapacityScheduler {
     granularity: CapacityGranularity,
     capacities: HashMap<JobId, f64>,
+    /// The share kernel's reused working memory; no state between passes.
+    scratch: RankShareScratch<JobId>,
 }
 
 impl CapacityScheduler {
@@ -67,6 +69,7 @@ impl CapacityScheduler {
         CapacityScheduler {
             granularity,
             capacities: HashMap::new(),
+            scratch: RankShareScratch::default(),
         }
     }
 
@@ -117,39 +120,22 @@ impl Scheduler for CapacityScheduler {
     /// Apps without an explicit capacity get the mean capacity (a fresh
     /// queue's default share).
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
-        let jobs = ctx.jobs();
         let default_weight = if self.capacities.is_empty() {
             1.0
         } else {
             (self.capacities.values().sum::<f64>() / self.capacities.len() as f64).max(1e-6)
         };
-        // Serve queues in descending capacity so the rounding bonus lands
-        // on the largest guarantees; ties by id for determinism.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        let weight_of = |view: &JobView| -> f64 {
+        let capacity = |view: &JobView| -> f64 {
             self.capacities
                 .get(&view.id)
                 .copied()
                 .unwrap_or(default_weight)
                 .max(1e-9)
         };
-        order.sort_by(|&a, &b| {
-            weight_of(&jobs[b])
-                .total_cmp(&weight_of(&jobs[a]))
-                .then_with(|| jobs[a].id.cmp(&jobs[b].id))
-        });
-        let requests: Vec<ShareRequest> = order
-            .iter()
-            .map(|&i| ShareRequest::new(jobs[i].max_useful_allocation(), weight_of(&jobs[i])))
-            .collect();
-        let shares = weighted_shares(ctx.total_containers(), &requests);
-        plan.extend(
-            order
-                .into_iter()
-                .zip(shares)
-                .filter(|(_, s)| *s > 0)
-                .map(|(i, s)| (jobs[i].id, s)),
-        );
+        // Serve queues in descending capacity so the rounding bonus lands
+        // on the largest guarantees; ties by id for determinism.
+        let descending = |j: &JobView| (-capacity(j), j.id);
+        rank_and_share(ctx, plan, &mut self.scratch, descending, capacity);
     }
 }
 

@@ -100,15 +100,16 @@ impl<S: Scheduler> Scheduler for CapacityController<S> {
         // 1. The policy decides per-job container targets…
         self.inner.allocate_into(ctx, plan);
         // 2. …which become queue capacities ("update the configuration
-        //    file"): last entry per job wins, exactly like plan targets.
+        //    file"): 0 for every job, then each entry of a job in the pass
+        //    overwrites it, so the last entry wins, exactly like targets.
         let total = ctx.total_containers().max(1) as f64;
-        let mut fractions: Vec<(JobId, f64)> = ctx.jobs().iter().map(|j| (j.id, 0.0)).collect();
+        self.capacity
+            .set_capacities(ctx.jobs().iter().map(|j| (j.id, 0.0)));
         for &(job, target) in plan.entries() {
-            if let Some(slot) = fractions.iter_mut().find(|(id, _)| *id == job) {
-                slot.1 = target as f64 / total;
+            if self.capacity.capacities().contains_key(&job) {
+                self.capacity.set_capacity(job, target as f64 / total);
             }
         }
-        self.capacity.set_capacities(fractions);
         // 3. The capacity scheduler performs the actual allocation, in
         //    place of the policy's targets.
         plan.clear();

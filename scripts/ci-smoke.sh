@@ -62,13 +62,6 @@ million_job_perf() {
     ./target/release/perf-smoke --trace scale --iters 1 --check BENCH_7.json
 }
 
-reproduction() {
-    ./target/release/repro --help
-    ./target/release/repro fig3 --quick --threads 2
-    ./target/release/repro fig3 --quick --threads 2   # warm cache
-    ./target/release/repro campaign-status
-}
-
 trace_bytes() {
     # Trace files keep their bytes however job specs are stored in
     # memory: each generator's output must hash to what commit 9a9ccf6
@@ -164,20 +157,6 @@ verify() {
     echo "verified run artifacts are byte-identical to the unverified reference"
 }
 
-robustness() {
-    # The estimation-error campaign at --quick scale: the full
-    # 13-scheduler zoo (including the new FSP/HFSP/WFP3/UNICEF
-    # estimate-based schedulers) swept across a downscaled noise
-    # sigma × load grid on both traces with the invariant checker
-    # armed on every cell. The run must emit both the grid CSV and
-    # the LAS_MQ-vs-rival crossover CSV.
-    ./target/release/repro robustness --quick --threads 2 --no-cache --verify \
-        --out target/robustness-smoke
-    test -s target/robustness-smoke/robustness_0.csv
-    test -s target/robustness-smoke/robustness_1.csv
-    head -3 target/robustness-smoke/robustness_1.csv
-}
-
 training() {
     # The policy trainer end to end at smoke scale: a tiny cross-entropy
     # run (2 rounds, population 8, downscaled PUMA via --quick) whose
@@ -259,8 +238,8 @@ EOF
 
 # In the order ci.yml ran them.
 steps=(perf_smoke benchmark_harness engine_bit_identity ab_pairs
-    million_job_perf reproduction trace_bytes quick_bytes docs_match interrupt_resume verify
-    robustness training serve telemetry)
+    million_job_perf trace_bytes quick_bytes docs_match interrupt_resume verify
+    training serve telemetry)
 
 table=$(printf '%-20s %8s  %s' step seconds result)
 failed=0
