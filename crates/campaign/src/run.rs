@@ -1,6 +1,6 @@
 //! One campaign cell and its content address.
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use crate::kind::SchedulerKind;
 use crate::setup::SimSetup;
@@ -67,14 +67,22 @@ impl RunCell {
     /// simulation's outcome — scheduler configuration, workload knobs,
     /// environment — feeds the hash; the label does not.
     pub fn fingerprint(&self) -> String {
-        let descriptor = Value::Object(vec![
-            ("schema".into(), CACHE_SCHEMA_VERSION.to_value()),
-            ("scheduler".into(), self.scheduler.to_value()),
-            ("workload".into(), self.workload.to_value()),
-            ("setup".into(), self.setup.to_value()),
-        ]);
-        let json = serde_json::to_string(&descriptor).expect("run descriptors always serialize");
-        format!("{:032x}", fnv1a_128(json.as_bytes()))
+        format!("{:032x}", fnv1a_128(self.descriptor().as_bytes()))
+    }
+
+    /// The canonical JSON the fingerprint hashes:
+    /// `{"schema":..,"scheduler":..,"workload":..,"setup":..}`.
+    fn descriptor(&self) -> String {
+        let mut json = String::from("{\"schema\":");
+        CACHE_SCHEMA_VERSION.write_json(&mut json);
+        json.push_str(",\"scheduler\":");
+        self.scheduler.write_json(&mut json);
+        json.push_str(",\"workload\":");
+        self.workload.write_json(&mut json);
+        json.push_str(",\"setup\":");
+        self.setup.write_json(&mut json);
+        json.push('}');
+        json
     }
 }
 
@@ -105,6 +113,19 @@ mod tests {
             },
             SimSetup::trace_sim(),
         )
+    }
+
+    #[test]
+    fn descriptor_matches_the_untyped_tree() {
+        use serde::Value;
+        let c = cell("a", 3);
+        let tree = Value::Object(vec![
+            ("schema".into(), CACHE_SCHEMA_VERSION.to_value()),
+            ("scheduler".into(), c.scheduler.to_value()),
+            ("workload".into(), c.workload.to_value()),
+            ("setup".into(), c.setup.to_value()),
+        ]);
+        assert_eq!(c.descriptor(), serde_json::to_string(&tree).unwrap());
     }
 
     #[test]

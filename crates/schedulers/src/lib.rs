@@ -133,7 +133,7 @@ pub fn rank_and_grant<T: Ord>(
 
 /// Ranks the context's jobs by `key` exactly as [`rank_and_grant`] does,
 /// then splits the cluster among them in that order by demand-capped
-/// weighted max-min sharing ([`share::weighted_shares`]) with each job's
+/// weighted max-min sharing ([`share::weighted_shares_into`]) with each job's
 /// `weight`; the rank decides who gets the rounding surplus. Pushes the
 /// positive shares into `plan` in rank order. `scratch` is reused, so a
 /// warm pass allocates nothing. Panics on a negative or non-finite weight.

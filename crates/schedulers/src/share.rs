@@ -38,7 +38,9 @@ pub struct ShareScratch {
 }
 
 /// Splits `capacity` containers among `requests` by weighted max-min
-/// fairness with demand caps.
+/// fairness with demand caps, into a caller-owned output buffer with
+/// caller-owned scratch space (zero allocations once the buffers are
+/// warm).
 ///
 /// Guarantees:
 ///
@@ -55,28 +57,18 @@ pub struct ShareScratch {
 /// # Examples
 ///
 /// ```
-/// use lasmq_schedulers::share::{weighted_shares, ShareRequest};
+/// use lasmq_schedulers::share::{weighted_shares_into, ShareRequest, ShareScratch};
 ///
 /// // Priorities 1 and 3 over 8 containers, ample demand: 2 vs 6.
-/// let alloc = weighted_shares(
+/// let mut alloc = Vec::new();
+/// weighted_shares_into(
 ///     8,
 ///     &[ShareRequest::new(100, 1.0), ShareRequest::new(100, 3.0)],
+///     &mut ShareScratch::default(),
+///     &mut alloc,
 /// );
 /// assert_eq!(alloc, vec![2, 6]);
 /// ```
-pub fn weighted_shares(capacity: u32, requests: &[ShareRequest]) -> Vec<u32> {
-    let mut out = Vec::new();
-    weighted_shares_into(capacity, requests, &mut ShareScratch::default(), &mut out);
-    out
-}
-
-/// [`weighted_shares`] into a caller-owned output buffer with caller-owned
-/// scratch space — identical results, zero allocations once the buffers
-/// are warm.
-///
-/// # Panics
-///
-/// Panics if any weight is negative or not finite.
 pub fn weighted_shares_into(
     capacity: u32,
     requests: &[ShareRequest],
@@ -192,6 +184,12 @@ mod tests {
 
     fn total(v: &[u32]) -> u32 {
         v.iter().sum()
+    }
+
+    fn weighted_shares(capacity: u32, requests: &[ShareRequest]) -> Vec<u32> {
+        let mut out = Vec::new();
+        weighted_shares_into(capacity, requests, &mut ShareScratch::default(), &mut out);
+        out
     }
 
     #[test]

@@ -3,9 +3,15 @@
 
 use proptest::prelude::*;
 
-use lasmq_schedulers::share::{weighted_shares, ShareRequest};
+use lasmq_schedulers::share::{weighted_shares_into, ShareRequest, ShareScratch};
 use lasmq_schedulers::{Fair, Fifo, Las};
 use lasmq_simulator::{JobId, JobView, SchedContext, Scheduler, Service, SimTime};
+
+fn weighted_shares(capacity: u32, requests: &[ShareRequest]) -> Vec<u32> {
+    let mut out = Vec::new();
+    weighted_shares_into(capacity, requests, &mut ShareScratch::default(), &mut out);
+    out
+}
 
 fn view_strategy() -> impl Strategy<Value = JobView> {
     (

@@ -24,7 +24,8 @@
 //! than 8 MiB is answered with an error and its connection closed.
 
 use lasmq_simulator::JobSpec;
-use serde::{Deserialize, Serialize, Value};
+use serde::codec::{Lexer, Slot};
+use serde::{Deserialize, Serialize};
 
 use lasmq_campaign::LatencySummary;
 
@@ -58,26 +59,31 @@ impl Request {
     /// A human-readable description of what is malformed — returned to
     /// the client as `{"ok":false,"error":...}`.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let value =
-            serde_json::parse_value_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-        let entries = value
-            .as_object()
-            .ok_or_else(|| format!("expected a JSON object, got {}", value.kind()))?;
-        let op = field(entries, "op")?
-            .as_str()
-            .ok_or_else(|| "field 'op' must be a string".to_string())?;
-        match op {
+        let fields = RequestFields::read(line)?;
+        let op = match fields.op.into_inner() {
+            None => return Err(missing("op")),
+            Some(Ok(op)) => op,
+            Some(Err(_)) => return Err("field 'op' must be a string".to_string()),
+        };
+        match op.as_str() {
             "ping" => Ok(Request::Ping),
-            "submit" => {
-                let job = field(entries, "job")?;
-                let spec = JobSpec::from_value(job)
-                    .map_err(|e| format!("field 'job' is not a valid job spec: {e}"))?;
-                Ok(Request::Submit(Box::new(spec)))
-            }
+            "submit" => match fields.job.into_inner() {
+                None => Err(missing("job")),
+                Some(Ok(spec)) => Ok(Request::Submit(Box::new(spec))),
+                Some(Err(e)) => Err(format!("field 'job' is not a valid job spec: {e}")),
+            },
             "status" => Ok(Request::Status),
             "metrics" => Ok(Request::Metrics),
-            "job" => Ok(Request::Job(u32_field(entries, "id")?)),
-            "advance" => Ok(Request::Advance(u64_field(entries, "to_ms")?)),
+            "job" => match fields.id.into_inner() {
+                None => Err(missing("id")),
+                Some(Ok(id)) => Ok(Request::Job(id)),
+                Some(Err(e)) => Err(format!("field 'id' must be a u32: {e}")),
+            },
+            "advance" => match fields.to_ms.into_inner() {
+                None => Err(missing("to_ms")),
+                Some(Ok(to_ms)) => Ok(Request::Advance(to_ms)),
+                Some(Err(e)) => Err(format!("field 'to_ms' must be an unsigned integer: {e}")),
+            },
             "snapshot" => Ok(Request::Snapshot),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown op '{other}'")),
@@ -85,17 +91,52 @@ impl Request {
     }
 }
 
-fn field<'a>(entries: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    serde::__get(entries, key).ok_or_else(|| format!("missing field '{key}'"))
+fn missing(key: &str) -> String {
+    format!("missing field '{key}'")
 }
 
-fn u64_field(entries: &[(String, Value)], key: &str) -> Result<u64, String> {
-    u64::from_value(field(entries, key)?)
-        .map_err(|e| format!("field '{key}' must be an unsigned integer: {e}"))
+/// The top-level fields any request reads, each at its first occurrence,
+/// pulled from the line in one pass: a submit's `job` is read straight
+/// into a [`JobSpec`], with no tree in between.
+#[derive(Default)]
+struct RequestFields {
+    op: Slot<String>,
+    job: Slot<JobSpec>,
+    id: Slot<u32>,
+    to_ms: Slot<u64>,
 }
 
-fn u32_field(entries: &[(String, Value)], key: &str) -> Result<u32, String> {
-    u32::from_value(field(entries, key)?).map_err(|e| format!("field '{key}' must be a u32: {e}"))
+impl RequestFields {
+    /// Reads the line's object. Malformed JSON anywhere in the line is
+    /// reported before anything about its fields.
+    fn read(line: &str) -> Result<RequestFields, String> {
+        if !line
+            .trim_start_matches([' ', '\t', '\n', '\r'])
+            .starts_with('{')
+        {
+            // Not an object: the untyped reader names what it is.
+            let value =
+                serde_json::parse_value_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
+            return Err(format!("expected a JSON object, got {}", value.kind()));
+        }
+        let mut fields = RequestFields::default();
+        Lexer::read_document_with(line, |lex| {
+            lex.open_object("request")?;
+            let mut more = false;
+            while let Some(key) = lex.next_key(&mut more)? {
+                match &*key {
+                    "op" => lex.fill(&mut fields.op)?,
+                    "job" => lex.fill(&mut fields.job)?,
+                    "id" => lex.fill(&mut fields.id)?,
+                    "to_ms" => lex.fill(&mut fields.to_ms)?,
+                    _ => lex.skip_value()?,
+                }
+            }
+            Ok(())
+        })
+        .map_err(|e| format!("malformed JSON: {e}"))?;
+        Ok(fields)
+    }
 }
 
 /// `{"ok":false,...}` — request failed or was deferred.

@@ -204,6 +204,128 @@ fn malformed_lines_get_errors_and_do_not_wedge_the_connection() {
     handle.join().unwrap();
 }
 
+/// Malformed requests and the exact error each gets: what a client sees
+/// must not depend on how the line is parsed.
+const MALFORMED: &[(&str, &str)] = &[
+    (r#"{"op":"submit"}"#, r#"missing field 'job'"#),
+    (
+        r#"{"op":"submit","job":1}"#,
+        r#"field 'job' is not a valid job spec: expected object while deserializing JobSpec"#,
+    ),
+    (
+        r#"{"op":"submit","job":{}}"#,
+        r#"field 'job' is not a valid job spec: missing field 'arrival' of JobSpec"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0,"stages":["#,
+        r#"malformed JSON: JSON syntax error at byte 80: unexpected end of input"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0,"stages":[]}} trailing"#,
+        r#"malformed JSON: JSON syntax error at byte 84: trailing characters after JSON document"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":"soon","priority":300}}"#,
+        r#"field 'job' is not a valid job spec: expected unsigned integer while deserializing string"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"priority":300,"arrival":"soon"}}"#,
+        r#"field 'job' is not a valid job spec: expected unsigned integer while deserializing string"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":"soon"},"pad":[1,]}"#,
+        r#"malformed JSON: JSON syntax error at byte 49: unexpected character ']'"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0,"stages":[{"kind":"Nope","tasks":[]}]}}"#,
+        r#"field 'job' is not a valid job spec: unknown unit variant 'Nope' of StageKind"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0,"stages":[{"kind":{"Map":1},"tasks":[]}]}}"#,
+        r#"field 'job' is not a valid job spec: unknown variant 'Map' of StageKind"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"\ud800","bin":0,"stages":[]}}"#,
+        r#"malformed JSON: JSON syntax error at byte 65: unpaired high surrogate"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"\udc00x","bin":0,"stages":[]}}"#,
+        r#"malformed JSON: JSON syntax error at byte 65: unpaired low surrogate"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":"x","arrival":1000,"priority":1,"label":"x","bin":0,"stages":[]}}"#,
+        r#"field 'job' is not a valid job spec: expected unsigned integer while deserializing string"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":256,"label":"x","bin":0,"stages":[]}}"#,
+        r#"field 'job' is not a valid job spec: integer 256 out of range for u8"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":-5,"priority":1,"label":"x","bin":0,"stages":[]}}"#,
+        r#"field 'job' is not a valid job spec: expected unsigned integer while deserializing integer"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0,"stages":[],"extra":{"deep":[1,2,{"x":tru}]}}}"#,
+        r#"malformed JSON: JSON syntax error at byte 108: expected 'true'"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0}}"#,
+        r#"field 'job' is not a valid job spec: missing field 'stages' of JobSpec"#,
+    ),
+    (
+        r#"{"op":"submit","job":{"arrival":1000,"priority":1,"label":"x","bin":0,"stages":[{"kind":"Map","tasks":[{"duration":1.5}]}]}}"#,
+        r#"field 'job' is not a valid job spec: expected unsigned integer while deserializing float"#,
+    ),
+    (r#"{"op":5,"job":{}}"#, r#"field 'op' must be a string"#),
+    (r#"{"job":{}}"#, r#"missing field 'op'"#),
+    (r#"["op","submit"]"#, r#"expected a JSON object, got array"#),
+    (
+        r#"{"op":"job","id":-1}"#,
+        r#"field 'id' must be a u32: expected unsigned integer while deserializing integer"#,
+    ),
+    (
+        r#"{"op":"advance","to_ms":1.5}"#,
+        r#"field 'to_ms' must be an unsigned integer: expected unsigned integer while deserializing float"#,
+    ),
+];
+
+#[test]
+fn malformed_requests_get_their_exact_errors() {
+    let handle = Daemon::spawn(manual_config()).unwrap();
+    let mut client = Client::connect(handle.addr());
+
+    let deep = format!(
+        r#"{{"op":"submit","job":{}{}}}"#,
+        "[".repeat(130),
+        "]".repeat(130)
+    );
+    let deep_error = "malformed JSON: JSON syntax error at byte 148: JSON nesting too deep";
+    for (line, expected) in MALFORMED
+        .iter()
+        .copied()
+        .chain([(deep.as_str(), deep_error)])
+    {
+        let err = client.request(line);
+        assert!(!bool_field(&err, "ok"), "{line} was accepted");
+        assert!(
+            matches!(field(&err, "error"), Value::Str(why) if why == expected),
+            "{line}: got {:?}, want {expected}",
+            field(&err, "error")
+        );
+    }
+    // The first of duplicate keys wins, wherever a key repeats.
+    let spec = serde_json::to_string(&job(1, "twice", 1, 3)).unwrap();
+    let twice = format!(r#"{{"op":"submit","job":{spec},"op":"ping","job":1}}"#);
+    assert_eq!(u64_field(&client.request(&twice), "id"), 0);
+
+    handle.request_stop();
+    let summary = handle.join().unwrap();
+    assert_eq!(
+        (summary.accepted, summary.malformed),
+        (1, MALFORMED.len() as u64 + 1)
+    );
+}
+
 #[test]
 fn a_character_split_across_a_read_timeout_is_not_torn() {
     let dir = unique_dir("split-char");

@@ -120,20 +120,28 @@ impl Tasks {
 }
 
 impl Serialize for Tasks {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) {
         match self {
             Tasks::Compact { task, count } => {
-                let one = task.to_value();
-                serde::Value::Array(vec![one; *count as usize])
+                // Write the task once, then copy its text for the rest.
+                out.push('[');
+                let start = out.len();
+                task.write_json(out);
+                let end = out.len();
+                for _ in 1..*count {
+                    out.push(',');
+                    out.extend_from_within(start..end);
+                }
+                out.push(']');
             }
-            Tasks::Listed(tasks) => tasks.to_value(),
+            Tasks::Listed(tasks) => tasks.write_json(out),
         }
     }
 }
 
 impl Deserialize for Tasks {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        Vec::<TaskSpec>::from_value(value).map(Tasks::from_vec)
+    fn read_json(lex: &mut serde::codec::Lexer<'_>) -> Result<Self, serde::codec::ReadError> {
+        Vec::<TaskSpec>::read_json(lex).map(Tasks::from_vec)
     }
 }
 

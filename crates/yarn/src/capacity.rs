@@ -13,7 +13,7 @@
 //! rounds. Allocation is work-conserving, like YARN's with elasticity on:
 //! a queue's unused guarantee spills over to queues that can use it.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lasmq_schedulers::{rank_and_share, RankShareScratch};
 use lasmq_simulator::{AllocationPlan, JobId, JobView, SchedContext, Scheduler, SimTime};
@@ -58,7 +58,9 @@ impl CapacityGranularity {
 #[derive(Debug, Clone)]
 pub struct CapacityScheduler {
     granularity: CapacityGranularity,
-    capacities: HashMap<JobId, f64>,
+    /// Ordered by id, so the default share sums in the same order in
+    /// every process.
+    capacities: BTreeMap<JobId, f64>,
     /// The share kernel's reused working memory; no state between passes.
     scratch: RankShareScratch<JobId>,
 }
@@ -68,13 +70,13 @@ impl CapacityScheduler {
     pub fn new(granularity: CapacityGranularity) -> Self {
         CapacityScheduler {
             granularity,
-            capacities: HashMap::new(),
+            capacities: BTreeMap::new(),
             scratch: RankShareScratch::default(),
         }
     }
 
     /// Current per-application capacities (fractions of the cluster).
-    pub fn capacities(&self) -> &HashMap<JobId, f64> {
+    pub fn capacities(&self) -> &BTreeMap<JobId, f64> {
         &self.capacities
     }
 
@@ -118,7 +120,7 @@ impl Scheduler for CapacityScheduler {
     /// guaranteed `capacity × cluster` (rounded via weighted sharing), and
     /// unused guarantees spill to queues with demand (YARN elasticity).
     /// Apps without an explicit capacity get the mean capacity (a fresh
-    /// queue's default share).
+    /// queue's default share), summed in `JobId` order.
     fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
         let default_weight = if self.capacities.is_empty() {
             1.0
@@ -203,6 +205,30 @@ mod tests {
         let plan = sched.allocate(&ctx);
         assert_eq!(plan.target_for(JobId::new(0)), Some(5));
         assert_eq!(plan.target_for(JobId::new(1)), Some(5));
+    }
+
+    #[test]
+    fn the_default_share_is_the_same_in_every_process() {
+        // Seven capacities whose float sum depends on the order they are
+        // added in; the mean is summed in id order, so the plan for the
+        // two apps without a capacity is fixed.
+        let caps = [0.1, 0.2, 0.3, 0.7, 0.11, 0.13, 0.17];
+        let mut sched = CapacityScheduler::new(CapacityGranularity::Exact);
+        sched.set_capacities(
+            caps.iter()
+                .enumerate()
+                .map(|(i, &c)| (JobId::new(i as u32), c)),
+        );
+        let sum: f64 = sched.capacities().values().sum();
+        let in_id_order = caps.iter().fold(0.0, |acc, c| acc + c);
+        assert_eq!(sum.to_bits(), in_id_order.to_bits());
+        let jobs: Vec<JobView> = (0..9).map(|i| view(i, 1_000)).collect();
+        let ctx = SchedContext::new(SimTime::ZERO, 997, &jobs);
+        let plan = sched.allocate(&ctx);
+        let targets: Vec<u32> = (0..9)
+            .map(|i| plan.target_for(JobId::new(i)).unwrap_or(0))
+            .collect();
+        assert_eq!(targets, [45, 91, 136, 317, 50, 59, 77, 111, 111]);
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Offline stand-in for [`serde`](https://crates.io/crates/serde).
 //!
 //! The build environment has no crates.io access, so this crate provides
-//! the serialization model the workspace needs: a self-describing
-//! [`Value`] tree plus [`Serialize`]/[`Deserialize`] traits mapping types
-//! onto it. `serde_json` (the sibling shim) renders the tree to JSON text
-//! and parses it back. The derive macros (`#[derive(Serialize,
-//! Deserialize)]`, re-exported from the `serde_derive` shim) understand
-//! the container shapes used in this repository: named structs, unit and
-//! data-carrying enum variants, `#[serde(transparent)]` newtypes and
-//! `#[serde(default)]` fields.
+//! the serialization model the workspace needs: [`Serialize`] writes a
+//! type's JSON straight into a `String` and [`Deserialize`] pulls it back
+//! from a borrowed [`codec::Lexer`], with no tree in between. The
+//! [`codec`] module is the one JSON writer and lexer; `serde_json` (the
+//! sibling shim) is a thin front end over it. The derive macros
+//! (`#[derive(Serialize, Deserialize)]`, re-exported from the
+//! `serde_derive` shim) understand the container shapes used in this
+//! repository: named structs, unit and data-carrying enum variants,
+//! `#[serde(transparent)]` newtypes and `#[serde(default)]` fields.
+//!
+//! [`Value`] is one more type over that codec, for code that handles
+//! untyped JSON; [`Serialize::to_value`] and [`Deserialize::from_value`]
+//! are conveniences for such code and no derived type's own path goes
+//! through them.
 //!
 //! The external representation matches real serde's JSON conventions so
 //! traces written by one are readable by the other:
@@ -20,10 +26,14 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+pub mod codec;
+
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A self-describing serialized value (the shim's data model).
+use codec::{Lexer, ReadError, Token};
+
+/// A self-describing JSON value, for code that handles untyped JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -72,19 +82,27 @@ impl Value {
 
     /// A short name for the value's kind, for error messages.
     pub fn kind(&self) -> &'static str {
+        self.token().kind()
+    }
+
+    /// The value as the codec's first token (containers as their opening
+    /// bracket), so scalars convert the same way from a tree as from text.
+    fn token(&self) -> Token<'_> {
         match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::UInt(_) | Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
+            Value::Null => Token::Null,
+            Value::Bool(b) => Token::Bool(*b),
+            Value::UInt(u) => Token::UInt(*u),
+            Value::Int(i) => Token::Int(*i),
+            Value::Float(f) => Token::Float(*f),
+            Value::Str(s) => Token::Str(std::borrow::Cow::Borrowed(s)),
+            Value::Array(_) => Token::ArrayStart,
+            Value::Object(_) => Token::ObjectStart,
         }
     }
 }
 
-/// Looks up a field in an object's entry list (helper for derived code).
+/// Looks up the first entry with `key` in an object's entry list (for
+/// code that handles untyped JSON).
 #[doc(hidden)]
 pub fn __get<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -132,48 +150,109 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can render themselves into a [`Value`] tree.
+/// Types that write themselves as JSON.
 pub trait Serialize {
-    /// Converts `self` to a value tree.
-    fn to_value(&self) -> Value;
+    /// Appends `self`'s JSON to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// `self` as an untyped [`Value`] (a convenience for untyped code:
+    /// the tree is read back from [`write_json`](Self::write_json)'s
+    /// text).
+    fn to_value(&self) -> Value {
+        let mut text = String::new();
+        self.write_json(&mut text);
+        Lexer::read_document(&text).expect("written JSON reads back")
+    }
 }
 
-/// Types that can be rebuilt from a [`Value`] tree.
+/// Types that read themselves from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+    /// Reads `Self` from the value at the lexer's position (whitespace
+    /// already skipped), following the [`codec`] module's rules.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error for malformed text, a data error for JSON of the
+    /// wrong shape.
+    fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError>;
+
+    /// Rebuilds `Self` from an untyped [`Value`] (a convenience for
+    /// untyped code: the value is written out and read back, so a tree
+    /// converts as its JSON text would).
+    ///
+    /// # Errors
+    ///
+    /// The data error reading the value's text gives.
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let mut text = String::new();
+        value.write_json(&mut text);
+        Lexer::read_document(&text).map_err(|e| match e {
+            ReadError::Data(e) => e,
+            ReadError::Syntax { message, .. } => DeError::custom(message),
+        })
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out)
     }
+}
+
+/// Implements both traits for a scalar type from a writer and a
+/// conversion out of the codec's first [`Token`], which the text and the
+/// tree paths share.
+macro_rules! impl_scalar {
+    ($t:ty, |$s:ident, $out:ident| $write:expr, |$tok:ident| $convert:expr) => {
+        impl Serialize for $t {
+            fn write_json(&self, $out: &mut String) {
+                let $s = self;
+                $write
+            }
+        }
+        impl Deserialize for $t {
+            fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError> {
+                let $tok = lex.token()?;
+                Ok($convert?)
+            }
+            fn from_value(value: &Value) -> Result<Self, DeError> {
+                let $tok = value.token();
+                $convert
+            }
+        }
+    };
+}
+
+fn to_u64(token: Token<'_>) -> Result<u64, DeError> {
+    match token {
+        Token::UInt(u) => Ok(u),
+        Token::Int(i) if i >= 0 => Ok(i as u64),
+        Token::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as u64),
+        other => Err(DeError::expected("unsigned integer", other.kind())),
+    }
+}
+
+fn to_i64(token: Token<'_>) -> Result<i64, DeError> {
+    match token {
+        Token::UInt(u) => {
+            i64::try_from(u).map_err(|_| DeError::custom(format!("integer {u} out of i64 range")))
+        }
+        Token::Int(i) => Ok(i),
+        Token::Float(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
+            Ok(f as i64)
+        }
+        other => Err(DeError::expected("integer", other.kind())),
+    }
+}
+
+fn narrow<W: Copy + fmt::Display, T: TryFrom<W>>(raw: W, name: &str) -> Result<T, DeError> {
+    T::try_from(raw).map_err(|_| DeError::custom(format!("integer {raw} out of range for {name}")))
 }
 
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw = match *value {
-                    Value::UInt(u) => u,
-                    Value::Int(i) if i >= 0 => i as u64,
-                    Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => {
-                        f as u64
-                    }
-                    ref other => {
-                        return Err(DeError::expected("unsigned integer", other.kind()))
-                    }
-                };
-                <$t>::try_from(raw).map_err(|_| {
-                    DeError::custom(format!("integer {raw} out of range for {}", stringify!($t)))
-                })
-            }
-        }
+        impl_scalar!($t, |v, out| codec::write_u64(out, *v as u64),
+            |token| to_u64(token).and_then(|raw| narrow(raw, stringify!($t))));
     )*};
 }
 
@@ -181,36 +260,8 @@ impl_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 {
-                    Value::UInt(v as u64)
-                } else {
-                    Value::Int(v)
-                }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw: i64 = match *value {
-                    Value::UInt(u) => i64::try_from(u)
-                        .map_err(|_| DeError::custom(format!("integer {u} out of i64 range")))?,
-                    Value::Int(i) => i,
-                    Value::Float(f)
-                        if f.fract() == 0.0
-                            && f >= i64::MIN as f64
-                            && f <= i64::MAX as f64 =>
-                    {
-                        f as i64
-                    }
-                    ref other => return Err(DeError::expected("integer", other.kind())),
-                };
-                <$t>::try_from(raw).map_err(|_| {
-                    DeError::custom(format!("integer {raw} out of range for {}", stringify!($t)))
-                })
-            }
-        }
+        impl_scalar!($t, |v, out| codec::write_i64(out, *v as i64),
+            |token| to_i64(token).and_then(|raw| narrow(raw, stringify!($t))));
     )*};
 }
 
@@ -218,142 +269,203 @@ impl_int!(i8, i16, i32, i64, isize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match *value {
-                    Value::Float(f) => Ok(f as $t),
-                    Value::UInt(u) => Ok(u as $t),
-                    Value::Int(i) => Ok(i as $t),
-                    ref other => Err(DeError::expected("number", other.kind())),
-                }
-            }
-        }
+        impl_scalar!($t, |v, out| codec::write_f64(out, *v as f64), |token| match token {
+            Token::Float(f) => Ok(f as $t),
+            Token::UInt(u) => Ok(u as $t),
+            Token::Int(i) => Ok(i as $t),
+            other => Err(DeError::expected("number", other.kind())),
+        });
     )*};
 }
 
 impl_float!(f32, f64);
 
+impl_scalar!(
+    bool,
+    |v, out| out.push_str(if *v { "true" } else { "false" }),
+    |token| {
+        match token {
+            Token::Bool(b) => Ok(b),
+            other => Err(DeError::expected("bool", other.kind())),
+        }
+    }
+);
+
+impl_scalar!(
+    String,
+    |v, out| codec::write_str(out, v),
+    |token| match token {
+        Token::Str(s) => Ok(s.into_owned()),
+        other => Err(DeError::expected("string", other.kind())),
+    }
+);
+
+impl Serialize for str {
+    fn write_json(&self, out: &mut String) {
+        codec::write_str(out, self)
+    }
+}
+
 impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::UInt(u) => codec::write_u64(out, *u),
+            Value::Int(i) => codec::write_i64(out, *i),
+            Value::Float(x) => codec::write_f64(out, *x),
+            Value::Str(s) => codec::write_str(out, s),
+            Value::Array(items) => items.write_json(out),
+            Value::Object(entries) => {
+                write_object(out, entries.iter().map(|(k, v)| (k.as_str(), v)))
+            }
+        }
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }
 }
 
 impl Deserialize for Value {
+    fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError> {
+        let mut more = false;
+        Ok(match lex.token()? {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::UInt(u) => Value::UInt(u),
+            Token::Int(i) => Value::Int(i),
+            Token::Float(f) => Value::Float(f),
+            Token::Str(s) => Value::Str(s.into_owned()),
+            Token::ArrayStart => {
+                let mut items = Vec::new();
+                while lex.next_element(&mut more)? {
+                    items.push(Value::read_json(lex)?);
+                }
+                Value::Array(items)
+            }
+            Token::ObjectStart => {
+                let mut entries = Vec::new();
+                while let Some(key) = lex.next_key(&mut more)? {
+                    let value = Value::read_json(lex)?;
+                    entries.push((key.into_owned(), value));
+                }
+                Value::Object(entries)
+            }
+        })
+    }
+
     fn from_value(value: &Value) -> Result<Self, DeError> {
         Ok(value.clone())
     }
 }
 
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::expected("bool", other.kind())),
+fn write_object<'v, V: Serialize + 'v>(
+    out: &mut String,
+    entries: impl Iterator<Item = (&'v str, &'v V)>,
+) {
+    out.push('{');
+    for (i, (key, value)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        codec::write_str(out, key);
+        out.push(':');
+        value.write_json(out);
     }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::expected("string", other.kind())),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
+    out.push('}');
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
+            None => out.push_str("null"),
+            Some(v) => v.write_json(out),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError> {
+        if lex.peek() == Some(b'n') {
+            // `null` or a syntax error (the nesting guard included).
+            lex.token()?;
+            return Ok(None);
         }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::expected("array", other.kind())),
-        }
+        T::read_json(lex).map(Some)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError> {
+        lex.open_array()?;
+        let mut items = Vec::new();
+        let mut more = false;
+        while lex.next_element(&mut more)? {
+            items.push(T::read_json(lex)?);
+        }
+        Ok(items)
     }
 }
 
 impl<K: Serialize + Ord + ToString, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        let keys: Vec<String> = self.keys().map(ToString::to_string).collect();
+        write_object(out, keys.iter().map(String::as_str).zip(self.values()));
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident . $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $idx > 0 {
+                        out.push(',');
+                    }
+                    self.$idx.write_json(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let items = value
-                    .as_array()
-                    .ok_or_else(|| DeError::expected("array", value.kind()))?;
-                let mut it = items.iter();
-                let got = items.len();
-                let tuple = ($(
-                    $name::from_value(it.next().ok_or_else(|| {
-                        DeError::custom(format!("tuple too short: {got} elements"))
-                    })?)?,
-                )+);
+            fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError> {
+                lex.open_array()?;
+                let mut more = false;
+                let tuple = ($({
+                    if !lex.next_element(&mut more)? {
+                        return Err(DeError::custom(format!(
+                            "tuple too short: {} elements",
+                            $idx
+                        ))
+                        .into());
+                    }
+                    $name::read_json(lex)?
+                },)+);
+                // Extra elements are ignored, but must be well-formed.
+                while lex.next_element(&mut more)? {
+                    lex.skip_value()?;
+                }
                 Ok(tuple)
             }
         }

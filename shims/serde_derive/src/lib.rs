@@ -1,18 +1,24 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against
-//! the value-tree model of the sibling `serde` shim, by hand-parsing the
-//! item's token stream (no `syn`/`quote` available offline). Supported
-//! container shapes — the ones this workspace uses:
+//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` over
+//! the sibling `serde` shim's JSON codec, by hand-parsing the item's token
+//! stream (no `syn`/`quote` available offline). A derived `Serialize`
+//! writes its JSON straight into a `String`; a derived `Deserialize` pulls
+//! itself from the codec's borrowed lexer, taking an object's fields in
+//! any order, keeping the first of duplicate keys, checking and skipping
+//! unknown keys and applying `#[serde(default)]`. Neither builds a
+//! `Value` tree. Supported container shapes — the ones this workspace
+//! uses:
 //!
 //! * named-field structs (with `#[serde(default)]` on fields),
 //! * tuple structs with one field (newtype semantics, so
 //!   `#[serde(transparent)]` is honoured and also the default),
-//! * enums with unit, newtype, tuple and struct variants, using serde's
+//! * enums with unit, newtype and struct variants, using serde's
 //!   externally-tagged JSON convention.
 //!
-//! Generics and unsupported `#[serde(...)]` attributes (`rename`, `skip`,
-//! …) are compile errors rather than silent misbehaviour.
+//! Generics, tuple variants of other arities and unsupported
+//! `#[serde(...)]` attributes (`rename`, `skip`, …) are compile errors
+//! rather than silent misbehaviour.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -43,7 +49,9 @@ struct Field {
 
 enum VariantShape {
     Unit,
-    Tuple(usize),
+    /// A one-field tuple variant; other arities are rejected at parse
+    /// time.
+    Newtype,
     Struct(Vec<Field>),
 }
 
@@ -257,7 +265,14 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 pos += 1;
-                VariantShape::Tuple(count_tuple_fields(g.stream()))
+                let n = count_tuple_fields(g.stream());
+                if n != 1 {
+                    panic!(
+                        "serde shim derive: tuple variant `{name}` has {n} fields; \
+                         only single-field variants are supported"
+                    );
+                }
+                VariantShape::Newtype
             }
             _ => VariantShape::Unit,
         };
@@ -276,195 +291,202 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 // ---------------------------------------------------------------- codegen
 
+/// A Rust string literal for `text`.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// Statements writing `{"a":<a>,"b":<b>}` for fields bound to the
+/// expressions `access(field)`; `open` is pushed before the brace (a
+/// variant's tag) and `close` after it.
+fn write_fields(
+    fields: &[Field],
+    open: &str,
+    close: &str,
+    access: impl Fn(&str) -> String,
+) -> String {
+    let mut stmts = Vec::new();
+    let mut pending = format!("{open}{{");
+    for (i, f) in fields.iter().enumerate() {
+        if i > 0 {
+            pending.push(',');
+        }
+        pending.push_str(&format!("\"{}\":", f.name));
+        stmts.push(format!("__out.push_str({});", lit(&pending)));
+        stmts.push(format!(
+            "::serde::Serialize::write_json({}, __out);",
+            access(&f.name)
+        ));
+        pending.clear();
+    }
+    pending.push_str(&format!("}}{close}"));
+    stmts.push(format!("__out.push_str({});", lit(&pending)));
+    stmts.join("\n")
+}
+
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::TupleStruct => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Body::NamedStruct(fields) => {
-            let entries: Vec<String> = fields
+        Body::TupleStruct => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+        Body::NamedStruct(fields) => write_fields(fields, "", "", |f| format!("&self.{f}")),
+        Body::Enum(variants) => {
+            let arms: Vec<String> = variants
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{0}\"), \
-                         ::serde::Serialize::to_value(&self.{0}))",
-                        f.name
-                    )
+                .map(|v| {
+                    let vname = &v.name;
+                    match &v.shape {
+                        VariantShape::Unit => format!(
+                            "{name}::{vname} => __out.push_str({}),",
+                            lit(&format!("\"{vname}\""))
+                        ),
+                        VariantShape::Newtype => format!(
+                            "{name}::{vname}(__f0) => {{\n\
+                                 __out.push_str({});\n\
+                                 ::serde::Serialize::write_json(__f0, __out);\n\
+                                 __out.push('}}');\n\
+                             }}",
+                            lit(&format!("{{\"{vname}\":"))
+                        ),
+                        VariantShape::Struct(fields) => {
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                            format!(
+                                "{name}::{vname} {{ {} }} => {{\n{}\n}}",
+                                binds.join(", "),
+                                write_fields(fields, &format!("{{\"{vname}\":"), "}", |f| {
+                                    f.to_string()
+                                })
+                            )
+                        }
+                    }
                 })
                 .collect();
-            format!("::serde::Value::Object(vec![{}])", entries.join(", "))
-        }
-        Body::Enum(variants) => {
-            let arms: Vec<String> = variants.iter().map(|v| ser_variant_arm(name, v)).collect();
-            format!("match self {{ {} }}", arms.join(" "))
+            format!("match self {{ {} }}", arms.join("\n"))
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }}\n\
          }}"
     )
 }
 
-fn ser_variant_arm(enum_name: &str, v: &Variant) -> String {
-    let vname = &v.name;
-    match &v.shape {
-        VariantShape::Unit => format!(
-            "{enum_name}::{vname} => \
-             ::serde::Value::Str(::std::string::String::from(\"{vname}\")),"
-        ),
-        VariantShape::Tuple(1) => format!(
-            "{enum_name}::{vname}(__f0) => ::serde::Value::Object(vec![\
-             (::std::string::String::from(\"{vname}\"), \
-              ::serde::Serialize::to_value(__f0))]),"
-        ),
-        VariantShape::Tuple(n) => {
-            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-            let vals: Vec<String> = binds
-                .iter()
-                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                .collect();
-            format!(
-                "{enum_name}::{vname}({}) => ::serde::Value::Object(vec![\
-                 (::std::string::String::from(\"{vname}\"), \
-                  ::serde::Value::Array(vec![{}]))]),",
-                binds.join(", "),
-                vals.join(", ")
-            )
-        }
-        VariantShape::Struct(fields) => {
-            let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-            let entries: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{0}\"), \
-                         ::serde::Serialize::to_value({0}))",
-                        f.name
-                    )
-                })
-                .collect();
-            format!(
-                "{enum_name}::{vname} {{ {} }} => ::serde::Value::Object(vec![\
-                 (::std::string::String::from(\"{vname}\"), \
-                  ::serde::Value::Object(vec![{}]))]),",
-                binds.join(", "),
-                entries.join(", ")
-            )
-        }
-    }
+/// Statements reading a named-field object into `ctor { .. }` and
+/// returning it: one slot per field filled in text order, resolved in
+/// declaration order. `context` names the type in errors.
+fn read_fields(context: &str, ctor: &str, fields: &[Field]) -> String {
+    let slots: Vec<String> = (0..fields.len())
+        .map(|i| format!("let mut __s{i} = ::serde::codec::Slot::default();"))
+        .collect();
+    let arms: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("{} => __lex.fill(&mut __s{i})?,", lit(&f.name)))
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            if f.default {
+                format!("{}: __s{i}.or_default()?", f.name)
+            } else {
+                format!(
+                    "{}: __s{i}.required({}, {})?",
+                    f.name,
+                    lit(&f.name),
+                    lit(context)
+                )
+            }
+        })
+        .collect();
+    format!(
+        "{}\n\
+         __lex.open_object({})?;\n\
+         let mut __more = false;\n\
+         while let ::std::option::Option::Some(__key) = __lex.next_key(&mut __more)? {{\n\
+             match &*__key {{\n\
+                 {}\n\
+                 _ => __lex.skip_value()?,\n\
+             }}\n\
+         }}\n\
+         ::std::result::Result::Ok({ctor} {{ {} }})",
+        slots.join("\n"),
+        lit(context),
+        arms.join("\n"),
+        inits.join(", ")
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
         Body::TupleStruct => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::read_json(__lex)?))")
         }
-        Body::NamedStruct(fields) => {
-            let inits: Vec<String> = fields.iter().map(|f| de_field_init(name, f)).collect();
-            format!(
-                "let __obj = __v.as_object().ok_or_else(|| \
-                     ::serde::DeError::expected(\"object\", \"{name}\"))?;\n\
-                 ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
+        Body::NamedStruct(fields) => read_fields(name, name, fields),
         Body::Enum(variants) => gen_enum_deserialize(name, variants),
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &::serde::Value) \
-                 -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
+             fn read_json(__lex: &mut ::serde::codec::Lexer<'_>) \
+                 -> ::std::result::Result<Self, ::serde::codec::ReadError> {{ {body} }}\n\
          }}"
     )
 }
 
-fn de_field_init(container: &str, f: &Field) -> String {
-    let fname = &f.name;
-    let missing = if f.default {
-        "::std::default::Default::default()".to_string()
-    } else {
-        format!(
-            "return ::std::result::Result::Err(\
-             ::serde::DeError::missing(\"{fname}\", \"{container}\"))"
-        )
-    };
-    format!(
-        "{fname}: match ::serde::__get(__obj, \"{fname}\") {{\n\
-             ::std::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?,\n\
-             ::std::option::Option::None => {missing},\n\
-         }}"
-    )
-}
-
+/// An externally tagged enum: a unit variant is its name as a string, a
+/// data variant a one-key object. A data variant's value is read with
+/// its data error held back until the object is known to close after
+/// it, so "not a one-key object" is reported first.
 fn gen_enum_deserialize(name: &str, variants: &[Variant]) -> String {
     let mut unit_arms = Vec::new();
-    let mut tagged_arms = Vec::new();
+    let mut data_arms = Vec::new();
     for v in variants {
         let vname = &v.name;
         match &v.shape {
             VariantShape::Unit => unit_arms.push(format!(
-                "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),"
+                "{} => ::std::result::Result::Ok({name}::{vname}),",
+                lit(vname)
             )),
-            VariantShape::Tuple(1) => tagged_arms.push(format!(
-                "\"{vname}\" => ::std::result::Result::Ok(\
-                 {name}::{vname}(::serde::Deserialize::from_value(__inner)?)),"
+            VariantShape::Newtype => data_arms.push(format!(
+                "{} => __lex.read_or_skip()?.map({name}::{vname}),",
+                lit(vname)
             )),
-            VariantShape::Tuple(n) => {
-                let elems: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?"))
-                    .collect();
-                tagged_arms.push(format!(
-                    "\"{vname}\" => {{\n\
-                         let __items = __inner.as_array().ok_or_else(|| \
-                             ::serde::DeError::expected(\"array\", \"{name}::{vname}\"))?;\n\
-                         if __items.len() != {n} {{\n\
-                             return ::std::result::Result::Err(::serde::DeError::custom(\
-                                 format!(\"expected {n} elements for {name}::{vname}, \
-                                          got {{}}\", __items.len())));\n\
-                         }}\n\
-                         ::std::result::Result::Ok({name}::{vname}({}))\n\
-                     }},",
-                    elems.join(", ")
-                ));
-            }
-            VariantShape::Struct(fields) => {
-                let inits: Vec<String> = fields
-                    .iter()
-                    .map(|f| de_field_init(&format!("{name}::{vname}"), f))
-                    .collect();
-                tagged_arms.push(format!(
-                    "\"{vname}\" => {{\n\
-                         let __obj = __inner.as_object().ok_or_else(|| \
-                             ::serde::DeError::expected(\"object\", \"{name}::{vname}\"))?;\n\
-                         ::std::result::Result::Ok({name}::{vname} {{ {} }})\n\
-                     }},",
-                    inits.join(", ")
-                ));
-            }
+            VariantShape::Struct(fields) => data_arms.push(format!(
+                "{} => __lex.read_or_skip_with(|__lex| {{ {} }})?,",
+                lit(vname),
+                read_fields(
+                    &format!("{name}::{vname}"),
+                    &format!("{name}::{vname}"),
+                    fields
+                )
+            )),
         }
     }
     format!(
-        "match __v {{\n\
-             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
+        "match __lex.open_enum({})? {{\n\
+             ::serde::codec::Tag::Unit(__tag) => match &*__tag {{\n\
                  {}\n\
                  __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                     format!(\"unknown unit variant '{{__other}}' of {name}\"))),\n\
+                     ::std::format!(\"unknown unit variant '{{__other}}' of {name}\")).into()),\n\
              }},\n\
-             ::serde::Value::Object(__entries) if __entries.len() == 1 => {{\n\
-                 let (__tag, __inner) = &__entries[0];\n\
-                 match __tag.as_str() {{\n\
+             ::serde::codec::Tag::Data(__tag) => {{\n\
+                 let __read: ::std::result::Result<Self, ::serde::DeError> = match &*__tag {{\n\
                      {}\n\
-                     __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                         format!(\"unknown variant '{{__other}}' of {name}\"))),\n\
-                 }}\n\
-             }},\n\
-             __other => ::std::result::Result::Err(\
-                 ::serde::DeError::expected(\"enum {name}\", __other.kind())),\n\
+                     __other => {{\n\
+                         __lex.skip_value()?;\n\
+                         ::std::result::Result::Err(::serde::DeError::custom(\
+                             ::std::format!(\"unknown variant '{{__other}}' of {name}\")))\n\
+                     }}\n\
+                 }};\n\
+                 __lex.close_enum({})?;\n\
+                 __read.map_err(::std::convert::From::from)\n\
+             }}\n\
          }}",
+        lit(name),
         unit_arms.join("\n"),
-        tagged_arms.join("\n")
+        data_arms.join("\n"),
+        lit(name)
     )
 }

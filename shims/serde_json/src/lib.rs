@@ -1,11 +1,13 @@
 //! Offline stand-in for [`serde_json`](https://crates.io/crates/serde_json).
 //!
-//! Works with the `serde` shim's [`Value`] tree: [`to_string`] renders a
-//! tree to compact JSON, [`from_str`] parses JSON back into any
-//! [`Deserialize`] type. Floats are written with Rust's shortest-roundtrip
-//! formatting and parsed with [`str::parse`], so every finite `f64`
-//! round-trips bit-exactly — a property the campaign result cache relies
-//! on for byte-identical warm-cache reruns.
+//! A thin front end over the `serde` shim's [`codec`](serde::codec):
+//! [`to_string`] has a [`Serialize`] type write its compact JSON
+//! directly, [`from_str`] has a [`Deserialize`] type pull itself from the
+//! text, and [`parse_value_str`] reads untyped JSON into a [`Value`].
+//! Floats are written with Rust's shortest-roundtrip formatting and parsed
+//! with [`str::parse`], so every finite `f64` round-trips bit-exactly — a
+//! property the campaign result cache relies on for byte-identical
+//! warm-cache reruns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +15,7 @@
 use std::fmt;
 use std::io::Write as IoWrite;
 
+use serde::codec::{Lexer, ReadError};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A serialization or deserialization failure.
@@ -51,6 +54,15 @@ impl From<DeError> for Error {
     }
 }
 
+impl From<ReadError> for Error {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Syntax { message, offset } => Error::Syntax { message, offset },
+            ReadError::Data(e) => Error::Data(e),
+        }
+    }
+}
+
 /// Serializes `value` to a compact JSON string.
 ///
 /// # Errors
@@ -59,7 +71,7 @@ impl From<DeError> for Error {
 /// upstream signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value());
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -77,11 +89,11 @@ pub fn to_writer<W: IoWrite, T: Serialize + ?Sized>(mut writer: W, value: &T) ->
 ///
 /// # Errors
 ///
-/// Returns [`Error::Syntax`] for malformed JSON and [`Error::Data`] when
-/// the JSON does not match `T`'s shape.
+/// Returns [`Error::Syntax`] for malformed JSON (anywhere in the text,
+/// even after a data mismatch) and [`Error::Data`] when the JSON does not
+/// match `T`'s shape.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let value = parse_value_str(input)?;
-    T::from_value(&value).map_err(Error::Data)
+    Lexer::read_document(input).map_err(Error::from)
 }
 
 /// Parses a JSON string into a raw [`Value`] tree.
@@ -90,330 +102,7 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
 ///
 /// Returns [`Error::Syntax`] for malformed JSON.
 pub fn parse_value_str(input: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing characters after JSON document"));
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------- writer
-
-fn write_value(out: &mut String, value: &Value) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::UInt(u) => {
-            let _ = fmt::Write::write_fmt(out, format_args!("{u}"));
-        }
-        Value::Int(i) => {
-            let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                // Rust's shortest-roundtrip repr; parse() restores the bits.
-                let _ = fmt::Write::write_fmt(out, format_args!("{x}"));
-            } else {
-                // JSON has no NaN/inf; match serde_json's lossy `null`.
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (key, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, key);
-                out.push(':');
-                write_value(out, val);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------- parser
-
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> Error {
-        Error::Syntax {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("JSON nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        self.depth += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        self.depth += 1;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    self.parse_escape(&mut out)?;
-                }
-                Some(_) => return Err(self.err("control character in string")),
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_escape(&mut self, out: &mut String) -> Result<(), Error> {
-        let c = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-        self.pos += 1;
-        match c {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{08}'),
-            b'f' => out.push('\u{0C}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let hi = self.parse_hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair: require a \uXXXX low surrogate.
-                    if self.peek() == Some(b'\\') {
-                        self.pos += 1;
-                        self.expect(b'u')?;
-                        let lo = self.parse_hex4()?;
-                        if !(0xDC00..0xE000).contains(&lo) {
-                            return Err(self.err("invalid low surrogate"));
-                        }
-                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                    } else {
-                        return Err(self.err("unpaired high surrogate"));
-                    }
-                } else if (0xDC00..0xE000).contains(&hi) {
-                    return Err(self.err("unpaired low surrogate"));
-                } else {
-                    hi
-                };
-                out.push(char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))?);
-            }
-            other => return Err(self.err(format!("invalid escape '\\{}'", other as char))),
-        }
-        Ok(())
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err(format!("invalid number '{text}'")))
-    }
+    from_str(input)
 }
 
 #[cfg(test)]
