@@ -287,6 +287,11 @@ const MALFORMED: &[(&str, &str)] = &[
         r#"{"op":"advance","to_ms":1.5}"#,
         r#"field 'to_ms' must be an unsigned integer: expected unsigned integer while deserializing float"#,
     ),
+    // 2⁶⁴ is refused, not saturated to u64::MAX.
+    (
+        r#"{"op":"advance","to_ms":18446744073709551616}"#,
+        r#"field 'to_ms' must be an unsigned integer: integer out of range for u64"#,
+    ),
 ];
 
 #[test]

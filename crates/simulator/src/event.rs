@@ -94,6 +94,27 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Bitmap words covering one level's occupancy.
 const BITMAP_WORDS: usize = SLOTS / 64;
 
+/// The most entries' capacity (8 KiB at 32 B an entry) a drained buffer
+/// keeps when it is handed to a wheel slot or kept as the spare; a larger
+/// one goes back to the allocator. Buffers rotate among the 768 slots, so
+/// without a bound each grows toward the largest batch ever seen. Measured
+/// at the end of the benchmark's runs: a 250,000-job Facebook trace kept
+/// 753k entries' capacity (23 MiB) with at most 250k ever live, and a
+/// 20,000-job ScaleTrace run 1.76M (54 MiB). With the bound they keep 97k
+/// and 37k, at most 771 buffers × 256. A hot slot, whose batches stay
+/// below the bound, keeps reusing its buffer: dropping every buffer
+/// instead cost the Facebook run 17 % of its events/s.
+const RETAINED_ENTRIES: usize = 256;
+
+/// Empties `buf`, keeping its allocation only up to [`RETAINED_ENTRIES`].
+fn recycle(buf: &mut Vec<Entry>) {
+    if buf.capacity() > RETAINED_ENTRIES {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
+
 /// One wheel level: 256 slots, an occupancy bitmap, and a live-entry count.
 #[derive(Debug, Default)]
 struct Level {
@@ -117,10 +138,12 @@ impl Level {
         self.len += 1;
     }
 
-    /// Moves the slot's entries out, leaving an empty (capacity-preserving)
-    /// buffer behind, and clears its occupancy bit.
+    /// Moves the slot's entries out, leaving `into`'s drained buffer (its
+    /// capacity bounded by [`recycle`]) behind, and clears its occupancy
+    /// bit.
     fn take_slot(&mut self, slot: usize, into: &mut Vec<Entry>) {
         debug_assert!(into.is_empty());
+        recycle(into);
         std::mem::swap(into, &mut self.slots[slot]);
         self.bits[slot / 64] &= !(1u64 << (slot % 64));
         self.len -= into.len();
@@ -250,8 +273,17 @@ impl CalendarQueue {
             return None;
         };
         self.len -= 1;
-        if self.front_len() == 0 && self.len > 0 {
-            self.advance_wheel();
+        if self.front_len() == 0 {
+            if self.past.capacity() > RETAINED_ENTRIES {
+                self.past = BinaryHeap::new();
+            }
+            if self.len > 0 {
+                self.advance_wheel();
+            } else {
+                // Nothing hands the drained batch to a slot: bound it here.
+                recycle(&mut self.batch);
+                self.batch_head = 0;
+            }
         }
         Some(e)
     }
@@ -295,6 +327,7 @@ impl CalendarQueue {
                     debug_assert_eq!(e.at.as_millis() & !0xFF, w0);
                     self.levels[0].push((e.at.as_millis() & 0xFF) as usize, e);
                 }
+                recycle(&mut moving);
                 self.spare = moving;
                 continue;
             }
@@ -310,6 +343,7 @@ impl CalendarQueue {
                     debug_assert_eq!(e.at.as_millis() & !0xFFFF, w1);
                     self.levels[1].push(((e.at.as_millis() >> SLOT_BITS) & 0xFF) as usize, e);
                 }
+                recycle(&mut moving);
                 self.spare = moving;
                 continue;
             }
@@ -335,8 +369,19 @@ impl CalendarQueue {
                 }
             }
             std::mem::swap(&mut self.overflow, &mut kept);
+            recycle(&mut kept);
             self.spare = kept;
         }
+    }
+
+    /// The capacity of every buffer the queue owns, live or drained.
+    #[cfg(test)]
+    fn capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        let slots = self.levels.iter().flat_map(|l| l.slots.iter());
+        slots
+            .chain([&self.batch, &self.spare, &self.overflow])
+            .map(Vec::capacity)
+            .chain([self.past.capacity()])
     }
 
     fn snapshot_into(&self, out: &mut Vec<EventEntry>) {
@@ -628,6 +673,57 @@ mod tests {
             .map(|(t, _)| t.as_millis())
             .collect();
         assert_eq!(popped, sorted);
+    }
+
+    /// Once every burst is drained, no buffer keeps more than
+    /// `RETAINED_ENTRIES` of capacity, whichever structure the burst
+    /// passed through: a 100k-entry same-millisecond batch, bursts that
+    /// cascade from each wheel level and the overflow, and a restored
+    /// queue's past heap.
+    #[test]
+    fn drained_bursts_leave_bounded_buffers() {
+        let burst = |q: &mut EventQueue, heap: &mut BinaryHeap<Entry>, at: u64, n: usize| {
+            for _ in 0..n {
+                push_both(q, heap, SimTime::from_millis(at));
+            }
+        };
+        let mut q = EventQueue::new();
+        let mut heap = BinaryHeap::new();
+        // The cursor sits at 1 ms, so the 5 ms burst fills a level-0 slot.
+        push_both(&mut q, &mut heap, SimTime::from_millis(1));
+        burst(&mut q, &mut heap, 5, 100_000);
+        // One burst per level-1, level-2 and overflow window, and a spread
+        // of small ones that reuse slots.
+        for at in [300, 70_000, 20_000_000, 40_000_000] {
+            burst(&mut q, &mut heap, at, 10_000);
+        }
+        for k in 0..2_000u64 {
+            burst(&mut q, &mut heap, 50_000_000 + 97 * k, 3);
+        }
+        while let Some(a) = q.pop() {
+            assert_eq!(Some(a), heap.pop().map(|e| (e.at, e.event)));
+        }
+        assert!(heap.is_empty());
+        let kept = q.cal.capacities().max().unwrap();
+        assert!(
+            kept <= RETAINED_ENTRIES,
+            "a drained buffer kept {kept} entries"
+        );
+
+        // A restored queue re-submitting before its cursor fills the past
+        // heap; draining it frees that too.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(1_000_000), Event::Tick);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1_000_000)));
+        for t in 0..10_000 {
+            q.push(SimTime::from_millis(t), Event::Resched);
+        }
+        while q.pop().is_some() {}
+        let kept = q.cal.capacities().max().unwrap();
+        assert!(
+            kept <= RETAINED_ENTRIES,
+            "a drained buffer kept {kept} entries"
+        );
     }
 
     /// Interleaving pushes at the *current* batch time with pops keeps

@@ -95,8 +95,8 @@ enum Tasks {
     /// task and a count however many tasks it has.
     Compact { task: TaskSpec, count: u32 },
     /// No tasks, or at least two that are not all equal (PUMA's skewed
-    /// stages).
-    Listed(Vec<TaskSpec>),
+    /// stages), held exactly sized.
+    Listed(Box<[TaskSpec]>),
 }
 
 impl Tasks {
@@ -106,13 +106,13 @@ impl Tasks {
                 task,
                 count: tasks.len() as u32,
             },
-            _ => Tasks::Listed(tasks),
+            _ => Tasks::Listed(tasks.into_boxed_slice()),
         }
     }
 
     fn uniform(count: u32, task: TaskSpec) -> Self {
         if count == 0 {
-            Tasks::Listed(Vec::new())
+            Tasks::Listed(Box::default())
         } else {
             Tasks::Compact { task, count }
         }
@@ -303,7 +303,9 @@ pub struct JobSpec {
     priority: u8,
     label: String,
     bin: u8,
-    stages: Vec<StageSpec>,
+    /// Exactly sized: most jobs have one or two stages, and a `Vec`'s
+    /// first growth step reserves four.
+    stages: Box<[StageSpec]>,
 }
 
 impl JobSpec {
@@ -340,6 +342,12 @@ impl JobSpec {
     /// Human-readable label (e.g. the PUMA template name).
     pub fn label(&self) -> &str {
         &self.label
+    }
+
+    /// Moves the label out, leaving it empty: for the final report, which
+    /// outlives the spec.
+    pub(crate) fn take_label(&mut self) -> String {
+        std::mem::take(&mut self.label)
     }
 
     /// The workload bin the job belongs to (Table I groups jobs into bins
@@ -454,14 +462,18 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Appends a stage.
+    /// Appends a stage. Stages are reserved exactly, so
+    /// [`build`](Self::build) hands the list over without trimming it.
     pub fn stage(mut self, stage: StageSpec) -> Self {
+        self.stages.reserve_exact(1);
         self.stages.push(stage);
         self
     }
 
     /// Appends several stages.
     pub fn stages(mut self, stages: impl IntoIterator<Item = StageSpec>) -> Self {
+        let stages = stages.into_iter();
+        self.stages.reserve_exact(stages.size_hint().0);
         self.stages.extend(stages);
         self
     }
@@ -475,7 +487,7 @@ impl JobSpecBuilder {
             priority: self.priority.unwrap_or(1),
             label: self.label,
             bin: self.bin,
-            stages: self.stages,
+            stages: self.stages.into_boxed_slice(),
         }
     }
 }
@@ -596,6 +608,18 @@ mod tests {
             .build();
         let reason = over.validate(1).unwrap_err();
         assert!(reason.contains("limit of 65536"), "{reason}");
+    }
+
+    /// The builder reserves stages exactly, so `build` hands its list to
+    /// the spec without a shrinking reallocation.
+    #[test]
+    fn builder_reserves_stages_exactly() {
+        let stage = StageSpec::uniform(StageKind::Map, 1, TaskSpec::new(SimDuration::from_secs(1)));
+        let builder = JobSpec::builder().stage(stage.clone());
+        assert_eq!(builder.stages.capacity(), 1);
+        let builder = builder.stage(stage.clone()).stages(vec![stage.clone(); 3]);
+        assert_eq!(builder.stages.capacity(), 5);
+        assert_eq!(builder.build().stage_count(), 5);
     }
 
     #[test]

@@ -131,6 +131,13 @@ impl SimulationReport {
         }
     }
 
+    /// Sets the per-job outcomes (engine use: they are built last, after
+    /// the rest of the engine is dropped).
+    pub(crate) fn with_outcomes(mut self, outcomes: Vec<JobOutcome>) -> Self {
+        self.outcomes = outcomes;
+        self
+    }
+
     /// Attaches the recorded event journal (engine use).
     pub fn with_journal(mut self, journal: Journal) -> Self {
         self.journal = Some(journal);

@@ -80,9 +80,14 @@ pub enum Token<'a> {
     UInt(u64),
     /// A negative integer.
     Int(i64),
-    /// A number with a fraction or an exponent, or an integer outside
-    /// the 64-bit ranges.
+    /// A number with a fraction or an exponent.
     Float(f64),
+    /// An integer text outside both 64-bit ranges, as written. Integer
+    /// readers refuse it as out of range; float readers and [`Value`]
+    /// take its nearest float.
+    ///
+    /// [`Value`]: crate::Value
+    BigInt(&'a str),
     /// A string, borrowed from the input unless it held escapes.
     Str(Cow<'a, str>),
     /// `[` was consumed.
@@ -99,7 +104,8 @@ impl Token<'_> {
             Token::Null => "null",
             Token::Bool(_) => "bool",
             Token::UInt(_) | Token::Int(_) => "integer",
-            Token::Float(_) => "float",
+            // A `Value` holds it as a float.
+            Token::Float(_) | Token::BigInt(_) => "float",
             Token::Str(_) => "string",
             Token::ArrayStart => "array",
             Token::ObjectStart => "object",
@@ -632,6 +638,10 @@ impl<'a> Lexer<'a> {
             }
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Token::Int(i));
+            }
+            // Digits that fit neither type: too large, not malformed.
+            if text.len() > usize::from(text.starts_with('-')) {
+                return Ok(Token::BigInt(text));
             }
         }
         text.parse::<f64>()

@@ -223,24 +223,43 @@ macro_rules! impl_scalar {
     };
 }
 
-fn to_u64(token: Token<'_>) -> Result<u64, DeError> {
+/// 2⁶⁴ and 2⁶³, exactly: `u64::MAX as f64` and `i64::MAX as f64` round up
+/// to them, so a whole float is in range only strictly below.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// A whole number, as an integer text or a whole float, that `name`
+/// cannot hold. The message names no digits: a [`Value`] keeps such a
+/// number as its nearest float, so the text and the tree would differ.
+fn out_of_range(name: &str) -> DeError {
+    DeError::custom(format!("integer out of range for {name}"))
+}
+
+/// An unsigned integer for a reader of `name`. Whole floats coerce.
+fn to_u64(token: Token<'_>, name: &str) -> Result<u64, DeError> {
     match token {
         Token::UInt(u) => Ok(u),
         Token::Int(i) if i >= 0 => Ok(i as u64),
-        Token::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as u64),
+        Token::Float(f) if f >= 0.0 && f.fract() == 0.0 => (f < TWO_POW_64)
+            .then_some(f as u64)
+            .ok_or_else(|| out_of_range(name)),
+        Token::BigInt(text) if !text.starts_with('-') => Err(out_of_range(name)),
         other => Err(DeError::expected("unsigned integer", other.kind())),
     }
 }
 
-fn to_i64(token: Token<'_>) -> Result<i64, DeError> {
+/// A signed integer for a reader of `name`. Whole floats coerce.
+fn to_i64(token: Token<'_>, name: &str) -> Result<i64, DeError> {
     match token {
         Token::UInt(u) => {
             i64::try_from(u).map_err(|_| DeError::custom(format!("integer {u} out of i64 range")))
         }
         Token::Int(i) => Ok(i),
-        Token::Float(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
-            Ok(f as i64)
-        }
+        Token::Float(f) if f.fract() == 0.0 => (-TWO_POW_63..TWO_POW_63)
+            .contains(&f)
+            .then_some(f as i64)
+            .ok_or_else(|| out_of_range(name)),
+        Token::BigInt(_) => Err(out_of_range(name)),
         other => Err(DeError::expected("integer", other.kind())),
     }
 }
@@ -252,7 +271,7 @@ fn narrow<W: Copy + fmt::Display, T: TryFrom<W>>(raw: W, name: &str) -> Result<T
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl_scalar!($t, |v, out| codec::write_u64(out, *v as u64),
-            |token| to_u64(token).and_then(|raw| narrow(raw, stringify!($t))));
+            |token| to_u64(token, stringify!($t)).and_then(|raw| narrow(raw, stringify!($t))));
     )*};
 }
 
@@ -261,16 +280,22 @@ impl_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl_scalar!($t, |v, out| codec::write_i64(out, *v as i64),
-            |token| to_i64(token).and_then(|raw| narrow(raw, stringify!($t))));
+            |token| to_i64(token, stringify!($t)).and_then(|raw| narrow(raw, stringify!($t))));
     )*};
 }
 
 impl_int!(i8, i16, i32, i64, isize);
 
+/// The nearest float to an integer text (infinite past `f64`'s range).
+fn big_float(text: &str) -> f64 {
+    text.parse().expect("an integer text parses as a float")
+}
+
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl_scalar!($t, |v, out| codec::write_f64(out, *v as f64), |token| match token {
             Token::Float(f) => Ok(f as $t),
+            Token::BigInt(text) => Ok(big_float(text) as $t),
             Token::UInt(u) => Ok(u as $t),
             Token::Int(i) => Ok(i as $t),
             other => Err(DeError::expected("number", other.kind())),
@@ -336,6 +361,7 @@ impl Deserialize for Value {
             Token::UInt(u) => Value::UInt(u),
             Token::Int(i) => Value::Int(i),
             Token::Float(f) => Value::Float(f),
+            Token::BigInt(text) => Value::Float(big_float(text)),
             Token::Str(s) => Value::Str(s.into_owned()),
             Token::ArrayStart => {
                 let mut items = Vec::new();
@@ -424,6 +450,21 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             items.push(T::read_json(lex)?);
         }
         Ok(items)
+    }
+}
+
+/// An exactly sized sequence: the same JSON array as a `Vec`.
+impl<T: Serialize> Serialize for Box<[T]> {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out)
+    }
+}
+
+/// Read as a `Vec`, then trimmed to its length, so a long-lived value keeps
+/// no growth slack.
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn read_json(lex: &mut Lexer<'_>) -> Result<Self, ReadError> {
+        Vec::read_json(lex).map(Vec::into_boxed_slice)
     }
 }
 

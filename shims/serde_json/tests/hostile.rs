@@ -182,12 +182,47 @@ fn out_of_range_integers_are_refused_with_the_conversion_message() {
     assert_eq!(from_str::<u64>("1e3").unwrap(), 1000);
     assert_eq!(from_str::<i32>("-2e1").unwrap(), -20);
     assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
-    // Past u64, an integer reads as a float first.
+    // Past u64, a float reader takes an integer's nearest float.
     assert_eq!(
         from_str::<f64>("18446744073709551616").unwrap(),
         2f64.powi(64)
     );
+    // An integer reader refuses it, and every whole number its type
+    // cannot hold, instead of saturating to the float's cast: 2⁶⁴, a text
+    // that rounds down to 2⁶⁴, one below i64::MIN that rounds up to it, and
+    // a whole float at 2⁶⁴.
+    for (result, ty) in [
+        (from_str::<u64>("18446744073709551616").map(|_| ()), "u64"),
+        (from_str::<u64>("18446744073709553000").map(|_| ()), "u64"),
+        (from_str::<i64>("-9223372036854775809").map(|_| ()), "i64"),
+        (from_str::<u64>("1.8446744073709552e19").map(|_| ()), "u64"),
+        (
+            from_str::<i64>("9.223372036854775808e18").map(|_| ()),
+            "i64",
+        ),
+        (
+            from_str::<u32>("99999999999999999999999").map(|_| ()),
+            "u32",
+        ),
+    ] {
+        assert_eq!(
+            data(result.unwrap_err()),
+            format!("integer out of range for {ty}")
+        );
+    }
+    // Just inside the ranges, the same texts still read.
+    assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+    assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+    assert_eq!(
+        from_str::<i64>("-9.223372036854775808e18").unwrap(),
+        i64::MIN
+    );
+    assert_eq!(
+        data(from_str::<u64>("-18446744073709551616").unwrap_err()),
+        "expected unsigned integer while deserializing float"
+    );
     for text in [
+        r#"{"id":18446744073709551616}"#,
         r#"{"id":4294967296}"#,
         r#"{"id":-1}"#,
         r#"{"parent":300}"#,
