@@ -270,11 +270,17 @@ impl MultilevelQueue {
         // *exactly on* a threshold (e.g. size-10⁴ jobs vs α₅ = 10⁴). A
         // nanoscale overshoot must not demote a job past the queue its true
         // service belongs to.
+        let within = |t: &Service| entry.max_effective <= t.as_container_secs() * (1.0 + 1e-6);
+        let current = entry.queue;
+        // Still within the current queue's threshold (or in the last
+        // queue): the scan below would stop at or before `current`.
+        if thresholds.get(current).is_none_or(within) {
+            return Some(current);
+        }
         let target = thresholds
             .iter()
-            .position(|t| entry.max_effective <= t.as_container_secs() * (1.0 + 1e-6))
+            .position(within)
             .unwrap_or(thresholds.len());
-        let current = entry.queue;
         if target <= current {
             return Some(current);
         }
@@ -439,6 +445,8 @@ impl MultilevelQueue {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn thresholds(values: &[f64]) -> Vec<Service> {
@@ -613,6 +621,73 @@ mod tests {
         assert!(mlq.set_next_seq(5).unwrap_err().contains("collides"));
         mlq.restore_job(JobId::new(3), 0, 3, 0.0).unwrap();
         assert!(mlq.set_next_seq(6).unwrap_err().contains("twice"));
+    }
+
+    /// Where the full threshold scan puts a job whose maximum effective
+    /// service is `max_effective`: `observe` without its fast path.
+    fn scanned_queue(max_effective: f64, thresholds: &[Service]) -> usize {
+        thresholds
+            .iter()
+            .position(|t| max_effective <= t.as_container_secs() * (1.0 + 1e-6))
+            .unwrap_or(thresholds.len())
+    }
+
+    /// An observed service: anywhere over the thresholds' span, or on a
+    /// threshold's edge — at it, at the tolerance `t·(1 + 1e-6)`, or one
+    /// ulp either side of the tolerance.
+    fn observed_service(thresholds: Vec<Service>) -> impl Strategy<Value = f64> {
+        let edges = thresholds.len();
+        prop_oneof![
+            (0.0f64..13.0).prop_map(|exp| 10f64.powf(exp) - 1.0),
+            (0..edges, 0u8..4).prop_map(move |(i, edge)| {
+                let t = thresholds[i].as_container_secs();
+                let tolerance = t * (1.0 + 1e-6);
+                match edge {
+                    0 => t,
+                    1 => tolerance,
+                    2 => tolerance.next_up(),
+                    _ => tolerance.next_down(),
+                }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `observe` returns at once while a job stays within its queue's
+        /// threshold; over any sequence of observations on the paper's
+        /// thresholds it places and demotes every job as the full scan
+        /// from queue 0 does.
+        #[test]
+        fn observe_agrees_with_the_full_scan(
+            steps in prop::collection::vec(
+                (0u32..4, observed_service(crate::LasMqConfig::paper_experiments().thresholds())),
+                1..60,
+            ),
+        ) {
+            let t = crate::LasMqConfig::paper_experiments().thresholds();
+            let mut mlq = MultilevelQueue::new(t.len() + 1);
+            let mut model = [(0usize, 0.0f64); 4];
+            for job in 0..4 {
+                mlq.insert(JobId::new(job));
+            }
+            for (job, service) in steps {
+                let (queue, max) = &mut model[job as usize];
+                *max = max.max(service);
+                let from = *queue;
+                *queue = from.max(scanned_queue(*max, &t));
+                let id = JobId::new(job);
+                let got = mlq.observe(id, Service::from_container_secs(service), &t);
+                prop_assert_eq!(got, Some(*queue), "observing {} for {}", service, id);
+                prop_assert_eq!(mlq.max_effective_of(id), Some(*max));
+                for (other, &(queue, _)) in model.iter().enumerate() {
+                    let members = mlq.jobs_in(queue);
+                    prop_assert!(members.contains(&JobId::new(other as u32)));
+                }
+            }
+            mlq.assert_consistent();
+        }
     }
 
     #[test]

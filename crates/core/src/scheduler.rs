@@ -254,11 +254,21 @@ impl LasMq {
         }
         let old = self.job_cache[idx];
         let max_useful = view.max_useful_allocation();
+        let remaining_demand = view.remaining_demand();
+        let fresh = CachedDemand {
+            remaining_demand,
+            max_useful,
+            contrib_queue: current as u32,
+        };
+        if fresh == old {
+            // Same queue, same demand: nothing below would move. A running
+            // job whose only change is accrued service lands here.
+            return;
+        }
         if old.contrib_queue != NO_QUEUE {
             self.queue_demand[old.contrib_queue as usize] -= u64::from(old.max_useful);
         }
         self.queue_demand[current] += u64::from(max_useful);
-        let remaining_demand = view.remaining_demand();
         if remaining_demand != old.remaining_demand
             && self.config.ordering() == QueueOrdering::RemainingDemand
         {
@@ -267,11 +277,7 @@ impl LasMq {
             // whole key.
             self.mlq.set_demand(view.id, remaining_demand);
         }
-        self.job_cache[idx] = CachedDemand {
-            remaining_demand,
-            max_useful,
-            contrib_queue: current as u32,
-        };
+        self.job_cache[idx] = fresh;
     }
 
     /// How many containers each queue receives this pass, written into

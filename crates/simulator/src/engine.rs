@@ -382,6 +382,21 @@ impl JobCore {
     }
 }
 
+/// Why a job is on the engine's dirty list: what its view needs at the next
+/// pass. Derived from the job's state and never serialized; a restored or
+/// forked engine lists every active job as [`Rebuild`](Dirty::Rebuild).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dirty {
+    /// Not listed: the cached view is current.
+    Clean,
+    /// Listed only because running attempts accrue service since the view
+    /// was last built.
+    Accruing,
+    /// A discrete change since the view was last built, or a stage whose
+    /// transfer delay has not yet run out: the view is rebuilt.
+    Rebuild,
+}
+
 /// Hasher for [`JobStore::running_at`]'s packed `(job, task)` keys: one
 /// multiply, rotated so the well-mixed high bits land where the table takes
 /// its bucket index. The keys are engine-assigned dense ids, never outside
@@ -946,7 +961,7 @@ impl SimulationBuilder {
             } else {
                 None
             },
-            dirty: vec![false; jobs.len()],
+            dirty: vec![Dirty::Clean; jobs.len()],
             jobs,
             events,
             admitted: Vec::new(),
@@ -1018,8 +1033,8 @@ pub struct Simulation<S: Scheduler> {
     /// a pure function of its unchanged state, so the cached copy is
     /// bit-identical to a fresh rebuild.
     views: ViewCache,
-    /// Job index → whether the job is on `dirty_list`.
-    dirty: Vec<bool>,
+    /// Job index → why the job is on `dirty_list`, if it is.
+    dirty: Vec<Dirty>,
     /// Jobs whose views must be re-derived at the next pass. Jobs with
     /// running tasks (or a pending stage-readiness deadline) stay listed:
     /// their views vary with time even without discrete events.
@@ -1412,7 +1427,7 @@ impl<S: Scheduler> Simulation<S> {
         self.events
             .push(spec.arrival(), Event::JobArrival { job: id });
         self.jobs.push_spec(spec);
-        self.dirty.push(false);
+        self.dirty.push(Dirty::Clean);
         Ok(id)
     }
 
@@ -1635,7 +1650,7 @@ impl<S: Scheduler> Simulation<S> {
             journal: snapshot.journal,
             telemetry: snapshot.telemetry,
             invariants: snapshot.invariants,
-            dirty: vec![false; snapshot.jobs.len()],
+            dirty: vec![Dirty::Clean; snapshot.jobs.len()],
             jobs: JobStore::from_jobs(snapshot.jobs, snapshot.cluster.total_containers(), oracle),
             events: EventQueue::from_snapshot(snapshot.events, snapshot.events_next_seq),
             admitted: snapshot.admitted,
@@ -1732,11 +1747,14 @@ impl<S: Scheduler> Simulation<S> {
         self.needs_pass = true;
     }
 
+    /// Lists `id` for a full view rebuild at the next pass: every discrete
+    /// change to a job's state calls this.
     fn mark_dirty(&mut self, id: JobId) {
-        if !self.dirty[id.index()] {
-            self.dirty[id.index()] = true;
+        let dirty = &mut self.dirty[id.index()];
+        if *dirty == Dirty::Clean {
             self.dirty_list.push(id);
         }
+        *dirty = Dirty::Rebuild;
     }
 
     fn ensure_tick(&mut self) {
@@ -2073,27 +2091,43 @@ impl<S: Scheduler> Simulation<S> {
     /// keeps `last_accrual` independent of *when* a view was refreshed,
     /// which is what makes restored and uninterrupted runs snapshot
     /// identically.
+    ///
+    /// A job listed only for its running attempts ([`Dirty::Accruing`])
+    /// has `attained` and `attained_stage` as the only time-varying fields
+    /// of its view unless the scheduler reads stage progress or oracle
+    /// sizes, so then those two fields are all it gets.
     fn refresh_dirty_views(&mut self) {
         self.views.begin_refresh();
         let now = self.now;
+        let service_only = !self.fills_stage_progress && self.jobs.oracle_size.is_none();
         let mut i = 0;
         while i < self.dirty_list.len() {
             let id = self.dirty_list[i];
-            if self.jobs.core[id.index()].finished() {
-                self.dirty[id.index()] = false;
+            let j = id.index();
+            if self.jobs.core[j].finished() {
+                self.dirty[j] = Dirty::Clean;
                 self.dirty_list.swap_remove(i);
                 continue;
             }
-            if self.jobs.core[id.index()].held > 0 {
+            if self.jobs.core[j].held > 0 {
                 self.accrue_job(id);
+            }
+            if service_only && self.dirty[j] == Dirty::Accruing {
+                let core = &self.jobs.core[j];
+                self.views.accrue(id, core.attained, core.attained_stage);
+                i += 1;
+                continue;
             }
             let view = self.build_view(id);
             self.views.refresh(view);
-            let st = &self.jobs.stage[id.index()];
-            if !st.running.is_empty() || now < st.ready_at {
+            let st = &self.jobs.stage[j];
+            if now < st.ready_at {
+                i += 1;
+            } else if !st.running.is_empty() {
+                self.dirty[j] = Dirty::Accruing;
                 i += 1;
             } else {
-                self.dirty[id.index()] = false;
+                self.dirty[j] = Dirty::Clean;
                 self.dirty_list.swap_remove(i);
             }
         }
@@ -2102,8 +2136,9 @@ impl<S: Scheduler> Simulation<S> {
 
     /// Safety net for the incremental path: every cached view a pass is
     /// about to hand the scheduler must match a from-scratch rebuild, and
-    /// the cache must mirror the active jobs in admission order.
-    #[cfg(debug_assertions)]
+    /// the cache must mirror the active jobs in admission order. Debug
+    /// builds and this crate's tests run it on every pass.
+    #[cfg(any(debug_assertions, test))]
     fn assert_view_cache_fresh(&self) {
         let live = self.views.live();
         let mut expect = 0;
@@ -2144,7 +2179,7 @@ impl<S: Scheduler> Simulation<S> {
         self.stats.scheduling_passes += 1;
         self.compact_admitted();
         self.refresh_dirty_views();
-        #[cfg(debug_assertions)]
+        #[cfg(any(debug_assertions, test))]
         self.assert_view_cache_fresh();
 
         let ctx = SchedContext::new(
@@ -2178,24 +2213,18 @@ impl<S: Scheduler> Simulation<S> {
             });
         }
 
-        // Apply the plan (last entry wins; clamp to useful demand). Jobs
-        // the plan skips are implicitly at target zero via their stale
-        // `plan_epoch` (see `effective_target`).
+        // Apply the plan (last entry wins; clamp to useful demand, which
+        // the pass's own view of the job holds). Jobs the plan skips are
+        // implicitly at target zero via their stale `plan_epoch` (see
+        // `effective_target`).
         let epoch = self.stats.scheduling_passes;
         self.plan_order.clear();
-        let now = self.now;
         for &(id, target) in plan.entries() {
-            if id.index() >= self.jobs.len() {
-                continue;
-            }
-            let (spec, core, st) = self.jobs.split_mut(id.index());
-            if !core.active() {
-                continue; // tolerate stale plan entries
-            }
-            let unstarted_demand = st
-                .startable(now)
-                .saturating_mul(spec.stages()[core.stage_index].containers_per_task());
-            core.target = target.min(core.held + unstarted_demand);
+            let Some(view) = self.views.view_of(id) else {
+                continue; // tolerate stale plan entries: no live view
+            };
+            let core = &mut self.jobs.core[id.index()];
+            core.target = target.min(view.max_useful_allocation());
             if core.plan_epoch != epoch {
                 core.plan_epoch = epoch;
                 self.plan_order.push(id);
@@ -4009,5 +4038,268 @@ mod tests {
         let late = &report.outcomes()[6];
         assert_eq!(late.arrival, paused);
         assert!(late.finish.is_some());
+    }
+
+    /// Least attained service first, greedily within capacity: LAS_MQ's
+    /// read of the views (accrued service orders the jobs) without its
+    /// queues. `hinted`, it keeps each job's attained service by id and
+    /// re-reads only the views a pass lists as changed, as LAS_MQ does;
+    /// otherwise it reads every view. `progress` makes it declare
+    /// `reads_stage_progress`, which takes the engine off the service-only
+    /// refresh.
+    #[derive(Default)]
+    struct LeastAttained {
+        hinted: bool,
+        progress: bool,
+        seen: Vec<f64>,
+    }
+
+    impl Scheduler for LeastAttained {
+        fn name(&self) -> &str {
+            "least-attained"
+        }
+
+        fn reads_stage_progress(&self) -> bool {
+            self.progress
+        }
+
+        fn allocate_into(&mut self, ctx: &SchedContext<'_>, plan: &mut AllocationPlan) {
+            let jobs = ctx.jobs();
+            let mut note = |view: &JobView| {
+                let i = view.id.index();
+                if i >= self.seen.len() {
+                    self.seen.resize(i + 1, 0.0);
+                }
+                self.seen[i] = view.attained.as_container_secs();
+            };
+            match ctx.changed().filter(|_| self.hinted) {
+                Some(changed) => changed.iter().for_each(|&slot| note(&jobs[slot])),
+                None => jobs.iter().for_each(note),
+            }
+            let mut order: Vec<&JobView> = jobs.iter().collect();
+            order.sort_by(|a, b| {
+                let key = |v: &JobView| self.seen[v.id.index()];
+                key(a).total_cmp(&key(b)).then(a.id.cmp(&b.id))
+            });
+            let mut budget = ctx.total_containers();
+            for view in order {
+                let grant = view.max_useful_allocation().min(budget);
+                if grant > 0 {
+                    plan.push(view.id, grant);
+                    budget -= grant;
+                }
+            }
+        }
+    }
+
+    /// A ScaleTrace-like slice: `n` jobs arriving 0–2 s apart, each of one
+    /// to three stages of 1–10 tasks of 1–15 s on one or two containers.
+    /// With `delays`, later stages (and every third job's first) wait
+    /// 1–4 s on a transfer delay; `stragglers` makes every seventh task
+    /// eight times longer.
+    fn scale_slice(n: u64, delays: bool, stragglers: bool) -> Vec<JobSpec> {
+        let mut state = 0x5eed;
+        let mut draw = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        let mut arrival = 0;
+        (0..n)
+            .map(|job| {
+                arrival += draw(3);
+                let stages = (0..1 + draw(3)).map(|stage| {
+                    let containers = 1 + draw(2) as u32;
+                    let tasks = (0..1 + draw(10))
+                        .map(|task| {
+                            let mut secs = 1 + draw(15);
+                            if stragglers && task % 7 == 6 {
+                                secs *= 8;
+                            }
+                            TaskSpec::new(SimDuration::from_secs(secs)).with_containers(containers)
+                        })
+                        .collect();
+                    let spec = StageSpec::new(StageKind::Map, tasks);
+                    if delays && (stage > 0 || job % 3 == 0) {
+                        spec.with_start_delay(SimDuration::from_secs(1 + draw(4)))
+                    } else {
+                        spec
+                    }
+                });
+                JobSpec::builder()
+                    .arrival(SimTime::from_secs(arrival))
+                    .stages(stages)
+                    .build()
+            })
+            .collect()
+    }
+
+    /// Steps `sim` batch by batch, to `until` or to the end. Every pass of
+    /// a test build has already compared each live view with `build_view`
+    /// (`assert_view_cache_fresh`); after each batch with a pass this also
+    /// asserts that every view not awaiting a rebuild is still current.
+    /// Returns whether a batch is left.
+    fn step_checked<S: Scheduler>(sim: &mut Simulation<S>, until: SimTime) -> bool {
+        loop {
+            let passes = sim.stats.scheduling_passes;
+            if !sim.step_batch(until) {
+                return sim.next_event_time().is_some();
+            }
+            if sim.stats.scheduling_passes == passes {
+                continue;
+            }
+            for view in sim.views.live() {
+                if sim.dirty[view.id.index()] != Dirty::Rebuild {
+                    assert_eq!(*view, sim.build_view(view.id), "at {}", sim.now);
+                }
+            }
+        }
+    }
+
+    /// The service-only refresh writes two fields of a running job's view
+    /// and the full refresh rebuilds it; either way, the views a pass hands
+    /// its scheduler equal a from-scratch rebuild. Driven over the runs
+    /// where the two paths meet: a multi-node slice (service-only), stages
+    /// waiting on a transfer delay, failures with speculation, a scheduler
+    /// that reads stage progress and one that reads oracle sizes (both
+    /// rebuild every listed view), and runs restored and forked mid-way.
+    #[test]
+    fn view_cache_matches_a_rebuild_on_every_pass() {
+        const END: SimTime = SimTime::from_millis(u64::MAX);
+        let build = |delays: bool, faults: bool, sched: Box<dyn Scheduler>| {
+            let mut builder = Simulation::builder()
+                .cluster(ClusterConfig::new(6, 4))
+                .jobs(scale_slice(48, delays, faults));
+            if faults {
+                builder = builder
+                    .failures(FailureConfig::with_probability(0.15, 11))
+                    .speculation(SpeculationConfig::enabled(2, 1.5));
+            }
+            builder.build(sched).unwrap()
+        };
+        let las = |hinted| -> Box<dyn Scheduler> {
+            Box::new(LeastAttained {
+                hinted,
+                ..LeastAttained::default()
+            })
+        };
+        let progress = || -> Box<dyn Scheduler> {
+            Box::new(LeastAttained {
+                hinted: true,
+                progress: true,
+                ..LeastAttained::default()
+            })
+        };
+        let report_json = |sim: Simulation<Box<dyn Scheduler>>| {
+            serde_json::to_string(&sim.into_report()).unwrap()
+        };
+        for (delays, faults) in [(false, false), (true, false), (false, true), (true, true)] {
+            let name = format!("delays {delays}, faults {faults}");
+            // Service-only path, and the change list it leaves: a
+            // scheduler that re-reads only listed views plans as one that
+            // reads them all.
+            let mut hinted = build(delays, faults, las(true));
+            assert!(!step_checked(&mut hinted, END));
+            assert!(hinted.views.accrued > 0, "{name}: no service-only refresh");
+            assert!(hinted.views.rebuilt > 0, "{name}");
+            if faults {
+                assert!(hinted.stats.tasks_failed > 0, "{name}");
+                assert!(hinted.stats.speculative_launched > 0, "{name}");
+            }
+            let uninterrupted = report_json(hinted);
+            let mut blind = build(delays, faults, las(false));
+            assert!(!step_checked(&mut blind, END));
+            assert_eq!(report_json(blind), uninterrupted, "{name}");
+
+            // Full path: stage progress, oracle sizes.
+            for sched in [progress(), Box::new(Rotating { cursor: 0 })] {
+                let mut full = build(delays, faults, sched);
+                assert!(!step_checked(&mut full, END));
+                assert_eq!(full.views.accrued, 0, "{name}: {}", full.scheduler_name());
+                assert!(full.views.rebuilt > 0, "{name}");
+            }
+
+            // Restored mid-way: every active job is rebuilt on the first
+            // pass, and the rest of the run is the uninterrupted one.
+            let mut sim = build(delays, faults, las(true));
+            assert!(step_checked(&mut sim, SimTime::from_secs(40)));
+            let snap = SimSnapshot::from_json(&sim.snapshot().to_json()).unwrap();
+            let mut resumed = Simulation::restore(snap.clone(), las(true)).unwrap();
+            assert!(!step_checked(&mut resumed, END));
+            assert!(resumed.views.accrued > 0, "{name}");
+            assert_eq!(report_json(resumed), uninterrupted, "{name}");
+
+            // Forked mid-way, onto each path from the other.
+            let mut onto_full = Simulation::fork(&snap, progress()).unwrap();
+            assert!(!step_checked(&mut onto_full, END));
+            assert_eq!(onto_full.views.accrued, 0, "{name}");
+            let mut sim = build(delays, faults, progress());
+            assert!(step_checked(&mut sim, SimTime::from_secs(40)));
+            let mut onto_service = Simulation::fork(&sim.snapshot(), las(true)).unwrap();
+            assert!(!step_checked(&mut onto_service, END));
+            assert!(onto_service.views.accrued > 0, "{name}");
+        }
+    }
+
+    /// Which refresh each pass gave each job, as `(clock s, service-only,
+    /// rebuilt)` per batch.
+    fn refresh_counts<S: Scheduler>(sim: &mut Simulation<S>, batches: usize) -> Vec<(u64, u64, u64)> {
+        (0..batches)
+            .map(|_| {
+                let (accrued, rebuilt) = (sim.views.accrued, sim.views.rebuilt);
+                assert!(sim.step_batch(SimTime::from_millis(u64::MAX)));
+                (
+                    sim.now.as_millis() / 1000,
+                    sim.views.accrued - accrued,
+                    sim.views.rebuilt - rebuilt,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_running_job_with_no_discrete_change_is_refreshed_service_only() {
+        // Job 0 runs a 4 s and a 9 s task from 0 s; job 1 arrives at 2 s
+        // and runs one 20 s task. One pass per second (the quantum), under
+        // a scheduler that reads neither stage progress nor sizes.
+        let job0 = JobSpec::builder()
+            .stage(StageSpec::new(
+                StageKind::Map,
+                vec![
+                    TaskSpec::new(SimDuration::from_secs(4)),
+                    TaskSpec::new(SimDuration::from_secs(9)),
+                ],
+            ))
+            .build();
+        let build = || {
+            Simulation::builder()
+                .cluster(ClusterConfig::single_node(4))
+                .jobs([job0.clone(), map_job(2, 1, 20)])
+                .build(LeastAttained::default())
+                .unwrap()
+        };
+        let mut sim = build();
+        assert_eq!(
+            refresh_counts(&mut sim, 6),
+            [
+                // Admission, then its task starts: rebuilds.
+                (0, 0, 1),
+                (1, 0, 1),
+                // Job 0 only accrues; job 1 is admitted.
+                (2, 1, 1),
+                // Job 1's task started after the last pass.
+                (3, 1, 1),
+                // Job 0's first task finished.
+                (4, 1, 1),
+                (5, 2, 0),
+            ]
+        );
+        // Any mark_dirty forces a rebuild.
+        sim.mark_dirty(JobId::new(1));
+        assert_eq!(refresh_counts(&mut sim, 1), [(6, 1, 1)]);
+        // A restored engine rebuilds every active job on its first pass.
+        let snap = SimSnapshot::from_json(&sim.snapshot().to_json()).unwrap();
+        let mut resumed = Simulation::restore(snap, LeastAttained::default()).unwrap();
+        assert_eq!(refresh_counts(&mut resumed, 2), [(7, 0, 2), (8, 2, 0)]);
+        assert_eq!(refresh_counts(&mut sim, 2), [(7, 2, 0), (8, 2, 0)]);
     }
 }

@@ -126,7 +126,7 @@ impl<'a> SchedContext<'a> {
         }
     }
 
-    /// Attaches the engine's dirty-set hint: the ascending indices into
+    /// Attaches the engine's dirty-set hint: the ascending, unique indices into
     /// [`jobs`](Self::jobs) whose views differ from the previous
     /// scheduling pass on the same scheduler instance. See
     /// [`changed`](Self::changed) for the exact contract.
@@ -151,8 +151,10 @@ impl<'a> SchedContext<'a> {
     }
 
     /// Which entries of [`jobs`](Self::jobs) changed since the previous
-    /// scheduling pass on the same scheduler instance, as ascending indices
-    /// into that slice.
+    /// scheduling pass on the same scheduler instance, as ascending, unique
+    /// indices into that slice. A running job whose view moved only in
+    /// [`attained`](JobView::attained) and
+    /// [`attained_stage`](JobView::attained_stage) is listed too.
     ///
     /// `None` means "no information — treat every job as possibly changed"
     /// (hand-built test contexts, the `lasmq-verify` reference executor,

@@ -18,6 +18,7 @@ use std::ops::Range;
 
 use crate::ids::JobId;
 use crate::sched::JobView;
+use crate::time::Service;
 
 /// Position of a job without a view in [`ViewCache::pos`].
 const ABSENT: usize = usize::MAX;
@@ -38,6 +39,12 @@ pub(crate) struct ViewCache {
     /// Slots patched because their view moved.
     #[cfg(test)]
     moved: u64,
+    /// Views rebuilt by [`refresh`](Self::refresh).
+    #[cfg(test)]
+    pub(crate) rebuilt: u64,
+    /// Views updated by [`accrue`](Self::accrue).
+    #[cfg(test)]
+    pub(crate) accrued: u64,
 }
 
 impl ViewCache {
@@ -50,6 +57,14 @@ impl ViewCache {
     pub(crate) fn slot(&self, id: JobId) -> Option<usize> {
         match self.pos.get(id.index()) {
             Some(&at) if at != ABSENT => Some(at - self.head),
+            _ => None,
+        }
+    }
+
+    /// `id`'s live view, or `None` if it has none.
+    pub(crate) fn view_of(&self, id: JobId) -> Option<&JobView> {
+        match self.pos.get(id.index()) {
+            Some(&at) if at != ABSENT => Some(&self.buf[at]),
             _ => None,
         }
     }
@@ -112,13 +127,37 @@ impl ViewCache {
         self.changed.clear();
     }
 
-    /// Replaces the live view of `view.id` and lists its slot as changed.
-    /// A job is refreshed at most once per round.
-    pub(crate) fn refresh(&mut self, view: JobView) {
-        let at = self.pos[view.id.index()];
-        debug_assert_ne!(at, ABSENT, "refreshed {} has no view", view.id);
+    /// Lists `id`'s live slot as changed and returns its position in
+    /// `buf`. A job is refreshed at most once per round.
+    fn mark(&mut self, id: JobId) -> usize {
+        let at = self.pos[id.index()];
+        debug_assert_ne!(at, ABSENT, "refreshed {id} has no view");
         self.changed.push(at - self.head);
+        at
+    }
+
+    /// Replaces the live view of `view.id` and lists its slot as changed.
+    pub(crate) fn refresh(&mut self, view: JobView) {
+        #[cfg(test)]
+        {
+            self.rebuilt += 1;
+        }
+        let at = self.mark(view.id);
         self.buf[at] = view;
+    }
+
+    /// Writes a job's accrued service into its live view and lists its
+    /// slot as changed: the whole refresh of a job whose only change since
+    /// its view was built is the service its running attempts accrued.
+    pub(crate) fn accrue(&mut self, id: JobId, attained: Service, attained_stage: Service) {
+        #[cfg(test)]
+        {
+            self.accrued += 1;
+        }
+        let at = self.mark(id);
+        let view = &mut self.buf[at];
+        view.attained = attained;
+        view.attained_stage = attained_stage;
     }
 
     /// Ends a refresh round: the changed slots in ascending order.
@@ -189,7 +228,7 @@ mod tests {
             // Ops below `grow` admit, 8 and 9 refresh, the rest retire: the
             // cache grows in some cases and drains in others.
             grow in 3u8..6,
-            steps in prop::collection::vec((0u8..10, 0u64..1 << 32, 1u32..4), 1..400),
+            steps in prop::collection::vec((0u8..10, 0u64..u64::MAX, 1u32..4), 1..400),
         ) {
             let (mut cache, mut model) = (ViewCache::default(), Model::default());
             let mut next_id = 0;
@@ -207,16 +246,28 @@ mod tests {
                     continue;
                 } else if op >= 8 {
                     // A refresh round over up to `k` distinct live jobs,
-                    // listed out of order.
+                    // listed out of order, each rebuilt or given accrued
+                    // service.
                     cache.begin_refresh();
                     model.changed.clear();
                     let first = pick(live);
                     for slot in (first..live).take(k as usize).rev() {
-                        let fresh = JobView {
-                            held: stamp as u32,
-                            ..model.views[slot].clone()
+                        let fresh = if draw >> (32 + slot % 32) & 1 == 0 {
+                            let fresh = JobView {
+                                held: stamp as u32,
+                                ..model.views[slot].clone()
+                            };
+                            cache.refresh(fresh.clone());
+                            fresh
+                        } else {
+                            let service = Service::from_container_secs(stamp as f64);
+                            cache.accrue(model.views[slot].id, service, service);
+                            JobView {
+                                attained: service,
+                                attained_stage: service,
+                                ..model.views[slot].clone()
+                            }
                         };
-                        cache.refresh(fresh.clone());
                         model.views[slot] = fresh;
                         model.changed.push(slot);
                     }
